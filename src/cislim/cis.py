@@ -174,26 +174,39 @@ class CompositeInjection:
     map: CtsMap
 
 
+def transits(c: Cis, i: int, top: int):
+    """Yield (k, f_{i,k}) for k = i..top, each composite a plain dict on its
+    domain.
+
+    Every step extends the previous one: keep the entries whose image lies
+    in Y_k, then apply f_k.  Domains only shrink, so a pair that stops
+    transiting never transits again.
+    """
+    f_i = stage_map(c, i).assignment
+    asg = {y: f_i[y] for y in stage_y(c, i)}
+    yield i, asg
+    for k in range(i + 1, top + 1):
+        yk = stage_y(c, k)
+        f_k = stage_map(c, k).assignment
+        asg = {y: f_k[z] for y, z in asg.items() if z in yk}
+        yield k, asg
+
+
 def composite(c: Cis, i: int, j: int) -> CompositeInjection:
+    """f_{i,j} as a map on the subspace of its domain."""
     if j < i:
         raise IndexError("composite needs i <= j")
     resolve_index(c, i)
     resolve_index(c, j + 1)  # the composite lands in stage j+1
-    f_i = stage_map(c, i)
-    dom = set(stage_y(c, i))
-    asg = {y: f_i(y) for y in dom}
     top = j
     if isinstance(c.tail, Stationary):
         # beyond the parking index every step is the identity on the full stage
         top = min(j, max(i, c.tail.n0))
-    for k in range(i + 1, top + 1):
-        yk = stage_y(c, k)
-        f_k = stage_map(c, k)
-        dom = {y for y in dom if asg[y] in yk}
-        asg = {y: f_k(asg[y]) for y in dom}
-    domain = frozenset(dom)
+    for _, asg in transits(c, i, top):
+        pass
+    domain = frozenset(asg)
     sub, _ = subspace(stage_space(c, i), domain)
-    cmap = CtsMap(sub, stage_space(c, j + 1), {y: asg[y] for y in domain})
+    cmap = CtsMap(sub, stage_space(c, j + 1), asg)
     return CompositeInjection(i, j, domain, cmap)
 
 

@@ -253,7 +253,15 @@ def quotient(space: FinSpace, partition) -> tuple[FinSpace, CtsMap]:
 def product(a: FinSpace, b: FinSpace) -> FinSpace:
     """Product space; U_(x,y) = U_x x U_y."""
     pair = lambda x, y: f"({x},{y})"
-    points = frozenset(pair(x, y) for x in a.points for y in b.points)
+    seen: dict[str, tuple[str, str]] = {}
+    for x in sorted(a.points):
+        for y in sorted(b.points):
+            first = seen.setdefault(pair(x, y), (x, y))
+            if first != (x, y):
+                raise TopologyError(
+                    f"product labels collide: {first} and {(x, y)} both encode as {pair(x, y)}"
+                )
+    points = frozenset(seen)
     min_open = {
         pair(x, y): frozenset(pair(u, v) for u in a.min_open[x] for v in b.min_open[y])
         for x in a.points

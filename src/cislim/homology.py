@@ -10,7 +10,7 @@ carries the same dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -433,33 +433,10 @@ def counter_functorial_check(
 ) -> InvarianceReport:
     """The contravariant twin: the limit of the dualized chain against the
     cohomology of the fundamental limit, intertwined through the transposed
-    structure maps."""
-    if not is_inductive(c):
-        raise TopologyError("invariance holds for inductive systems; this one glues less")
-    ls = limit if limit is not None else build_fundamental(c)
-    seq = stage_homology_sequence(c, p)
-    module_dim, cone = module_limit(seq)
-    colimit_dim = betti_mod2(order_complex(ls.x), p)[p]  # same as cohomology dim over a field
-    structure_t = [induced_matrix(phi, p).T.copy() for phi in ls.phis]
+    structure maps.
 
-    # want h with structure_t[k] @ h = cone[k]; transpose to reuse the solver
-    constraints = [(m.T.copy(), ck.T.copy()) for m, ck in zip(structure_t, cone)]
-    h_t, unique, solver_wit = _solve_intertwiner(constraints, colimit_dim, module_dim)
-    witnesses = list(solver_wit)
-    exists = h_t is not None
-    h = h_t.T.copy() if h_t is not None else None
-    if exists:
-        invertible = colimit_dim == module_dim and (
-            colimit_dim == 0 or gf2_inverse(h) is not None
-        )
-        if not invertible:
-            exists = False
-            witnesses.append("intertwiner exists but is not an isomorphism")
-        else:
-            for k, (mt, ck) in enumerate(zip(structure_t, cone)):
-                if not np.array_equal(gf2_matmul(mt, h), ck):
-                    exists = False
-                    witnesses.append(f"intertwiner fails on stage {k}")
-    return InvarianceReport(
-        p, colimit_dim, module_dim, exists, unique, h if exists else None, tuple(witnesses)
-    )
+    Transposing h @ induced_k = cocone_k gives induced_k.T @ h.T = cone_k,
+    the same linear system, so the intertwiner is the covariant one
+    transposed and every dimension, flag and witness carries over."""
+    rep = functorial_invariance_check(c, p, limit)
+    return replace(rep, iso=None if rep.iso is None else rep.iso.T.copy())

@@ -4,17 +4,18 @@ cover / perfect-map analysis.
 
 Overlap bookkeeping convention: for stages i < j, the images of stage i
 and stage j in a limit meet exactly along the composite transit map
-f_{i,j-1}: Y_{i,j-1} -> X_j (for adjacent stages this is f_i itself, which
-always transits).  Whether stage i can reach stage j is therefore decided
-by semicomponibility of the attachments at i and j-1, and the disjointness
-axiom applies to the pairs that cannot.
+f_{i,j-1}: Y_{i,j-1} -> X_j.  Adjacent stages are always linked, through
+f_i itself, even when Y_i is empty; a farther pair is linked when its
+transit has a nonempty domain, and the disjointness axiom applies to the
+pairs that are not.  The verifiers take every transit out of stage i from
+one forward walk (`cis.transits`), each step extending the last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cis import Cis, CompositeInjection, composite, semicomponible, validate_cis
+from .cis import Cis, transits, validate_cis
 from .finspace import (
     CtsMap,
     FinSpace,
@@ -169,11 +170,12 @@ def _require_aligned(c: Cis, ls: LimitSpace) -> None:
             raise TopologyError(f"structure map {i} is not defined on stage {i}")
 
 
-def _transit(c: Cis, i: int, j: int) -> tuple[bool, CompositeInjection]:
-    """Whether stage i reaches stage j inside a limit, with the transit map."""
-    linked = semicomponible(c, i, j - 1)
-    comp = composite(c, i, j - 1)
-    return linked, comp
+def _stage_pairs(c: Cis):
+    """(i, j, linked, transit) for every stage pair i < j, where `transit`
+    is f_{i,j-1} as a dict on its domain."""
+    for i in range(c.stage_count - 1):
+        for k, transit in transits(c, i, c.stage_count - 2):
+            yield i, k + 1, k == i or bool(transit), transit
 
 
 def _cover_check(c, ls):
@@ -206,37 +208,38 @@ def verify_limit_axioms(c: Cis, ls: LimitSpace) -> AxiomReport:
 
     overlap_bad = []
     disjoint_bad = []
-    for i in range(c.stage_count):
-        for j in range(i + 1, c.stage_count):
-            phi_i, phi_j = ls.phis[i], ls.phis[j]
-            meet = phi_i.image() & phi_j.image()
-            linked, comp = _transit(c, i, j)
-            if not linked:
-                if meet:
-                    disjoint_bad.append(
-                        f"stages {i},{j} cannot interact but share {sorted(meet)}"
+    images = [phi.image() for phi in ls.phis]
+    fibres = []  # each stage's points grouped by image, each group sorted
+    for phi in ls.phis:
+        fibre: dict[str, list[str]] = {}
+        for x in sorted(phi.source.points):
+            fibre.setdefault(phi(x), []).append(x)
+        fibres.append(fibre)
+    for i, j, linked, transit in _stage_pairs(c):
+        phi_i, phi_j = ls.phis[i], ls.phis[j]
+        meet = images[i] & images[j]
+        if not linked:
+            if meet:
+                disjoint_bad.append(f"stages {i},{j} cannot interact but share {sorted(meet)}")
+            continue
+        glued = frozenset(phi_j(z) for z in transit.values())
+        if meet != glued:
+            overlap_bad.append(
+                f"stages {i},{j}: images meet in {sorted(meet)} "
+                f"but the transit lands on {sorted(glued)}"
+            )
+        for xi in sorted(phi_i.source.points):
+            for xj in fibres[j].get(phi_i(xi), ()):
+                if xi not in transit:
+                    overlap_bad.append(
+                        f"stages {i},{j}: {xi} and {xj} collide at {phi_i(xi)} "
+                        f"but {xi} is outside the transit domain"
                     )
-                continue
-            glued = frozenset(phi_j(comp.map(y)) for y in comp.domain)
-            if meet != glued:
-                overlap_bad.append(
-                    f"stages {i},{j}: images meet in {sorted(meet)} "
-                    f"but the transit lands on {sorted(glued)}"
-                )
-            for xi in sorted(phi_i.source.points):
-                for xj in sorted(phi_j.source.points):
-                    if phi_i(xi) != phi_j(xj):
-                        continue
-                    if xi not in comp.domain:
-                        overlap_bad.append(
-                            f"stages {i},{j}: {xi} and {xj} collide at {phi_i(xi)} "
-                            f"but {xi} is outside the transit domain"
-                        )
-                    elif comp.map(xi) != xj:
-                        overlap_bad.append(
-                            f"stages {i},{j}: {xi} and {xj} collide at {phi_i(xi)} "
-                            f"but the transit sends {xi} to {comp.map(xi)}"
-                        )
+                elif transit[xi] != xj:
+                    overlap_bad.append(
+                        f"stages {i},{j}: {xi} and {xj} collide at {phi_i(xi)} "
+                        f"but the transit sends {xi} to {transit[xi]}"
+                    )
     checks.append(CheckResult("overlap", not overlap_bad, tuple(overlap_bad)))
     checks.append(CheckResult("disjointness", not disjoint_bad, tuple(disjoint_bad)))
     return AxiomReport(tuple(checks))
@@ -251,30 +254,26 @@ def verify_gluing_laws(c: Cis, ls: LimitSpace) -> AxiomReport:
     agree_bad = []
     offlocus_bad = []
     disjoint_bad = []
-    for i in range(c.stage_count):
-        for j in range(i + 1, c.stage_count):
-            phi_i, phi_j = ls.phis[i], ls.phis[j]
-            linked, comp = _transit(c, i, j)
-            if not linked:
-                meet = phi_i.image() & phi_j.image()
-                if meet:
-                    disjoint_bad.append(
-                        f"stages {i},{j} cannot interact but share {sorted(meet)}"
-                    )
-                continue
-            for y in sorted(comp.domain):
-                if phi_j(comp.map(y)) != phi_i(y):
-                    agree_bad.append(
-                        f"stages {i},{j}: gluing sends {y} to {phi_j(comp.map(y))} "
-                        f"but stage {i} places it at {phi_i(y)}"
-                    )
-            off_i = phi_i.image(phi_i.source.points - comp.domain)
-            off_j = phi_j.image(phi_j.source.points - comp.map.image())
-            meet = off_i & off_j
+    for i, j, linked, transit in _stage_pairs(c):
+        phi_i, phi_j = ls.phis[i], ls.phis[j]
+        if not linked:
+            meet = phi_i.image() & phi_j.image()
             if meet:
-                offlocus_bad.append(
-                    f"stages {i},{j}: points {sorted(meet)} collide away from the gluing locus"
+                disjoint_bad.append(f"stages {i},{j} cannot interact but share {sorted(meet)}")
+            continue
+        for y in sorted(transit):
+            if phi_j(transit[y]) != phi_i(y):
+                agree_bad.append(
+                    f"stages {i},{j}: gluing sends {y} to {phi_j(transit[y])} "
+                    f"but stage {i} places it at {phi_i(y)}"
                 )
+        off_i = phi_i.image(phi_i.source.points.difference(transit))
+        off_j = phi_j.image(phi_j.source.points.difference(transit.values()))
+        meet = off_i & off_j
+        if meet:
+            offlocus_bad.append(
+                f"stages {i},{j}: points {sorted(meet)} collide away from the gluing locus"
+            )
     checks.append(CheckResult("gluing agreement", not agree_bad, tuple(agree_bad)))
     checks.append(CheckResult("off-locus disjointness", not offlocus_bad, tuple(offlocus_bad)))
     checks.append(CheckResult("disjointness", not disjoint_bad, tuple(disjoint_bad)))

@@ -263,11 +263,19 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
         assert out1.getvalue() == out2.getvalue()
 
         # fresh processes have fresh hash randomization; bytes must still match
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import cislim
+
+        # the children import the same cislim as this process, installed or not
+        src = str(Path(cislim.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         cmd = [sys.executable, "-m", "cislim.cli", "fuzz", "--count", "15", "--seed", "9"]
-        runs = [subprocess.run(cmd, capture_output=True, check=True) for _ in range(2)]
+        runs = [subprocess.run(cmd, capture_output=True, check=True, env=env) for _ in range(2)]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout.decode() != ""
 

@@ -15,6 +15,7 @@ from cislim.cis import (
     stage_map,
     stage_space,
     stage_y,
+    transits,
     validate_cis,
 )
 from cislim.finspace import TopologyError, classify_map
@@ -205,6 +206,23 @@ class TestComposite:
                         mid = front.map(y)
                         assert mid in back.domain
                         assert back.map(mid) == whole.map(y)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_transit_walk_matches_pointwise_iteration(self, seed):
+        c = FuzzGen(seed).cis(max_stages=6)
+        n = c.stage_count
+        for i in range(n - 1):
+            walk = list(transits(c, i, n - 2))
+            assert [k for k, _ in walk] == list(range(i, n - 1))
+            for k, asg in walk:
+                assert frozenset(asg) == one_shot_domain(c, i, k)
+                for y, z in asg.items():
+                    p = y
+                    for step in range(i, k + 1):
+                        p = stage_map(c, step)(p)
+                    assert p == z
+                assert semicomponible(c, i, k) == (k == i or bool(asg))
 
     def test_image_recursion(self):
         # image of the composite equals the next attachment applied to the

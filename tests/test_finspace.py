@@ -250,6 +250,13 @@ class TestProduct:
         assert prod.min_open["(a,a)"] == frozenset({"(a,a)"})
         assert prod.min_open["(b,b)"] == prod.points
 
+    def test_colliding_pair_labels_are_rejected(self):
+        # "(a,b,c)" encodes both (a, "b,c") and ("a,b", c)
+        a = FinSpace(frozenset({"a", "a,b"}), {"a": frozenset({"a"}), "a,b": frozenset({"a,b"})})
+        b = FinSpace(frozenset({"b,c", "c"}), {"b,c": frozenset({"b,c"}), "c": frozenset({"c"})})
+        with pytest.raises(TopologyError, match=r"\('a', 'b,c'\) and \('a,b', 'c'\)"):
+            product(a, b)
+
     def test_torus_model_size(self, circle4):
         torus = product(circle4, circle4)
         assert len(torus.points) == 16

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,36 @@ class TestInvariance:
         rep = counter_functorial_check(identity_system(circle4, 2), 1)
         assert rep.ok
         assert np.array_equal(rep.iso, np.eye(1, dtype=np.uint8))
+
+    def test_counter_is_the_transposed_covariant_check(self):
+        c = sphere_chain(4)
+        ls = build_fundamental(c)
+        for p in range(4):
+            rep = functorial_invariance_check(c, p, ls)
+            co = counter_functorial_check(c, p, ls)
+            assert np.array_equal(co.iso, rep.iso.T)
+            assert co.render() == rep.render()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_counter_matches_covariant_on_fuzzed_and_mutated_limits(self, seed, p):
+        gen = FuzzGen(seed)
+        c = gen.cis(inductive=True, max_stages=4, max_points=6)
+        _, cand = gen.mutate_candidate(build_fundamental(c))
+        try:
+            rep = functorial_invariance_check(c, p, cand)
+        except TopologyError as err:  # a mutated structure map may be discontinuous
+            with pytest.raises(TopologyError, match=re.escape(str(err))):
+                counter_functorial_check(c, p, cand)
+            return
+        co = counter_functorial_check(c, p, cand)
+        assert (co.limit_dim, co.module_dim, co.iso_exists, co.iso_unique, co.witnesses) == (
+            rep.limit_dim, rep.module_dim, rep.iso_exists, rep.iso_unique, rep.witnesses
+        )
+        assert (co.iso is None) == (rep.iso is None)
+        if rep.iso is not None:
+            assert np.array_equal(co.iso, rep.iso.T)
+        assert co.render() == rep.render()
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
     @settings(max_examples=50, deadline=None)

@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cislim.cis import Cutoff
+from cislim.cis import Cis, Cutoff, make_stage
 from cislim.finspace import (
     CtsMap,
     FinSpace,
@@ -146,6 +148,45 @@ class TestVerify:
         _, cand = gen.mutate_candidate(ls)
         if verify_limit_axioms(c, cand).passed and images_closed(cand).value:
             assert has_weak_topology(c, cand)
+
+    def test_verifier_renders_are_pinned_on_mutants(self):
+        # stdout contract: every witness line, in order, over a fixed mutant corpus
+        h = hashlib.sha256()
+        for seed in range(200):
+            gen = FuzzGen(seed)
+            c = gen.cis()
+            ls = build_fundamental(c)
+            kind, cand = gen.mutate_candidate(ls)
+            for rep in (verify_limit_axioms(c, cand), verify_gluing_laws(c, cand)):
+                h.update(f"{seed} {kind}\n{rep.render()}\n".encode())
+        assert h.hexdigest() == (
+            "5f9c3e94cb9720b432f97b0278ed6af4139e79e167cbef921bf5384391deb732"
+        )
+
+    def test_adjacent_stages_with_empty_gluing_set_stay_linked(self):
+        # Y_0 is empty, yet f_0 always transits: an overlap of adjacent stages
+        # is an overlap failure, never a disjointness failure
+        x0 = FinSpace(frozenset({"a"}), {"a": frozenset({"a"})})
+        x1 = FinSpace(frozenset({"b"}), {"b": frozenset({"b"})})
+        c = Cis((make_stage(x0, set(), x1, {}), make_stage(x1, set(), None, None)), Cutoff())
+        pt = FinSpace(frozenset({"p"}), {"p": frozenset({"p"})})
+        cand = LimitSpace(pt, (CtsMap(x0, pt, {"a": "p"}), CtsMap(x1, pt, {"b": "p"})))
+        assert verify_limit_axioms(c, cand).render() == (
+            "cover: pass\n"
+            "embeddings: pass\n"
+            "overlap: FAIL\n"
+            "  witness: stages 0,1: images meet in ['p'] but the transit lands on []\n"
+            "  witness: stages 0,1: a and b collide at p but a is outside the transit domain\n"
+            "disjointness: pass"
+        )
+        assert verify_gluing_laws(c, cand).render() == (
+            "cover: pass\n"
+            "embeddings: pass\n"
+            "gluing agreement: pass\n"
+            "off-locus disjointness: FAIL\n"
+            "  witness: stages 0,1: points ['p'] collide away from the gluing locus\n"
+            "disjointness: pass"
+        )
 
 
 class TestCanonicalBijection:
