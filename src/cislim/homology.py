@@ -5,7 +5,8 @@ specialization order, so homology of a space here means simplicial
 homology of that complex with mod-2 coefficients; this is the bridge
 from abstract module-valued functors to something a desk machine can
 row-reduce.  Cohomology is realized by transposing, which over a field
-carries the same dimensions.
+carries the same dimensions.  Each check computes each space's homology
+once and reduces each of its linear systems once.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cis import Cis, is_inductive, stage_map
-from .finspace import CtsMap, FinSpace, TopologyError, components
-from .limit import LimitSpace, build_fundamental
+from .finspace import CtsMap, FinSpace, TopologyError, classify_map, components
+from .limit import LimitSpace, _require_aligned, build_fundamental
 
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra on uint8 arrays
@@ -55,17 +56,19 @@ def gf2_rank(mat: np.ndarray) -> int:
 
 
 def gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution of a x = b over GF(2), or None if inconsistent."""
+    """One solution of a x = b over GF(2), or None if inconsistent.
+
+    b may be a vector or a matrix; a matrix's columns are solved together,
+    with one reduction, and x has one column per column of b."""
     a = np.asarray(a, dtype=np.uint8) % 2
     b = np.asarray(b, dtype=np.uint8) % 2
     rows, cols = a.shape
-    aug = np.concatenate([a, b.reshape(rows, 1)], axis=1)
+    aug = np.concatenate([a, b.reshape(rows, 1) if b.ndim == 1 else b], axis=1)
     r, pivots = gf2_rref(aug)
-    if cols in pivots:
+    if pivots and pivots[-1] >= cols:
         return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for k, col in enumerate(pivots):
-        x[col] = r[k, cols]
+    x = np.zeros((cols,) + b.shape[1:], dtype=np.uint8)
+    x[pivots] = r[: len(pivots), cols:].reshape((len(pivots),) + b.shape[1:])
     return x
 
 
@@ -197,13 +200,8 @@ def betti_mod2(k: SimplicialComplex, pmax: int) -> list[int]:
     """b_p = dim ker boundary_p - dim im boundary_{p+1} for p = 0..pmax."""
     if pmax < 0:
         raise TopologyError("pmax must be >= 0")
-    out = []
-    for p in range(pmax + 1):
-        n_p = len(k.of_dim(p))
-        rank_p = gf2_rank(boundary_matrix(k, p))
-        rank_next = gf2_rank(boundary_matrix(k, p + 1))
-        out.append(n_p - rank_p - rank_next)
-    return out
+    ranks = [gf2_rank(boundary_matrix(k, p)) for p in range(pmax + 2)]
+    return [len(k.of_dim(p)) - ranks[p] - ranks[p + 1] for p in range(pmax + 1)]
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:
@@ -219,38 +217,24 @@ def h0_rank(space: FinSpace) -> int:
 # the homology functor on maps
 
 
-def _homology_basis(k: SimplicialComplex, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(representative cycles H, boundary basis B), columns over C_p."""
+def _homology(space: FinSpace, p: int) -> tuple[SimplicialComplex, np.ndarray, np.ndarray]:
+    """(order complex K, representative cycles H, boundaries B) in degree p.
+
+    H and B are columns over C_p(K); B spans the boundaries, and H holds one
+    cycle per class of a basis of H_p, so b_p is the column count of H."""
+    if p < 0:
+        raise TopologyError(f"homology degree must be >= 0, got {p}")
+    k = order_complex(space)
     cycles = gf2_nullspace(boundary_matrix(k, p))
-    bounds = gf2_column_basis(boundary_matrix(k, p + 1))
+    bounds = boundary_matrix(k, p + 1)
     if cycles.shape[1] == 0:
-        return cycles, bounds
-    stacked = np.concatenate([bounds, cycles], axis=1)
-    _, pivots = gf2_rref(stacked)
+        return k, cycles, bounds
+    _, pivots = gf2_rref(np.concatenate([bounds, cycles], axis=1))
     picked = [c - bounds.shape[1] for c in pivots if c >= bounds.shape[1]]
-    return cycles[:, picked], bounds
+    return k, cycles[:, picked], bounds
 
 
-def _coords_in_homology(h: np.ndarray, b: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Coordinates of a cycle's class in the basis h, modulo the boundaries b."""
-    if h.shape[1] == 0:
-        return np.zeros(0, dtype=np.uint8)
-    system = np.concatenate([h, b], axis=1) if b.shape[1] else h
-    sol = gf2_solve(system, vec)
-    if sol is None:
-        raise TopologyError("vector is not a cycle modulo boundaries")
-    return sol[: h.shape[1]]
-
-
-def chain_map_matrix(m: CtsMap, p: int) -> np.ndarray:
-    """The simplicial chain map between order complexes in degree p.
-
-    Continuous maps of finite spaces preserve specialization, hence send
-    chains to (possibly degenerate) chains; degenerate images vanish mod 2.
-    """
-    ks = order_complex(m.source)
-    kt = order_complex(m.target)
-    src_cls = t0_classes(m.source)
+def _chain_map(m: CtsMap, p: int, ks: SimplicialComplex, kt: SimplicialComplex) -> np.ndarray:
     tgt_cls = t0_classes(m.target)
     vmap = {c: tgt_cls[m(c)] for c in ks.vertices}
     rows = {s: i for i, s in enumerate(kt.of_dim(p))}
@@ -263,26 +247,35 @@ def chain_map_matrix(m: CtsMap, p: int) -> np.ndarray:
     return mat
 
 
-def induced_matrix(m: CtsMap, p: int) -> np.ndarray:
-    """The matrix of the degree-p homology functor applied to m."""
-    from .finspace import classify_map
+def chain_map_matrix(m: CtsMap, p: int) -> np.ndarray:
+    """The simplicial chain map between order complexes in degree p.
 
+    Continuous maps of finite spaces preserve specialization, hence send
+    chains to (possibly degenerate) chains; degenerate images vanish mod 2.
+    """
+    return _chain_map(m, p, order_complex(m.source), order_complex(m.target))
+
+
+def _induced(m: CtsMap, p: int, src: tuple, tgt: tuple) -> np.ndarray:
+    """H_p(m) from the `_homology` values of its source and target: push the
+    source's representative cycles forward and read all their coordinates
+    off one solve (unique, as H is independent modulo B)."""
     if not classify_map(m).continuous:
         raise TopologyError("homology is only functorial on continuous maps")
-    ks = order_complex(m.source)
-    kt = order_complex(m.target)
-    hs, _ = _homology_basis(ks, p)
-    ht, bt = _homology_basis(kt, p)
-    chain = chain_map_matrix(m, p)
-    out = np.zeros((ht.shape[1], hs.shape[1]), dtype=np.uint8)
-    for j in range(hs.shape[1]):
-        pushed = gf2_matmul(chain, hs[:, j])
-        out[:, j] = _coords_in_homology(ht, bt, pushed)
-    return out
+    ks, hs, _ = src
+    kt, ht, bt = tgt
+    if hs.shape[1] == 0 or ht.shape[1] == 0:
+        return np.zeros((ht.shape[1], hs.shape[1]), dtype=np.uint8)
+    pushed = gf2_matmul(_chain_map(m, p, ks, kt), hs)
+    coords = gf2_solve(np.concatenate([ht, bt], axis=1), pushed)
+    if coords is None:
+        raise TopologyError("vector is not a cycle modulo boundaries")
+    return coords[: ht.shape[1]]
 
 
-def homology_dim(space: FinSpace, p: int) -> int:
-    return betti_mod2(order_complex(space), p)[p]
+def induced_matrix(m: CtsMap, p: int) -> np.ndarray:
+    """The matrix of the degree-p homology functor applied to m."""
+    return _induced(m, p, _homology(m.source, p), _homology(m.target, p))
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +323,18 @@ def module_limit(s: GF2ModuleSeq) -> tuple[int, list[np.ndarray]]:
     return dim, [m.T.copy() for m in cocone]
 
 
+def _stage_homologies(c: Cis, p: int) -> tuple[list[tuple], GF2ModuleSeq]:
+    """Each stage's `_homology` value, and the chain they form."""
+    homs = [_homology(st.space, p) for st in c.stages]
+    maps = [_induced(stage_map(c, i), p, homs[i], homs[i + 1]) for i in range(c.stage_count - 1)]
+    return homs, GF2ModuleSeq(tuple(h.shape[1] for _, h, _ in homs), tuple(maps))
+
+
 def stage_homology_sequence(c: Cis, p: int) -> GF2ModuleSeq:
     """The chain {H_p(X_i), H_p(f_i)} of an inductive system."""
     if not is_inductive(c):
         raise TopologyError("stage homology sequences need an inductive system")
-    dims = [homology_dim(st.space, p) for st in c.stages]
-    maps = [induced_matrix(stage_map(c, i), p) for i in range(c.stage_count - 1)]
-    return GF2ModuleSeq(tuple(dims), tuple(maps))
+    return _stage_homologies(c, p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +371,22 @@ def _solve_intertwiner(
 
     Returns (solution, forced-uniquely, witnesses).  Uniqueness holds iff the
     a_k columns span the domain; otherwise the free part is zero-filled and a
-    non-invertible fill shows up downstream as a failed isomorphism check."""
+    non-invertible fill shows up downstream as a failed isomorphism check.
+
+    All rows come from one reduction of [a.T | b.T]: a pivot right of a.T
+    marks the first row of h that has no solution."""
     if not constraints:
         return np.eye(to_dim, from_dim, dtype=np.uint8), from_dim == 0, ()
     a = np.concatenate([ak for ak, _ in constraints], axis=1)
     b = np.concatenate([bk for _, bk in constraints], axis=1)
-    witnesses = []
-    rows = []
-    unique = gf2_rank(a) == from_dim
-    for r in range(to_dim):
-        sol = gf2_solve(a.T, b.T[:, r])
-        if sol is None:
-            witnesses.append(f"no map matches the cocone on row {r}")
-            return None, unique, tuple(witnesses)
-        rows.append(sol)
-    h = np.array(rows, dtype=np.uint8).reshape(to_dim, from_dim)
-    return h, unique, tuple(witnesses)
+    r, pivots = gf2_rref(np.concatenate([a.T, b.T], axis=1))
+    lead = [col for col in pivots if col < from_dim]
+    unique = len(lead) == from_dim
+    if len(lead) < len(pivots):
+        return None, unique, (f"no map matches the cocone on row {pivots[len(lead)] - from_dim}",)
+    h = np.zeros((to_dim, from_dim), dtype=np.uint8)
+    h[:, lead] = r[: len(lead), from_dim:].T
+    return h, unique, ()
 
 
 def functorial_invariance_check(
@@ -399,23 +397,20 @@ def functorial_invariance_check(
     if not is_inductive(c):
         raise TopologyError("invariance holds for inductive systems; this one glues less")
     ls = limit if limit is not None else build_fundamental(c)
-    seq = stage_homology_sequence(c, p)
+    _require_aligned(c, ls)
+    homs, seq = _stage_homologies(c, p)
     module_dim, cocone = module_colimit(seq)
-    limit_complex = order_complex(ls.x)
-    limit_dim = betti_mod2(limit_complex, p)[p]
-    structure = [induced_matrix(phi, p) for phi in ls.phis]
+    lim = _homology(ls.x, p)
+    limit_dim = lim[1].shape[1]
+    structure = [_induced(phi, p, homs[i], lim) for i, phi in enumerate(ls.phis)]
 
-    witnesses: list[str] = []
     h, unique, solver_wit = _solve_intertwiner(
         list(zip(structure, cocone)), limit_dim, module_dim
     )
-    witnesses.extend(solver_wit)
+    witnesses = list(solver_wit)
     exists = h is not None
     if exists:
-        invertible = limit_dim == module_dim and (
-            limit_dim == 0 or gf2_inverse(h) is not None
-        )
-        if not invertible:
+        if limit_dim != module_dim or gf2_rank(h) != limit_dim:
             exists = False
             witnesses.append("intertwiner exists but is not an isomorphism")
         else:

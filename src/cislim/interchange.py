@@ -185,9 +185,16 @@ def morphism_from_doc(
     if source is None:
         _expect("source" in doc, f"{path}.source", "standalone morphisms embed their source")
         source = cis_from_doc(doc["source"], f"{path}.source")
+    where = path  # a diagram arrow's target is the next object
     if target is None:
         _expect("target" in doc, f"{path}.target", "standalone morphisms embed their target")
         target = cis_from_doc(doc["target"], f"{path}.target")
+        where = f"{path}.target"
+    _expect(
+        target.stage_count == source.stage_count,
+        where,
+        f"target has {target.stage_count} stages, source has {source.stage_count}",
+    )
     raw = doc["h"]
     _expect(isinstance(raw, list), f"{path}.h", "expected a list")
     _expect(

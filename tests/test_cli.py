@@ -4,7 +4,15 @@ import json
 import pytest
 
 from cislim.cli import main
-from cislim.interchange import cis_from_doc, cis_to_doc, dumps, limit_from_doc, morphism_to_doc
+from cislim.cat import CisDiagram
+from cislim.interchange import (
+    cis_from_doc,
+    cis_to_doc,
+    diagram_to_doc,
+    dumps,
+    limit_from_doc,
+    morphism_to_doc,
+)
 from cislim.gallery import sphere_chain
 from cislim.limit import verify_limit_axioms
 from cislim.randgen import FuzzGen, point_system
@@ -54,6 +62,33 @@ class TestExitCodes:
         status, text = run("validate", str(p))
         assert status == 2
         assert "stages" in text
+
+    @pytest.mark.parametrize("co", [(), ("--co",)])
+    def test_negative_degree_is_two(self, sphere_doc, co):
+        status, text = run("invariance", str(sphere_doc), "--p", "-1", *co)
+        assert status == 2
+        assert text == "input error: homology degree must be >= 0, got -1\n"
+
+    def test_morphism_target_with_fewer_stages_is_two(self, tmp_path):
+        _, m = point_system(sphere_chain(1))
+        doc = morphism_to_doc(m)
+        doc["target"] = cis_to_doc(point_system(sphere_chain(0))[0])
+        p = tmp_path / "m.json"
+        p.write_text(dumps(doc))
+        status, text = run("morphism", str(p))
+        assert status == 2
+        assert text == f"input error: {p}.target: target has 1 stages, source has 2\n"
+
+    def test_diagram_arrow_into_a_shorter_object_is_two(self, tmp_path):
+        c = sphere_chain(1)
+        target, m = point_system(c)
+        doc = diagram_to_doc(CisDiagram((c, target), (m,)))
+        doc["objects"][1] = cis_to_doc(point_system(sphere_chain(0))[0])
+        p = tmp_path / "d.json"
+        p.write_text(dumps(doc))
+        status, text = run("diagram-limit", str(p))
+        assert status == 2
+        assert text == f"input error: {p}.arrows[0]: target has 1 stages, source has 2\n"
 
 
 class TestPipelines:
@@ -105,9 +140,6 @@ class TestPipelines:
         assert "continuous=True closed=True" in text
 
     def test_diagram_limit(self, tmp_path):
-        from cislim.cat import CisDiagram
-        from cislim.interchange import diagram_to_doc
-
         c = sphere_chain(1)
         target, m = point_system(c)
         d = CisDiagram((c, target), (m,))

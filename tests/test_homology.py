@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -38,7 +39,7 @@ from cislim.homology import (
     order_complex,
     stage_homology_sequence,
 )
-from cislim.limit import build_fundamental
+from cislim.limit import LimitSpace, build_fundamental
 from cislim.randgen import FuzzGen
 
 
@@ -63,16 +64,27 @@ class TestGF2:
         if m.size and ns.size:
             assert not gf2_matmul(m, ns).any()
 
-    @given(gf2_matrices(), st.data())
-    def test_solve_finds_solutions_of_consistent_systems(self, m, data):
+    @given(gf2_matrices(), st.integers(1, 3), st.data())
+    def test_solve_finds_solutions_of_consistent_systems(self, m, k, data):
+        n = m.shape[1] * k
         x = np.array(
-            data.draw(st.lists(st.integers(0, 1), min_size=m.shape[1], max_size=m.shape[1])),
-            dtype=np.uint8,
-        )
-        b = gf2_matmul(m, x) if m.size else np.zeros(m.shape[0], dtype=np.uint8)
+            data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8
+        ).reshape(m.shape[1], k)
+        bs = gf2_matmul(m, x) if m.size else np.zeros((m.shape[0], k), dtype=np.uint8)
+        b = bs[:, 0]
         sol = gf2_solve(m, b)
         assert sol is not None
         assert np.array_equal(gf2_matmul(m, sol) if m.size else b, b)
+        # a matrix right-hand side gives, column by column, the vector solutions
+        many = gf2_solve(m, bs)
+        assert many.shape == (m.shape[1], k)
+        for j in range(k):
+            assert np.array_equal(many[:, j], gf2_solve(m, bs[:, j]))
+
+    def test_solve_rejects_a_matrix_with_one_inconsistent_column(self):
+        m = np.array([[1, 0], [0, 0]], dtype=np.uint8)
+        assert gf2_solve(m, np.array([[1, 0], [0, 0]], dtype=np.uint8)) is not None
+        assert gf2_solve(m, np.array([[1, 0], [0, 1]], dtype=np.uint8)) is None
 
     def test_inverse(self):
         m = np.array([[1, 1], [0, 1]], dtype=np.uint8)
@@ -175,6 +187,10 @@ class TestInducedMatrix:
         with pytest.raises(TopologyError, match="functorial"):
             induced_matrix(broken, 0)
 
+    def test_rejects_negative_degree(self, circle4):
+        with pytest.raises(TopologyError, match="degree must be >= 0"):
+            induced_matrix(identity_map(circle4), -1)
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_functoriality_on_compositions(self, data):
@@ -263,6 +279,13 @@ class TestInvariance:
         with pytest.raises(TopologyError, match="inductive"):
             functorial_invariance_check(interval_chain(2), 0)
 
+    def test_rejects_a_limit_not_aligned_with_the_stages(self):
+        c = sphere_chain(2)
+        ls = build_fundamental(c)
+        short = LimitSpace(ls.x, ls.phis[:-1])
+        with pytest.raises(TopologyError, match="2 structure maps for 3 stages"):
+            functorial_invariance_check(c, 0, short)
+
     def test_counter_sphere_chain(self):
         c = sphere_chain(4)
         ls = build_fundamental(c)
@@ -306,6 +329,31 @@ class TestInvariance:
         if rep.iso is not None:
             assert np.array_equal(co.iso, rep.iso.T)
         assert co.render() == rep.render()
+
+    def test_invariance_reports_are_pinned(self):
+        # both checks on fuzzed systems, their built limits and one mutant each;
+        # a check that raises is pinned by its exception
+        h = hashlib.sha256()
+        for seed in range(60):
+            gen = FuzzGen(seed)
+            c = gen.cis(inductive=True, max_stages=4, max_points=6)
+            ls = build_fundamental(c)
+            kind, cand = gen.mutate_candidate(ls)
+            for name, lim in (("built", ls), (kind, cand)):
+                for p in range(4):
+                    for check in (functorial_invariance_check, counter_functorial_check):
+                        h.update(f"{seed} {name} {p} {check.__name__}\n".encode())
+                        try:
+                            rep = check(c, p, lim)
+                        except Exception as err:
+                            h.update(f"{type(err).__name__}: {err}\n".encode())
+                            continue
+                        h.update(f"{rep.render()}\n{rep.iso_unique}\n".encode())
+                        if rep.iso is not None:
+                            h.update(f"{rep.iso.shape}\n".encode() + rep.iso.tobytes())
+        assert h.hexdigest() == (
+            "75e593b4d29ffbe734da40c3cb2ff03bd032aa5e47c5161bdf5ea3bb886e5ec3"
+        )
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
     @settings(max_examples=50, deadline=None)
