@@ -8,6 +8,7 @@ plain deterministic text: same inputs and seed, same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -332,12 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # by name on each call: the cached parser's `run` default keeps the
+    # function that was bound when the parser was built
+    run = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.run(args, out)
+        return run(args, out)
     except interchange.InterchangeError as e:
         out.write(f"input error: {e}\n")
         return INPUT_ERROR

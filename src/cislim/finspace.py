@@ -154,6 +154,14 @@ def restrict_map(m: CtsMap, a) -> CtsMap:
     return CtsMap(sub, m.target, {p: m.assignment[p] for p in sub.points})
 
 
+def _is_continuous(m: CtsMap) -> bool:
+    """m(U_p) lies inside U_m(p) for every point p."""
+    src, tgt, f = m.source, m.target, m.assignment
+    return all(
+        frozenset(f[q] for q in src.min_open[p]) <= tgt.min_open[f[p]] for p in src.points
+    )
+
+
 def classify_map(m: CtsMap) -> MapProfile:
     """Continuity, closedness, injectivity, embedding, surjectivity, quotient.
 
@@ -162,9 +170,7 @@ def classify_map(m: CtsMap) -> MapProfile:
     images, so this test is exact without enumerating all closed sets.
     """
     src, tgt, f = m.source, m.target, m.assignment
-    continuous = all(
-        frozenset(f[q] for q in src.min_open[p]) <= tgt.min_open[f[p]] for p in src.points
-    )
+    continuous = _is_continuous(m)
     closed = all(tgt.is_closed(m.image(src.closure({p}))) for p in src.points)
     injective = len(set(f.values())) == len(f)
     embedding = injective and continuous and all(

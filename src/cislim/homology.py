@@ -5,61 +5,84 @@ specialization order, so homology of a space here means simplicial
 homology of that complex with mod-2 coefficients; this is the bridge
 from abstract module-valued functors to something a desk machine can
 row-reduce.  Cohomology is realized by transposing, which over a field
-carries the same dimensions.  Each check computes each space's homology
-once and reduces each of its linear systems once.
+carries the same dimensions.
+
+One kernel, `_echelon`, reduces Python-int bitsets by leading bit.  It
+reduces boundary columns from the top dimension down, skipping those that
+are pivots of the dimension above ("clearing": Chen & Kerber, Persistent
+homology computation with a twist, 2011), and keeps the canonical cycles:
+of the RREF nullspace basis, the earliest independent modulo boundaries.
+A space keeps its order complex and homology, and a complex its chain
+data, from first use; the numpy functions wrap the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property, reduce
+from operator import xor
 
 import numpy as np
 
 from .cis import Cis, is_inductive, stage_map
-from .finspace import CtsMap, FinSpace, TopologyError, classify_map, components
+from .finspace import CtsMap, FinSpace, TopologyError, _is_continuous, components
 from .limit import LimitSpace, _require_aligned, build_fundamental
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra on uint8 arrays
+# GF(2) linear algebra: one kernel on int bitsets, numpy at the boundary
+
+
+def _echelon(cols, shift: int = 0, skip=(), basis: dict[int, int] | None = None):
+    """Reduce columns left to right against an echelon basis keyed by leading bit, adding
+    those that stay nonzero; bits below `shift` only record what was added.  Returns the
+    basis and each vanishing column's (index, low bits); `skip` indexes known zeros."""
+    basis = {} if basis is None else basis
+    zero = []
+    for j, v in enumerate(cols):
+        if j not in skip:
+            while v >> shift and (t := v.bit_length() - 1) in basis:
+                v ^= basis[t]
+            if v >> shift:
+                basis[t] = v
+            else:
+                zero.append((j, v))
+    return basis, zero
+
+
+def _pack(m: np.ndarray) -> list[int]:
+    """The rows of a 0/1 matrix as ints, column c in bit c."""
+    return [int.from_bytes(bytes(r), "little") for r in np.packbits(m, axis=1, bitorder="little")]
+
+
+def _unpack(vecs: list[int], width: int) -> np.ndarray:
+    """One 0/1 row per int, bit c in column c."""
+    n = (width + 7) // 8
+    buf = np.frombuffer(b"".join(v.to_bytes(n, "little") for v in vecs), dtype=np.uint8)
+    return np.unpackbits(buf, bitorder="little").reshape(len(vecs), 8 * n)[:, :width]
 
 
 def gf2_rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2); returns (R, pivot columns)."""
-    r = (np.asarray(mat, dtype=np.uint8) % 2).copy()
-    rows, cols = r.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(cols):
-        if row >= rows:
-            break
-        hit = -1
-        for k in range(row, rows):
-            if r[k, col]:
-                hit = k
-                break
-        if hit < 0:
-            continue
-        if hit != row:
-            r[[row, hit]] = r[[hit, row]]
-        for k in range(rows):
-            if k != row and r[k, col]:
-                r[k] ^= r[row]
-        pivots.append(col)
-        row += 1
-    return r, pivots
+    """Reduced row echelon form over GF(2); returns (R, pivot columns).
+    Column c is bit cols-1-c, so a row's leading bit is its pivot."""
+    a = np.asarray(mat, dtype=np.uint8) % 2
+    rows, cols = a.shape
+    basis, _ = _echelon(_pack(a[:, ::-1]))
+    done: dict[int, int] = {}
+    for t in sorted(basis):  # clear each row at the pivots right of its own
+        done[t] = reduce(xor, (u for s, u in done.items() if basis[t] >> s & 1), basis[t])
+    lead = sorted(done, reverse=True)
+    r = np.zeros((rows, cols), dtype=np.uint8)
+    r[: len(lead)] = _unpack([done[t] for t in lead], cols)[:, ::-1]
+    return r, [cols - 1 - t for t in lead]
 
 
 def gf2_rank(mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
-    return len(gf2_rref(mat)[1])
+    return len(_echelon(_pack(np.asarray(mat, dtype=np.uint8) % 2))[0])
 
 
 def gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution of a x = b over GF(2), or None if inconsistent.
-
-    b may be a vector or a matrix; a matrix's columns are solved together,
-    with one reduction, and x has one column per column of b."""
+    """One solution of a x = b over GF(2), or None if inconsistent.  The
+    columns of a matrix b are solved together, x having one per column of b."""
     a = np.asarray(a, dtype=np.uint8) % 2
     b = np.asarray(b, dtype=np.uint8) % 2
     rows, cols = a.shape
@@ -78,27 +101,18 @@ def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gf2_inverse(a: np.ndarray) -> np.ndarray | None:
     a = np.asarray(a, dtype=np.uint8) % 2
-    if a.shape[0] != a.shape[1]:
+    if a.shape[0] != a.shape[1] or gf2_rank(a) < a.shape[0]:
         return None
-    n = a.shape[0]
-    aug = np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1)
-    r, pivots = gf2_rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return r[:, n:]
+    return gf2_solve(a, np.eye(a.shape[0], dtype=np.uint8))
 
 
 def gf2_nullspace(a: np.ndarray) -> np.ndarray:
-    """Columns form a basis of the kernel of a."""
-    rows, cols = a.shape
+    """Columns form a basis of the kernel of a, one per free column of its RREF."""
     r, pivots = gf2_rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.uint8)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for row_idx, pc in enumerate(pivots):
-            if r[row_idx, fc]:
-                basis[pc, k] = 1
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = np.zeros((a.shape[1], len(free)), dtype=np.uint8)
+    basis[free, range(len(free))] = 1
+    basis[pivots] = r[: len(pivots), free]
     return basis
 
 
@@ -110,6 +124,15 @@ def gf2_column_basis(a: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # simplicial complexes
+
+
+def _kept(obj, name: str, build):
+    """obj's attribute `name`, set to build(obj) on first use: it lives as long as obj."""
+    val = vars(obj).get(name)
+    if val is None:
+        val = build(obj)
+        object.__setattr__(obj, name, val)
+    return val
 
 
 @dataclass(frozen=True)
@@ -132,76 +155,97 @@ class SimplicialComplex:
             if frozenset({v}) not in self.simplices:
                 raise TopologyError(f"vertex {v} has no singleton simplex")
 
+    @classmethod
+    def _closed(cls, vertices: frozenset, simplices: frozenset) -> SimplicialComplex:
+        """A complex known to be closed under faces, built without the check."""
+        k = object.__new__(cls)
+        vars(k).update(vertices=vertices, simplices=simplices)
+        return k
+
+    @cached_property
+    def _chains(self) -> _Chains:
+        return _Chains(self)
+
     def of_dim(self, p: int) -> list[frozenset[str]]:
-        return sorted(
-            (s for s in self.simplices if len(s) == p + 1), key=lambda s: tuple(sorted(s))
-        )
+        return [self._chains.simplex[s] for s in self._chains.cells(p)]
 
     @property
     def dim(self) -> int:
         return max((len(s) - 1 for s in self.simplices), default=-1)
 
 
+class _Chains:
+    """A complex's simplices per dimension, boundary columns and reductions.
+    A simplex is keyed by its vertex mask, earlier labels in higher bits, so
+    descending masks list a dimension's simplices as their sorted labels do."""
+
+    def __init__(self, k: SimplicialComplex):
+        self.bit = {v: 1 << b for b, v in enumerate(sorted(k.vertices, reverse=True))}
+        self.simplex = {sum(self.bit[v] for v in s): s for s in k.simplices}
+        self.masks: dict[int, list[int]] = {}
+        for s in sorted(self.simplex, reverse=True):
+            self.masks.setdefault(s.bit_count() - 1, []).append(s)
+        self.index = {s: i for ms in self.masks.values() for i, s in enumerate(ms)}
+        self._boundaries: dict[int, dict[int, int]] = {}
+
+    def cells(self, p: int) -> list[int]:
+        return self.masks.get(p, [])
+
+    def columns(self, p: int) -> list[int]:
+        """The boundary of each p-simplex as a bitset over the (p-1)-simplices."""
+        return [sum(1 << self.index[s ^ self.bit[v]] for v in self.simplex[s]) if p else 0
+                for s in self.cells(p)]
+
+    def boundaries(self, p: int) -> dict[int, int]:
+        """An echelon basis of the image of the boundary from dimension p,
+        whose keys are the columns of dimension p-1 that clearing skips."""
+        if p not in self._boundaries:
+            skip = self.boundaries(p + 1) if 0 < p <= max(self.masks, default=-1) else None
+            self._boundaries[p] = {} if skip is None else _echelon(self.columns(p), skip=skip)[0]
+        return self._boundaries[p]
+
+
 def t0_classes(space: FinSpace) -> dict[str, str]:
-    """Each point's T0 class label (points sharing a minimal open set)."""
-    groups: dict[frozenset, list[str]] = {}
+    """Each point's T0 class label: the least point sharing its minimal open set."""
+    label: dict[frozenset, str] = {}
     for p in sorted(space.points):
-        groups.setdefault(space.min_open[p], []).append(p)
-    out = {}
-    for members in groups.values():
-        label = min(members)
-        for p in members:
-            out[p] = label
-    return out
+        label.setdefault(space.min_open[p], p)
+    return {p: label[space.min_open[p]] for p in sorted(space.points)}
 
 
 def order_complex(space: FinSpace) -> SimplicialComplex:
-    """Chains of the specialization order of the T0 quotient.
+    """Chains of the specialization order of the T0 quotient, built once per space.
 
     y specializes to x when x lies in U_y; collapsing topologically
     indistinguishable points first makes the relation a partial order, and
-    the collapse does not change the weak homotopy type.
-    """
-    cls = t0_classes(space)
-    reps = sorted(set(cls.values()))
-    below = {
-        c: frozenset(
-            d for d in reps if d != c and c in space.min_open[d]
-        )  # d < c: c in U_d
-        for c in reps
-    }
-    simplices: set[frozenset] = set()
+    the collapse does not change the weak homotopy type."""
+    return _kept(space, "_order_complex", _order_complex)
 
-    def extend(chain: tuple[str, ...], top: str):
-        simplices.add(frozenset(chain))
-        for nxt in reps:
-            if top in below[nxt]:
-                extend(chain + (nxt,), nxt)
 
-    for c in reps:
-        extend((c,), c)
-    return SimplicialComplex(frozenset(reps), frozenset(simplices))
+def _order_complex(space: FinSpace) -> SimplicialComplex:
+    reps = sorted(set(t0_classes(space).values()))
+    above = {c: [d for d in reps if d != c and d in space.min_open[c]] for c in reps}  # c < d
+    chains = [(c,) for c in reps]
+    for chain in chains:  # grows while it is walked, each chain extended once
+        chains.extend(chain + (d,) for d in above[chain[-1]])
+    return SimplicialComplex._closed(frozenset(reps), frozenset(map(frozenset, chains)))
 
 
 def boundary_matrix(k: SimplicialComplex, p: int) -> np.ndarray:
     """The mod-2 boundary from p-simplices to (p-1)-simplices."""
+    ch = k._chains
     if p <= 0:
-        return np.zeros((0, len(k.of_dim(0))), dtype=np.uint8)
-    rows = {s: idx for idx, s in enumerate(k.of_dim(p - 1))}
-    cols = k.of_dim(p)
-    mat = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-    for j, s in enumerate(cols):
-        for v in s:
-            mat[rows[s - {v}], j] = 1
-    return mat
+        return np.zeros((0, len(ch.cells(0))), dtype=np.uint8)
+    return np.ascontiguousarray(_unpack(ch.columns(p), len(ch.cells(p - 1))).T)
 
 
 def betti_mod2(k: SimplicialComplex, pmax: int) -> list[int]:
     """b_p = dim ker boundary_p - dim im boundary_{p+1} for p = 0..pmax."""
     if pmax < 0:
         raise TopologyError("pmax must be >= 0")
-    ranks = [gf2_rank(boundary_matrix(k, p)) for p in range(pmax + 2)]
-    return [len(k.of_dim(p)) - ranks[p] - ranks[p + 1] for p in range(pmax + 1)]
+    ch = k._chains
+    ranks = [len(ch.boundaries(p)) for p in range(pmax + 2)]
+    return [len(ch.cells(p)) - ranks[p] - ranks[p + 1] for p in range(pmax + 1)]
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:
@@ -217,60 +261,65 @@ def h0_rank(space: FinSpace) -> int:
 # the homology functor on maps
 
 
-def _homology(space: FinSpace, p: int) -> tuple[SimplicialComplex, np.ndarray, np.ndarray]:
-    """(order complex K, representative cycles H, boundaries B) in degree p.
-
-    H and B are columns over C_p(K); B spans the boundaries, and H holds one
-    cycle per class of a basis of H_p, so b_p is the column count of H."""
+def _homology(space: FinSpace, p: int) -> tuple[SimplicialComplex, list[int], dict[int, int]]:
+    """(order complex K, cycles, classes) in degree p: a cycle over the
+    p-simplices of K per class of a basis of H_p, and an echelon basis of
+    boundaries and cycles whose bits below b_p are cycle coordinates.  The
+    columns clearing leaves are reduced carrying their own index below bit
+    n; each that vanishes is a free column, and its low bits its RREF
+    nullspace vector, as only pivot columns ever enter the basis."""
     if p < 0:
         raise TopologyError(f"homology degree must be >= 0, got {p}")
-    k = order_complex(space)
-    cycles = gf2_nullspace(boundary_matrix(k, p))
-    bounds = boundary_matrix(k, p + 1)
-    if cycles.shape[1] == 0:
-        return k, cycles, bounds
-    _, pivots = gf2_rref(np.concatenate([bounds, cycles], axis=1))
-    picked = [c - bounds.shape[1] for c in pivots if c >= bounds.shape[1]]
-    return k, cycles[:, picked], bounds
+    memo = _kept(space, "_homology", lambda _: {})
+    if p not in memo:
+        k = order_complex(space)
+        ch = k._chains
+        n, bounds = len(ch.cells(p)), ch.boundaries(p + 1)
+        _, zero = _echelon([c << n | 1 << j for j, c in enumerate(ch.columns(p))], n, skip=bounds)
+        cycles = [z for _, z in zero]
+        m = len(cycles)
+        classes = {t + m: b << m for t, b in bounds.items()}
+        _echelon([z << m | 1 << c for c, z in enumerate(cycles)], m, basis=classes)
+        memo[p] = (k, cycles, classes)
+    return memo[p]
 
 
-def _chain_map(m: CtsMap, p: int, ks: SimplicialComplex, kt: SimplicialComplex) -> np.ndarray:
-    tgt_cls = t0_classes(m.target)
-    vmap = {c: tgt_cls[m(c)] for c in ks.vertices}
-    rows = {s: i for i, s in enumerate(kt.of_dim(p))}
-    cols = ks.of_dim(p)
-    mat = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-    for j, s in enumerate(cols):
-        image = frozenset(vmap[v] for v in s)
-        if len(image) == len(s):
-            mat[rows[image], j] = 1
-    return mat
+def _push(m: CtsMap, p: int, ks: SimplicialComplex, kt: SimplicialComplex) -> list[int]:
+    """Each p-simplex of ks mapped into kt: one bit, or 0 where the image is
+    degenerate (it vanishes mod 2)."""
+    cs, ct = ks._chains, kt._chains
+    cls = _kept(m.target, "_t0_classes", t0_classes)
+    images = (sum({ct.bit[cls[m(v)]] for v in cs.simplex[s]}) for s in cs.cells(p))
+    return [1 << ct.index[t] if t.bit_count() == p + 1 else 0 for t in images]
 
 
 def chain_map_matrix(m: CtsMap, p: int) -> np.ndarray:
     """The simplicial chain map between order complexes in degree p.
 
     Continuous maps of finite spaces preserve specialization, hence send
-    chains to (possibly degenerate) chains; degenerate images vanish mod 2.
-    """
-    return _chain_map(m, p, order_complex(m.source), order_complex(m.target))
+    chains to (possibly degenerate) chains; degenerate images vanish mod 2."""
+    if not _is_continuous(m):
+        raise TopologyError("homology is only functorial on continuous maps")
+    kt = order_complex(m.target)
+    push = _push(m, p, order_complex(m.source), kt)
+    return np.ascontiguousarray(_unpack(push, len(kt._chains.cells(p))).T)
 
 
 def _induced(m: CtsMap, p: int, src: tuple, tgt: tuple) -> np.ndarray:
-    """H_p(m) from the `_homology` values of its source and target: push the
-    source's representative cycles forward and read all their coordinates
-    off one solve (unique, as H is independent modulo B)."""
-    if not classify_map(m).continuous:
+    """H_p(m) from the `_homology` values of its source and target: pushed
+    forward and reduced against the target's classes, the source's cycles
+    leave their coordinates (unique: cycles are independent modulo boundaries)."""
+    if not _is_continuous(m):
         raise TopologyError("homology is only functorial on continuous maps")
-    ks, hs, _ = src
-    kt, ht, bt = tgt
-    if hs.shape[1] == 0 or ht.shape[1] == 0:
-        return np.zeros((ht.shape[1], hs.shape[1]), dtype=np.uint8)
-    pushed = gf2_matmul(_chain_map(m, p, ks, kt), hs)
-    coords = gf2_solve(np.concatenate([ht, bt], axis=1), pushed)
-    if coords is None:
+    (ks, hs, _), (kt, ht, classes) = src, tgt
+    if not hs or not ht:
+        return np.zeros((len(ht), len(hs)), dtype=np.uint8)
+    push = _push(m, p, ks, kt)
+    pushed = [reduce(xor, (t for i, t in enumerate(push) if z >> i & 1), 0) << len(ht) for z in hs]
+    _, coords = _echelon(pushed, len(ht), basis=dict(classes))
+    if len(coords) < len(hs):
         raise TopologyError("vector is not a cycle modulo boundaries")
-    return coords[: ht.shape[1]]
+    return np.ascontiguousarray(_unpack([v for _, v in coords], len(ht)).T)
 
 
 def induced_matrix(m: CtsMap, p: int) -> np.ndarray:
@@ -316,9 +365,8 @@ def module_colimit(s: GF2ModuleSeq) -> tuple[int, list[np.ndarray]]:
 
 
 def module_limit(s: GF2ModuleSeq) -> tuple[int, list[np.ndarray]]:
-    """Limit of the dualized (reversed, transposed) chain; for a finite
-    chain this is again the last module, with transposed composites as the
-    cone."""
+    """Limit of the dualized (reversed, transposed) chain: again the last
+    module, with the transposed composites as the cone."""
     dim, cocone = module_colimit(s)
     return dim, [m.T.copy() for m in cocone]
 
@@ -327,7 +375,7 @@ def _stage_homologies(c: Cis, p: int) -> tuple[list[tuple], GF2ModuleSeq]:
     """Each stage's `_homology` value, and the chain they form."""
     homs = [_homology(st.space, p) for st in c.stages]
     maps = [_induced(stage_map(c, i), p, homs[i], homs[i + 1]) for i in range(c.stage_count - 1)]
-    return homs, GF2ModuleSeq(tuple(h.shape[1] for _, h, _ in homs), tuple(maps))
+    return homs, GF2ModuleSeq(tuple(len(h) for _, h, _ in homs), tuple(maps))
 
 
 def stage_homology_sequence(c: Cis, p: int) -> GF2ModuleSeq:
@@ -372,7 +420,6 @@ def _solve_intertwiner(
     Returns (solution, forced-uniquely, witnesses).  Uniqueness holds iff the
     a_k columns span the domain; otherwise the free part is zero-filled and a
     non-invertible fill shows up downstream as a failed isomorphism check.
-
     All rows come from one reduction of [a.T | b.T]: a pivot right of a.T
     marks the first row of h that has no solution."""
     if not constraints:
@@ -401,12 +448,9 @@ def functorial_invariance_check(
     homs, seq = _stage_homologies(c, p)
     module_dim, cocone = module_colimit(seq)
     lim = _homology(ls.x, p)
-    limit_dim = lim[1].shape[1]
+    limit_dim = len(lim[1])
     structure = [_induced(phi, p, homs[i], lim) for i, phi in enumerate(ls.phis)]
-
-    h, unique, solver_wit = _solve_intertwiner(
-        list(zip(structure, cocone)), limit_dim, module_dim
-    )
+    h, unique, solver_wit = _solve_intertwiner(list(zip(structure, cocone)), limit_dim, module_dim)
     witnesses = list(solver_wit)
     exists = h is not None
     if exists:
@@ -428,10 +472,9 @@ def counter_functorial_check(
 ) -> InvarianceReport:
     """The contravariant twin: the limit of the dualized chain against the
     cohomology of the fundamental limit, intertwined through the transposed
-    structure maps.
-
-    Transposing h @ induced_k = cocone_k gives induced_k.T @ h.T = cone_k,
-    the same linear system, so the intertwiner is the covariant one
-    transposed and every dimension, flag and witness carries over."""
+    structure maps.  Transposing h @ induced_k = cocone_k gives induced_k.T
+    @ h.T = cone_k, the same linear system, so the intertwiner is the
+    covariant one transposed and every dimension, flag and witness carries
+    over."""
     rep = functorial_invariance_check(c, p, limit)
     return replace(rep, iso=None if rep.iso is None else rep.iso.T.copy())

@@ -184,3 +184,27 @@ class TestDeterminism:
         run("gallery", "torus_chain", "2", "-o", str(a))
         run("gallery", "torus_chain", "2", "-o", str(b))
         assert a.read_text() == b.read_text()
+
+
+class TestRepeatedCalls:
+    """main() reuses one parser; options of one call must not reach the next."""
+
+    def test_contravariant_flag_does_not_stick(self, sphere_doc, monkeypatch):
+        from cislim import cli
+
+        ran = []
+        for name in ("functorial_invariance_check", "counter_functorial_check"):
+            check = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _n=name, _c=check: ran.append(_n) or _c(*a))
+        assert run("invariance", str(sphere_doc), "--co")[0] == 0
+        assert run("invariance", str(sphere_doc))[0] == 0
+        assert ran == ["counter_functorial_check", "functorial_invariance_check"]
+
+    def test_output_file_does_not_stick(self, sphere_doc, tmp_path):
+        target = tmp_path / "limit.json"
+        status, text = run("limit", str(sphere_doc), "-o", str(target))
+        assert status == 0 and text.startswith("fundamental limit:")
+        written = target.read_text()
+        status, text = run("limit", str(sphere_doc))
+        assert status == 0
+        assert text == written

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import continuous_maps, finspaces
 from homology_oracles import bitmask_rank, complex_betti, cross_polytope_boundary, staircase_torus_complex
-from cislim.finspace import CtsMap, FinSpace, TopologyError, compose, identity_map
+from cislim.finspace import CtsMap, FinSpace, TopologyError, classify_map, compose, identity_map
 from cislim.gallery import (
     identity_system,
     point_space,
@@ -31,6 +33,7 @@ from cislim.homology import (
     gf2_matmul,
     gf2_nullspace,
     gf2_rank,
+    gf2_rref,
     gf2_solve,
     h0_rank,
     induced_matrix,
@@ -51,8 +54,53 @@ def gf2_matrices(draw, max_dim=5):
     return np.array(data, dtype=np.uint8).reshape(rows, cols)
 
 
+@st.composite
+def large_gf2_matrices(draw, max_dim=64):
+    """Up to max_dim square, drawn row by row as ints; half of them are a
+    product through a narrow middle, so that their rank falls short."""
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+
+    def block(r, c):
+        ints = draw(st.lists(st.integers(0, 2**c - 1), min_size=r, max_size=r))
+        bits = [[x >> j & 1 for j in range(c)] for x in ints]
+        return np.array(bits, dtype=np.uint8).reshape(r, c)
+
+    if draw(st.booleans()):
+        return block(rows, cols)
+    mid = draw(st.integers(1, max_dim // 4))
+    return gf2_matmul(block(rows, mid), block(mid, cols))
+
+
+def reference_rref(m):
+    """Textbook Gauss-Jordan over GF(2) on lists of 0/1 rows."""
+    rows = [list(map(int, r)) for r in m]
+    cols = m.shape[1]
+    pivots, lead = [], 0
+    for col in range(cols):
+        hit = next((k for k in range(lead, len(rows)) if rows[k][col]), None)
+        if hit is None:
+            continue
+        rows[lead], rows[hit] = rows[hit], rows[lead]
+        for k in range(len(rows)):
+            if k != lead and rows[k][col]:
+                rows[k] = [a ^ b for a, b in zip(rows[k], rows[lead])]
+        pivots.append(col)
+        lead += 1
+    return np.array(rows, dtype=np.uint8).reshape(m.shape), pivots
+
+
 class TestGF2:
-    @given(gf2_matrices())
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(gf2_matrices(), large_gf2_matrices(max_dim=40)))
+    def test_rref_matches_reference(self, m):
+        r, pivots = gf2_rref(m)
+        want, want_pivots = reference_rref(m)
+        assert r.dtype == np.uint8 and r.shape == m.shape
+        assert np.array_equal(r, want)
+        assert pivots == want_pivots
+
+    @settings(deadline=None)
+    @given(st.one_of(gf2_matrices(), large_gf2_matrices()))
     def test_rank_matches_bitmask_oracle(self, m):
         rows = [int("".join(map(str, r)), 2) if r.size else 0 for r in m]
         assert gf2_rank(m) == bitmask_rank(rows)
@@ -80,6 +128,16 @@ class TestGF2:
         assert many.shape == (m.shape[1], k)
         for j in range(k):
             assert np.array_equal(many[:, j], gf2_solve(m, bs[:, j]))
+
+    @pytest.mark.parametrize("cols", [0, 1, 63, 64, 65, 130])
+    def test_widths_around_machine_words(self, cols):
+        rng = np.random.default_rng(cols)
+        m = rng.integers(0, 2, size=(5, cols), dtype=np.uint8)
+        m[4] = m[0] ^ m[1]
+        r, pivots = gf2_rref(m)
+        want, want_pivots = reference_rref(m)
+        assert np.array_equal(r, want) and pivots == want_pivots
+        assert gf2_rank(m) == len(want_pivots)
 
     def test_solve_rejects_a_matrix_with_one_inconsistent_column(self):
         m = np.array([[1, 0], [0, 0]], dtype=np.uint8)
@@ -142,6 +200,23 @@ class TestBetti:
             expected = [2, 0] if n == 0 else [1] + [0] * (n - 1) + [1, 0]
             assert ours == expected
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_cross_polytopes_against_oracle(self, n):
+        vertices, simplices = cross_polytope_boundary(n)
+        k = SimplicialComplex(frozenset(vertices), frozenset(simplices))
+        assert betti_mod2(k, n + 1) == complex_betti(simplices, n + 1)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_fuzzed_limits_against_oracle(self, seed):
+        k = order_complex(build_fundamental(FuzzGen(seed).cis()).x)
+        pmax = k.dim + 1
+        assert betti_mod2(k, pmax) == complex_betti(k.simplices, pmax)
+
+    def test_eight_sphere(self):
+        # 19,682 simplices: a growth check, well under a second with int bitsets and clearing
+        assert betti_mod2(order_complex(sphere_space(8)), 8) == [1] + [0] * 7 + [1]
+
     def test_torus_against_staircase_oracle(self):
         ours = betti_mod2(order_complex(torus_space(2)), 3)
         oracle = complex_betti(staircase_torus_complex(), 3)
@@ -160,7 +235,63 @@ class TestBetti:
         )
 
 
+class TestChainData:
+    def test_equal_spaces_give_equal_results(self):
+        for a, b in [(sphere_space(3), sphere_space(3)), (torus_space(2), torus_space(2))]:
+            assert a == b and a is not b
+            ka, kb = order_complex(a), order_complex(b)
+            assert ka is order_complex(a) and ka is not kb and ka == kb
+            for p in range(4):
+                assert betti_mod2(ka, p) == betti_mod2(kb, p)
+                assert np.array_equal(boundary_matrix(ka, p), boundary_matrix(kb, p))
+                ia, ib = induced_matrix(identity_map(a), p), induced_matrix(identity_map(b), p)
+                assert np.array_equal(ia, ib)
+                m = CtsMap(a, b, {x: x for x in a.points})
+                assert np.array_equal(induced_matrix(m, p), ia)
+            assert a == b and hash(a) == hash(b)
+
+    def test_chain_data_lives_as_long_as_the_space(self):
+        space = sphere_space(3)
+        induced_matrix(identity_map(space), 2)
+        k = weakref.ref(order_complex(space))
+        del space
+        gc.collect()
+        assert k() is None
+
+
+def reference_induced(m, p):
+    """H_p(m) the matrix way: RREF nullspace cycles, the earliest of them
+    independent modulo boundaries, and coordinates from one solve."""
+
+    def hom(space):
+        k = order_complex(space)
+        cycles, bounds = gf2_nullspace(boundary_matrix(k, p)), boundary_matrix(k, p + 1)
+        _, pivots = gf2_rref(np.concatenate([bounds, cycles], axis=1))
+        return cycles[:, [c - bounds.shape[1] for c in pivots if c >= bounds.shape[1]]], bounds
+
+    (hs, _), (ht, bt) = hom(m.source), hom(m.target)
+    if not hs.shape[1] or not ht.shape[1]:
+        return np.zeros((ht.shape[1], hs.shape[1]), dtype=np.uint8)
+    pushed = gf2_matmul(chain_map_matrix(m, p), hs)
+    return gf2_solve(np.concatenate([ht, bt], axis=1), pushed)[: ht.shape[1]]
+
+
 class TestInducedMatrix:
+    @settings(max_examples=40, deadline=None)
+    @given(continuous_maps(max_points=5), st.integers(0, 2))
+    def test_matches_the_matrix_reference(self, m, p):
+        assert np.array_equal(induced_matrix(m, p), reference_induced(m, p))
+
+    def test_torus_maps_match_the_matrix_reference(self):
+        t = torus_space(2)
+        swap = CtsMap(t, t, {x: "({},{})".format(*reversed(x[1:-1].split(","))) for x in t.points})
+        diagonal = CtsMap(t, t, {x: "({0},{0})".format(x[1:-1].split(",")[0]) for x in t.points})
+        for m in (swap, diagonal, compose(diagonal, swap)):
+            for p in range(3):
+                got = induced_matrix(m, p)
+                assert np.array_equal(got, reference_induced(m, p))
+        assert not np.array_equal(induced_matrix(swap, 1), np.eye(2, dtype=np.uint8))
+
     def test_identity_is_identity(self, circle4):
         m = induced_matrix(identity_map(circle4), 1)
         assert np.array_equal(m, np.eye(1, dtype=np.uint8))
@@ -190,6 +321,21 @@ class TestInducedMatrix:
     def test_rejects_negative_degree(self, circle4):
         with pytest.raises(TopologyError, match="degree must be >= 0"):
             induced_matrix(identity_map(circle4), -1)
+
+    def test_chain_map_rejects_discontinuous_structure_maps(self):
+        seen = 0
+        for seed in range(60):
+            gen = FuzzGen(seed)
+            c = gen.cis(inductive=True, max_stages=4, max_points=6)
+            _, cand = gen.mutate_candidate(build_fundamental(c))
+            for phi in cand.phis:
+                if classify_map(phi).continuous:
+                    continue
+                seen += 1
+                for p in range(3):
+                    with pytest.raises(TopologyError, match="continuous maps"):
+                        chain_map_matrix(phi, p)
+        assert seen
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
