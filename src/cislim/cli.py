@@ -339,8 +339,10 @@ _parser = functools.cache(build_parser)
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = _parser().parse_args(argv)
-    # by name on each call: the cached parser's `run` default keeps the
-    # function that was bound when the parser was built
+    # The verb's function is looked up by name on each call, so a later
+    # rebinding of a cmd_* function (as a tracer does) is seen; the cached
+    # parser's `run` default would keep the one bound when it was built.
+    # main does not read `run`: it stays for callers of build_parser().
     run = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
         return run(args, out)

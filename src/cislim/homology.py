@@ -81,8 +81,10 @@ def gf2_rank(mat: np.ndarray) -> int:
 
 
 def gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution of a x = b over GF(2), or None if inconsistent.  The
-    columns of a matrix b are solved together, x having one per column of b."""
+    """One solution of a x = b over GF(2), or None if inconsistent.
+
+    b may be a vector or a matrix; a matrix's columns are solved together,
+    with one reduction, and x has one column per column of b."""
     a = np.asarray(a, dtype=np.uint8) % 2
     b = np.asarray(b, dtype=np.uint8) % 2
     rows, cols = a.shape
@@ -101,18 +103,27 @@ def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gf2_inverse(a: np.ndarray) -> np.ndarray | None:
     a = np.asarray(a, dtype=np.uint8) % 2
-    if a.shape[0] != a.shape[1] or gf2_rank(a) < a.shape[0]:
+    if a.shape[0] != a.shape[1]:
         return None
-    return gf2_solve(a, np.eye(a.shape[0], dtype=np.uint8))
+    n = a.shape[0]
+    aug = np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1)
+    r, pivots = gf2_rref(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return r[:, n:]
 
 
 def gf2_nullspace(a: np.ndarray) -> np.ndarray:
-    """Columns form a basis of the kernel of a, one per free column of its RREF."""
+    """Columns form a basis of the kernel of a."""
+    rows, cols = a.shape
     r, pivots = gf2_rref(a)
-    free = [c for c in range(a.shape[1]) if c not in pivots]
-    basis = np.zeros((a.shape[1], len(free)), dtype=np.uint8)
-    basis[free, range(len(free))] = 1
-    basis[pivots] = r[: len(pivots), free]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.uint8)
+    for k, fc in enumerate(free):
+        basis[fc, k] = 1
+        for row_idx, pc in enumerate(pivots):
+            if r[row_idx, fc]:
+                basis[pc, k] = 1
     return basis
 
 
@@ -154,13 +165,6 @@ class SimplicialComplex:
         for v in self.vertices:
             if frozenset({v}) not in self.simplices:
                 raise TopologyError(f"vertex {v} has no singleton simplex")
-
-    @classmethod
-    def _closed(cls, vertices: frozenset, simplices: frozenset) -> SimplicialComplex:
-        """A complex known to be closed under faces, built without the check."""
-        k = object.__new__(cls)
-        vars(k).update(vertices=vertices, simplices=simplices)
-        return k
 
     @cached_property
     def _chains(self) -> _Chains:
@@ -206,11 +210,16 @@ class _Chains:
 
 
 def t0_classes(space: FinSpace) -> dict[str, str]:
-    """Each point's T0 class label: the least point sharing its minimal open set."""
-    label: dict[frozenset, str] = {}
+    """Each point's T0 class label (points sharing a minimal open set)."""
+    groups: dict[frozenset, list[str]] = {}
     for p in sorted(space.points):
-        label.setdefault(space.min_open[p], p)
-    return {p: label[space.min_open[p]] for p in sorted(space.points)}
+        groups.setdefault(space.min_open[p], []).append(p)
+    out = {}
+    for members in groups.values():
+        label = min(members)
+        for p in members:
+            out[p] = label
+    return out
 
 
 def order_complex(space: FinSpace) -> SimplicialComplex:
@@ -218,7 +227,8 @@ def order_complex(space: FinSpace) -> SimplicialComplex:
 
     y specializes to x when x lies in U_y; collapsing topologically
     indistinguishable points first makes the relation a partial order, and
-    the collapse does not change the weak homotopy type."""
+    the collapse does not change the weak homotopy type.
+    """
     return _kept(space, "_order_complex", _order_complex)
 
 
@@ -228,7 +238,7 @@ def _order_complex(space: FinSpace) -> SimplicialComplex:
     chains = [(c,) for c in reps]
     for chain in chains:  # grows while it is walked, each chain extended once
         chains.extend(chain + (d,) for d in above[chain[-1]])
-    return SimplicialComplex._closed(frozenset(reps), frozenset(map(frozenset, chains)))
+    return SimplicialComplex(frozenset(reps), frozenset(map(frozenset, chains)))
 
 
 def boundary_matrix(k: SimplicialComplex, p: int) -> np.ndarray:
@@ -288,7 +298,7 @@ def _push(m: CtsMap, p: int, ks: SimplicialComplex, kt: SimplicialComplex) -> li
     """Each p-simplex of ks mapped into kt: one bit, or 0 where the image is
     degenerate (it vanishes mod 2)."""
     cs, ct = ks._chains, kt._chains
-    cls = _kept(m.target, "_t0_classes", t0_classes)
+    cls = t0_classes(m.target)
     images = (sum({ct.bit[cls[m(v)]] for v in cs.simplex[s]}) for s in cs.cells(p))
     return [1 << ct.index[t] if t.bit_count() == p + 1 else 0 for t in images]
 
@@ -297,7 +307,8 @@ def chain_map_matrix(m: CtsMap, p: int) -> np.ndarray:
     """The simplicial chain map between order complexes in degree p.
 
     Continuous maps of finite spaces preserve specialization, hence send
-    chains to (possibly degenerate) chains; degenerate images vanish mod 2."""
+    chains to (possibly degenerate) chains; degenerate images vanish mod 2.
+    """
     if not _is_continuous(m):
         raise TopologyError("homology is only functorial on continuous maps")
     kt = order_complex(m.target)
@@ -365,8 +376,9 @@ def module_colimit(s: GF2ModuleSeq) -> tuple[int, list[np.ndarray]]:
 
 
 def module_limit(s: GF2ModuleSeq) -> tuple[int, list[np.ndarray]]:
-    """Limit of the dualized (reversed, transposed) chain: again the last
-    module, with the transposed composites as the cone."""
+    """Limit of the dualized (reversed, transposed) chain; for a finite
+    chain this is again the last module, with transposed composites as the
+    cone."""
     dim, cocone = module_colimit(s)
     return dim, [m.T.copy() for m in cocone]
 
@@ -420,6 +432,7 @@ def _solve_intertwiner(
     Returns (solution, forced-uniquely, witnesses).  Uniqueness holds iff the
     a_k columns span the domain; otherwise the free part is zero-filled and a
     non-invertible fill shows up downstream as a failed isomorphism check.
+
     All rows come from one reduction of [a.T | b.T]: a pivot right of a.T
     marks the first row of h that has no solution."""
     if not constraints:
@@ -450,7 +463,10 @@ def functorial_invariance_check(
     lim = _homology(ls.x, p)
     limit_dim = len(lim[1])
     structure = [_induced(phi, p, homs[i], lim) for i, phi in enumerate(ls.phis)]
-    h, unique, solver_wit = _solve_intertwiner(list(zip(structure, cocone)), limit_dim, module_dim)
+
+    h, unique, solver_wit = _solve_intertwiner(
+        list(zip(structure, cocone)), limit_dim, module_dim
+    )
     witnesses = list(solver_wit)
     exists = h is not None
     if exists:
@@ -472,9 +488,10 @@ def counter_functorial_check(
 ) -> InvarianceReport:
     """The contravariant twin: the limit of the dualized chain against the
     cohomology of the fundamental limit, intertwined through the transposed
-    structure maps.  Transposing h @ induced_k = cocone_k gives induced_k.T
-    @ h.T = cone_k, the same linear system, so the intertwiner is the
-    covariant one transposed and every dimension, flag and witness carries
-    over."""
+    structure maps.
+
+    Transposing h @ induced_k = cocone_k gives induced_k.T @ h.T = cone_k,
+    the same linear system, so the intertwiner is the covariant one
+    transposed and every dimension, flag and witness carries over."""
     rep = functorial_invariance_check(c, p, limit)
     return replace(rep, iso=None if rep.iso is None else rep.iso.T.copy())
