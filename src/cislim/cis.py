@@ -180,14 +180,22 @@ def transits(c: Cis, i: int, top: int):
 
     Every step extends the previous one: keep the entries whose image lies
     in Y_k, then apply f_k.  Domains only shrink, so a pair that stops
-    transiting never transits again.
+    transiting never transits again.  Stages that carry an attachment are
+    read directly; only steps past them resolve through the tail policy.
     """
-    f_i = stage_map(c, i).assignment
-    asg = {y: f_i[y] for y in stage_y(c, i)}
+    attached = c.stage_count - 1
+
+    def step(k: int) -> tuple[PointSet, dict[str, str]]:
+        if 0 <= k < attached:
+            st = c.stages[k]
+            return st.y, st.f.assignment
+        return stage_y(c, k), stage_map(c, k).assignment
+
+    y_i, f_i = step(i)
+    asg = {y: f_i[y] for y in y_i}
     yield i, asg
     for k in range(i + 1, top + 1):
-        yk = stage_y(c, k)
-        f_k = stage_map(c, k).assignment
+        yk, f_k = step(k)
         asg = {y: f_k[z] for y, z in asg.items() if z in yk}
         yield k, asg
 

@@ -6,18 +6,50 @@ The family {U_x} determines the whole topology (a set is open iff it
 contains U_x for each of its points), which keeps every operation here
 polynomial instead of enumerating the exponential open-set family.
 
+Dually, the closure of a point is cl{p} = {y : p in U_y}.  Each space
+keeps the closure of every point in a table, built on first use by
+inverting the minimal opens, so closures and closed-set tests cost the
+size of the relation rather than a scan of the space.  A map's profile
+computes each flag (continuous, closed, injective, embedding, surjective,
+quotient) on first read and keeps it.  Final topologies are reachability:
+the minimal open of a point is everything a graph search reaches from it.
+
 Every finite space is compact; compactness is therefore never computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 
 PointSet = frozenset[str]
 
 
 class TopologyError(ValueError):
     """Input does not describe a finite space, a map, or a legal argument."""
+
+
+def _kept(obj, name: str, build):
+    """obj's attribute `name`, set to build(obj) on first use: it lives as long as obj."""
+    val = vars(obj).get(name)
+    if val is None:
+        val = build(obj)
+        object.__setattr__(obj, name, val)
+    return val
+
+
+def _closure_table(space: "FinSpace") -> dict[str, tuple[str, ...]]:
+    """cl{p} = {y : p in U_y} for every point p, by inverting min_open.
+
+    The table lives as long as its space, so each closure is a tuple: a
+    small frozenset takes several times the memory.
+    """
+    table: dict[str, list[str]] = {p: [] for p in space.points}
+    for y, u in space.min_open.items():
+        for p in u:
+            table[p].append(y)
+    return {p: tuple(c) for p, c in table.items()}
 
 
 @dataclass(frozen=True)
@@ -71,13 +103,20 @@ class FinSpace:
         a = self.check_points(a)
         return all(self.min_open[x] <= a for x in a)
 
+    def _point_closures(self) -> dict[str, tuple[str, ...]]:
+        """The closure of every point, kept on the space after the first call."""
+        return _kept(self, "_closure_table", _closure_table)
+
     def closure(self, a) -> PointSet:
         """cl(a) = {y : U_y meets a}, the smallest closed superset of a."""
         a = self.check_points(a)
-        return frozenset(y for y in self.points if self.min_open[y] & a)
+        cl = self._point_closures()
+        return frozenset().union(*(cl[p] for p in a))
 
     def is_closed(self, a) -> bool:
-        return self.closure(a) == frozenset(a)
+        a = self.check_points(a)
+        cl = self._point_closures()
+        return all(a.issuperset(cl[p]) for p in a)
 
 
 def set_closure(space: FinSpace, a) -> PointSet:
@@ -126,14 +165,86 @@ class CtsMap:
         return classify_map(self)
 
 
-@dataclass(frozen=True)
 class MapProfile:
-    continuous: bool
-    closed: bool
-    injective: bool
-    embedding: bool
-    surjective: bool
-    quotient_map: bool
+    """The flags of a map, each computed on its first read and then kept.
+
+    Equality, hashing and repr read all six flags.
+    """
+
+    _FLAGS = ("continuous", "closed", "injective", "embedding", "surjective", "quotient_map")
+
+    def __init__(self, m: CtsMap):
+        self._map = m
+
+    @cached_property
+    def continuous(self) -> bool:
+        """m(U_p) lies inside U_m(p) for every point p."""
+        src, tgt, f = self._map.source, self._map.target, self._map.assignment
+        return all(
+            {f[q] for q in src.min_open[p]} <= tgt.min_open[f[p]] for p in src.points
+        )
+
+    @cached_property
+    def closed(self) -> bool:
+        """Every point closure has a closed image.
+
+        Every closed set is a finite union of point closures and images of
+        unions are unions of images, so this test is exact without
+        enumerating all closed sets.
+        """
+        src, tgt, f = self._map.source, self._map.target, self._map.assignment
+        tgt_cl = tgt._point_closures()
+        for c in src._point_closures().values():
+            img = {f[x] for x in c}
+            if not all(img.issuperset(tgt_cl[y]) for y in img):
+                return False
+        return True
+
+    @cached_property
+    def injective(self) -> bool:
+        f = self._map.assignment
+        return len(set(f.values())) == len(f)
+
+    @cached_property
+    def embedding(self) -> bool:
+        """Injective and continuous, and each U_q maps onto U_f(q) within the image.
+
+        Continuity puts f(U_q) inside U_f(q) ∩ f(X), and injectivity gives
+        f(U_q) the size of U_q, so comparing sizes settles equality.
+        """
+        if not (self.injective and self.continuous):
+            return False
+        src, tgt, f = self._map.source, self._map.target, self._map.assignment
+        img = frozenset(f.values())
+        return all(len(tgt.min_open[f[q]] & img) == len(u) for q, u in src.min_open.items())
+
+    @cached_property
+    def surjective(self) -> bool:
+        return set(self._map.assignment.values()) == set(self._map.target.points)
+
+    @cached_property
+    def quotient_map(self) -> bool:
+        m = self._map
+        return (
+            self.surjective
+            and self.continuous
+            and final_space(m.target.points, [m]).min_open == m.target.min_open
+        )
+
+    def _flags(self) -> tuple[bool, ...]:
+        return tuple(getattr(self, name) for name in self._FLAGS)
+
+    def __eq__(self, other):
+        if not isinstance(other, MapProfile):
+            return NotImplemented
+        return self._flags() == other._flags()
+
+    def __hash__(self):
+        return hash(self._flags())
+
+    def __repr__(self):
+        flags = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FLAGS)
+        return f"MapProfile({flags})"
 
 
 def identity_map(space: FinSpace) -> CtsMap:
@@ -154,38 +265,13 @@ def restrict_map(m: CtsMap, a) -> CtsMap:
     return CtsMap(sub, m.target, {p: m.assignment[p] for p in sub.points})
 
 
-def _is_continuous(m: CtsMap) -> bool:
-    """m(U_p) lies inside U_m(p) for every point p."""
-    src, tgt, f = m.source, m.target, m.assignment
-    return all(
-        frozenset(f[q] for q in src.min_open[p]) <= tgt.min_open[f[p]] for p in src.points
-    )
-
-
 def classify_map(m: CtsMap) -> MapProfile:
     """Continuity, closedness, injectivity, embedding, surjectivity, quotient.
 
-    Closedness is decided on point closures only: every closed set is a
-    finite union of point closures and images of unions are unions of
-    images, so this test is exact without enumerating all closed sets.
+    Each flag is computed when it is first read, so a caller pays only for
+    the flags it asks for.
     """
-    src, tgt, f = m.source, m.target, m.assignment
-    continuous = _is_continuous(m)
-    closed = all(tgt.is_closed(m.image(src.closure({p}))) for p in src.points)
-    injective = len(set(f.values())) == len(f)
-    embedding = injective and continuous and all(
-        p in src.min_open[q]
-        for p in src.points
-        for q in src.points
-        if f[p] in tgt.min_open[f[q]]
-    )
-    surjective = set(f.values()) == set(tgt.points)
-    quotient_map = (
-        surjective
-        and continuous
-        and final_space(tgt.points, [m]).min_open == tgt.min_open
-    )
-    return MapProfile(continuous, closed, injective, embedding, surjective, quotient_map)
+    return MapProfile(m)
 
 
 def subspace(space: FinSpace, a) -> tuple[FinSpace, CtsMap]:
@@ -216,8 +302,8 @@ def coproduct(spaces: list[FinSpace]) -> tuple[FinSpace, list[CtsMap]]:
 def quotient(space: FinSpace, partition) -> tuple[FinSpace, CtsMap]:
     """Quotient by a partition, carrying the final topology of the projection.
 
-    A set of classes is open iff its union is open upstairs; the minimal
-    open class-set of a class is the least fixpoint of that demand.
+    A set of classes is open iff its union is open upstairs: the final
+    topology of the projection.
     """
     blocks = [space.check_points(b) for b in partition]
     seen: set[str] = set()
@@ -238,20 +324,7 @@ def quotient(space: FinSpace, partition) -> tuple[FinSpace, CtsMap]:
         for p in b:
             label[p] = lab
 
-    def least_open(lab: str) -> PointSet:
-        need = {lab}
-        while True:
-            grow = {
-                label[q]
-                for c in need
-                for x in members[c]
-                for q in space.min_open[x]
-            } - need
-            if not grow:
-                return frozenset(need)
-            need |= grow
-
-    q_space = FinSpace(frozenset(members), {lab: least_open(lab) for lab in members})
+    q_space = final_space(frozenset(members), [SimpleNamespace(source=space, assignment=label)])
     projection = CtsMap(space, q_space, dict(label))
     return q_space, projection
 
@@ -281,27 +354,28 @@ def final_space(points, maps) -> FinSpace:
 
     Each map only needs `.source` and `.assignment`; its declared target is
     ignored.  U_x is the least set S containing x such that whenever some
-    map sends p into S, the whole image of U_p lands in S.
+    map sends p into S, the whole image of U_p lands in S: everything a
+    graph search reaches from x along the edges f(p) -> f(U_p).
     """
     pts = frozenset(points)
     for m in maps:
         stray = sorted(set(m.assignment.values()) - pts)
         if stray:
             raise TopologyError(f"map leaves the final-space point set at {stray}")
-    images = []
+    edges: dict[str, set[str]] = {x: set() for x in pts}
     for m in maps:
-        for p, q in m.assignment.items():
-            images.append((q, frozenset(m.assignment[r] for r in m.source.min_open[p])))
+        f = m.assignment
+        for p, q in f.items():
+            edges[q].update(f[r] for r in m.source.min_open[p])
     min_open = {}
     for x in pts:
         u = {x}
-        changed = True
-        while changed:
-            changed = False
-            for q, img in images:
-                if q in u and not img <= u:
-                    u |= img
-                    changed = True
+        todo = [x]
+        while todo:
+            for y in edges[todo.pop()]:
+                if y not in u:
+                    u.add(y)
+                    todo.append(y)
         min_open[x] = frozenset(u)
     return FinSpace(pts, min_open)
 

@@ -25,7 +25,7 @@ from operator import xor
 import numpy as np
 
 from .cis import Cis, is_inductive, stage_map
-from .finspace import CtsMap, FinSpace, TopologyError, _is_continuous, components
+from .finspace import CtsMap, FinSpace, TopologyError, _kept, classify_map, components
 from .limit import LimitSpace, _require_aligned, build_fundamental
 
 # ---------------------------------------------------------------------------
@@ -135,15 +135,6 @@ def gf2_column_basis(a: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # simplicial complexes
-
-
-def _kept(obj, name: str, build):
-    """obj's attribute `name`, set to build(obj) on first use: it lives as long as obj."""
-    val = vars(obj).get(name)
-    if val is None:
-        val = build(obj)
-        object.__setattr__(obj, name, val)
-    return val
 
 
 @dataclass(frozen=True)
@@ -309,7 +300,7 @@ def chain_map_matrix(m: CtsMap, p: int) -> np.ndarray:
     Continuous maps of finite spaces preserve specialization, hence send
     chains to (possibly degenerate) chains; degenerate images vanish mod 2.
     """
-    if not _is_continuous(m):
+    if not classify_map(m).continuous:
         raise TopologyError("homology is only functorial on continuous maps")
     kt = order_complex(m.target)
     push = _push(m, p, order_complex(m.source), kt)
@@ -320,7 +311,7 @@ def _induced(m: CtsMap, p: int, src: tuple, tgt: tuple) -> np.ndarray:
     """H_p(m) from the `_homology` values of its source and target: pushed
     forward and reduced against the target's classes, the source's cycles
     leave their coordinates (unique: cycles are independent modulo boundaries)."""
-    if not _is_continuous(m):
+    if not classify_map(m).continuous:
         raise TopologyError("homology is only functorial on continuous maps")
     (ks, hs, _), (kt, ht, classes) = src, tgt
     if not hs or not ht:

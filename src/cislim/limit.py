@@ -254,10 +254,11 @@ def verify_gluing_laws(c: Cis, ls: LimitSpace) -> AxiomReport:
     agree_bad = []
     offlocus_bad = []
     disjoint_bad = []
+    images = [phi.image() for phi in ls.phis]
     for i, j, linked, transit in _stage_pairs(c):
         phi_i, phi_j = ls.phis[i], ls.phis[j]
         if not linked:
-            meet = phi_i.image() & phi_j.image()
+            meet = images[i] & images[j]
             if meet:
                 disjoint_bad.append(f"stages {i},{j} cannot interact but share {sorted(meet)}")
             continue

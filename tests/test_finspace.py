@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from bruteforce import (
     open_sets,
 )
 from conftest import continuous_maps, finspaces, spaces_with_subsets
+import cislim.finspace
 from cislim.finspace import (
     CtsMap,
     FinSpace,
@@ -30,6 +33,8 @@ from cislim.finspace import (
     set_closure,
     subspace,
 )
+from cislim.limit import build_fundamental
+from cislim.randgen import FuzzGen
 
 POINT = FinSpace(frozenset({"z"}), {"z": frozenset({"z"})})
 DISCRETE2 = FinSpace(frozenset("uv"), {"u": frozenset("u"), "v": frozenset("v")})
@@ -71,6 +76,7 @@ class TestClosure:
     def test_matches_brute_force(self, sa):
         space, a = sa
         assert set_closure(space, a) == brute_closure(space, a)
+        assert space.is_closed(a) == (brute_closure(space, a) == a)
 
     @given(spaces_with_subsets())
     def test_kuratowski_laws(self, sa):
@@ -124,9 +130,47 @@ class TestClassifyMap:
         asg = {p: data.draw(st.sampled_from(sorted(tgt.points))) for p in sorted(src.points)}
         m = CtsMap(src, tgt, asg)
         prof = classify_map(m)
+        injective = all(asg[p] != asg[q] for p in asg for q in asg if p != q)
+        surjective = all(any(asg[p] == y for p in asg) for y in tgt.points)
         assert prof.continuous == brute_continuous(m)
         assert prof.closed == brute_closed_map(m)
+        assert prof.injective == injective
         assert prof.embedding == brute_embedding(m)
+        assert prof.surjective == surjective
+        assert prof.quotient_map == (
+            surjective
+            and brute_continuous(m)
+            and brute_final_min_open(tgt.points, [m]) == dict(tgt.min_open)
+        )
+
+    def test_flags_are_computed_on_read(self, circle4, monkeypatch):
+        def boom(points, maps):
+            raise AssertionError("final_space called")
+
+        monkeypatch.setattr(cislim.finspace, "final_space", boom)
+        prof = classify_map(identity_map(circle4))
+        assert prof.continuous and prof.closed and prof.injective
+        assert prof.embedding and prof.surjective
+        with pytest.raises(AssertionError, match="final_space called"):
+            prof.quotient_map
+
+    def test_repr_names_every_flag(self, sierpinski):
+        m = CtsMap(DISCRETE2, sierpinski, {"u": "a", "v": "a"})
+        assert repr(classify_map(m)) == (
+            "MapProfile(continuous=True, closed=False, injective=False, "
+            "embedding=False, surjective=False, quotient_map=False)"
+        )
+
+    @given(finspaces(4), st.data())
+    def test_equal_spaces_give_equal_closures_and_profiles(self, space, data):
+        twin = FinSpace(frozenset(space.points), dict(space.min_open))
+        closures = {p: space.closure({p}) for p in space.points}  # space keeps its table
+        assert space == twin and hash(space) == hash(twin)
+        assert {p: twin.closure({p}) for p in twin.points} == closures
+        tgt = data.draw(finspaces(4))
+        asg = {p: data.draw(st.sampled_from(sorted(tgt.points))) for p in sorted(space.points)}
+        first, second = classify_map(CtsMap(space, tgt, asg)), classify_map(CtsMap(twin, tgt, asg))
+        assert first == second and hash(first) == hash(second)
 
 
 class TestSubspace:
@@ -291,6 +335,57 @@ class TestFinalSpace:
         maps = [CtsMap(src, dummy_target, asg)]
         fs = final_space(pts, maps)
         assert dict(fs.min_open) == brute_final_min_open(pts, maps)
+
+
+def fixpoint_final_min_open(points, maps):
+    """Final topology by repeated passes over every image until nothing
+    changes: an independent reference for the graph search."""
+    images = []
+    for m in maps:
+        for p, q in m.assignment.items():
+            images.append((q, frozenset(m.assignment[r] for r in m.source.min_open[p])))
+    min_open = {}
+    for x in points:
+        u = {x}
+        changed = True
+        while changed:
+            changed = False
+            for q, img in images:
+                if q in u and not img <= u:
+                    u |= img
+                    changed = True
+        min_open[x] = frozenset(u)
+    return min_open
+
+
+def fuzzed_limits(low=20, high=60):
+    for seed in range(60):
+        ls = build_fundamental(FuzzGen(seed).cis(max_stages=12, max_points=8))
+        if low <= len(ls.x.points) <= high:
+            yield seed, ls
+
+
+class TestFinalSpaceAgainstFixpoint:
+    def test_fuzzed_limits_of_their_stages(self):
+        seen = 0
+        for seed, ls in fuzzed_limits():
+            seen += 1
+            for maps in (ls.phis, ls.phis[::2], ls.phis[1::3], ls.phis[-1:]):
+                fs = final_space(ls.x.points, maps)
+                assert dict(fs.min_open) == fixpoint_final_min_open(ls.x.points, maps), seed
+        assert seen >= 10
+
+    def test_fuzzed_quotients(self):
+        for seed, ls in fuzzed_limits():
+            total = ls.rho.source
+            rng = random.Random(seed)
+            blocks = {}
+            for p in sorted(total.points):
+                blocks.setdefault(rng.randrange(8), set()).add(p)
+            q, proj = quotient(total, list(blocks.values()))
+            assert dict(q.min_open) == fixpoint_final_min_open(q.points, [proj]), seed
+            again = final_space(ls.x.points, [ls.rho])
+            assert again.min_open == ls.x.min_open, seed
 
 
 class TestFindHomeomorphism:
