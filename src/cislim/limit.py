@@ -7,8 +7,13 @@ and stage j in a limit meet exactly along the composite transit map
 f_{i,j-1}: Y_{i,j-1} -> X_j.  Adjacent stages are always linked, through
 f_i itself, even when Y_i is empty; a farther pair is linked when its
 transit has a nonempty domain, and the disjointness axiom applies to the
-pairs that are not.  The verifiers take every transit out of stage i from
-one forward walk (`cis.transits`), each step extending the last.
+pairs that are not.  `verify_limit_axioms` decides those two axioms per
+point: they hold when every limit point's preimages form one forward orbit
+x_s -> f_s(x_s) -> ... through consecutive stages, and for injective
+structure maps only then (`_orbits_agree`).  Stage pairs are walked only to
+name witnesses once that verdict fails, and by the gluing-law twin, which
+stays pairwise as an oracle; both take every transit out of stage i from one
+forward walk (`cis.transits`).
 """
 
 from __future__ import annotations
@@ -200,11 +205,49 @@ def _embedding_check(c, ls):
     return CheckResult("embeddings", not bad, tuple(bad))
 
 
+def _orbits_agree(c: Cis, ls: LimitSpace) -> bool:
+    """Whether exact overlaps and disjointness hold, decided per point in
+    O(sum |X_i|) from two checks:
+
+    (a) every gluing agrees with the structure maps: phi_{k+1}(f_k(y)) =
+        phi_k(y) for y in Y_k;
+    (b) every limit point's preimages, in stage order, lie in consecutive
+        stages, at most one per stage, each sent by f_s to the next.
+
+    (a) puts every transit's ends on one point and (b) puts the ends of
+    every meeting on one transit, so passing implies both axioms.  The
+    converse holds when the structure maps are injective; otherwise the
+    pairwise walk decides.
+    """
+    asg = [phi.assignment for phi in ls.phis]
+    for k, st in enumerate(c.stages[:-1]):
+        here, there = asg[k], asg[k + 1]
+        if any(there[z] != here[y] for y, z in st.f.assignment.items()):
+            return False
+    last: dict[str, tuple[int, str]] = {}  # limit point -> latest (stage, preimage)
+    for k, phi in enumerate(asg):
+        for x, p in phi.items():
+            seen = last.get(p)
+            if seen is not None:
+                s, xs = seen
+                if s != k - 1 or c.stages[s].f.assignment.get(xs) != x:
+                    return False
+            last[p] = (k, x)
+    return True
+
+
 def verify_limit_axioms(c: Cis, ls: LimitSpace) -> AxiomReport:
     """The limit-space axioms: cover, embeddings, exact overlaps (with the
-    pointwise clause), and disjointness for unlinked stage pairs."""
+    pointwise clause), and disjointness for unlinked stage pairs.
+
+    Overlaps and disjointness are decided per point by `_orbits_agree`;
+    stage pairs are walked only when that fails, to name the witnesses."""
     _require_aligned(c, ls)
     checks = [_cover_check(c, ls), _embedding_check(c, ls)]
+    if _orbits_agree(c, ls):
+        checks.append(CheckResult("overlap", True))
+        checks.append(CheckResult("disjointness", True))
+        return AxiomReport(tuple(checks))
 
     overlap_bad = []
     disjoint_bad = []
@@ -255,21 +298,23 @@ def verify_gluing_laws(c: Cis, ls: LimitSpace) -> AxiomReport:
     offlocus_bad = []
     disjoint_bad = []
     images = [phi.image() for phi in ls.phis]
+    asg = [phi.assignment for phi in ls.phis]
     for i, j, linked, transit in _stage_pairs(c):
-        phi_i, phi_j = ls.phis[i], ls.phis[j]
+        phi_i, phi_j = asg[i], asg[j]
         if not linked:
             meet = images[i] & images[j]
             if meet:
                 disjoint_bad.append(f"stages {i},{j} cannot interact but share {sorted(meet)}")
             continue
         for y in sorted(transit):
-            if phi_j(transit[y]) != phi_i(y):
+            if phi_j[transit[y]] != phi_i[y]:
                 agree_bad.append(
-                    f"stages {i},{j}: gluing sends {y} to {phi_j(transit[y])} "
-                    f"but stage {i} places it at {phi_i(y)}"
+                    f"stages {i},{j}: gluing sends {y} to {phi_j[transit[y]]} "
+                    f"but stage {i} places it at {phi_i[y]}"
                 )
-        off_i = phi_i.image(phi_i.source.points.difference(transit))
-        off_j = phi_j.image(phi_j.source.points.difference(transit.values()))
+        landed = set(transit.values())
+        off_i = {p for x, p in phi_i.items() if x not in transit}
+        off_j = {p for z, p in phi_j.items() if z not in landed}
         meet = off_i & off_j
         if meet:
             offlocus_bad.append(

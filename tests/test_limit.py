@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cislim import limit
 from cislim.cis import Cis, Cutoff, make_stage
 from cislim.finspace import (
     CtsMap,
@@ -187,6 +188,106 @@ class TestVerify:
             "  witness: stages 0,1: points ['p'] collide away from the gluing locus\n"
             "disjointness: pass"
         )
+
+
+def _discrete(*points):
+    return FinSpace(frozenset(points), {p: frozenset({p}) for p in points})
+
+
+class TestPerPointVerdict:
+    """`verify_limit_axioms` decides overlaps and disjointness per point and
+    walks stage pairs only to name witnesses; the pairwise walk is the
+    reference it must agree with."""
+
+    @staticmethod
+    def _pairwise(monkeypatch, c, cand):
+        with monkeypatch.context() as m:
+            m.setattr(limit, "_orbits_agree", lambda c, ls: False)
+            return verify_limit_axioms(c, cand)
+
+    def test_matches_the_pairwise_walk(self, monkeypatch):
+        verdicts = []
+        for seed in range(400):
+            gen = FuzzGen(seed)
+            c = gen.cis()
+            ls = build_fundamental(c)
+            for cand in [ls] + [gen.mutate_candidate(ls)[1] for _ in range(6)]:
+                slow = self._pairwise(monkeypatch, c, cand)
+                assert verify_limit_axioms(c, cand) == slow, seed
+                pairwise_ok = slow.check("overlap").passed and slow.check("disjointness").passed
+                ok = limit._orbits_agree(c, cand)
+                if ok:  # sound: a per-point pass is a pairwise pass
+                    assert pairwise_ok, (seed, slow.render())
+                if all(classify_map(phi).injective for phi in cand.phis):
+                    assert ok == pairwise_ok, (seed, slow.render())
+                verdicts.append(ok)
+        assert verdicts.count(True) > 1000 and verdicts.count(False) > 500  # both paths run
+
+    def test_one_step_disagreement_is_caught_by_the_gluing_check(self):
+        # every limit point has one preimage, so only the check that each
+        # gluing lands on the point its source maps to can fail
+        x0, x1 = _discrete("a"), _discrete("b")
+        c = Cis((make_stage(x0, {"a"}, x1, {"a": "b"}), make_stage(x1, set(), None, None)), Cutoff())
+        lim = _discrete("p", "q")
+        cand = LimitSpace(lim, (CtsMap(x0, lim, {"a": "p"}), CtsMap(x1, lim, {"b": "q"})))
+        assert not limit._orbits_agree(c, cand)
+        assert verify_limit_axioms(c, cand).render() == (
+            "cover: pass\n"
+            "embeddings: pass\n"
+            "overlap: FAIL\n"
+            "  witness: stages 0,1: images meet in [] but the transit lands on ['q']\n"
+            "disjointness: pass"
+        )
+
+    def test_orbit_gap_is_caught_by_the_orbit_check(self):
+        # nothing is glued, so the gluing check holds vacuously; p has
+        # preimages in stages 0 and 2 but none in stage 1
+        x0, x1, x2 = _discrete("a"), _discrete("b"), _discrete("c")
+        c = Cis(
+            (
+                make_stage(x0, set(), x1, {}),
+                make_stage(x1, set(), x2, {}),
+                make_stage(x2, set(), None, None),
+            ),
+            Cutoff(),
+        )
+        lim = _discrete("p", "q")
+        cand = LimitSpace(
+            lim,
+            (CtsMap(x0, lim, {"a": "p"}), CtsMap(x1, lim, {"b": "q"}), CtsMap(x2, lim, {"c": "p"})),
+        )
+        assert not limit._orbits_agree(c, cand)
+        assert verify_limit_axioms(c, cand).render() == (
+            "cover: pass\n"
+            "embeddings: pass\n"
+            "overlap: pass\n"
+            "disjointness: FAIL\n"
+            "  witness: stages 0,2 cannot interact but share ['p']"
+        )
+
+    def test_passing_candidates_walk_no_stage_pairs(self, monkeypatch):
+        def no_pairs(c):
+            raise AssertionError("stage pairs walked for a passing candidate")
+
+        monkeypatch.setattr(limit, "_stage_pairs", no_pairs)
+        c = identity_system(sphere_space(2), 320)
+        ls = build_fundamental(c)
+        assert verify_limit_axioms(c, ls).passed
+
+    def test_failing_candidates_still_name_pair_witnesses(self, monkeypatch):
+        walked = []
+        pairs = limit._stage_pairs
+        monkeypatch.setattr(limit, "_stage_pairs", lambda c: walked.append(c) or pairs(c))
+        c = identity_system(sphere_space(2), 4)
+        ls = build_fundamental(c)
+        assert not walked
+        phi = ls.phis[2]
+        a, b = sorted(phi.source.points)[:2]
+        swapped = CtsMap(phi.source, phi.target, {**phi.assignment, a: phi(b), b: phi(a)})
+        rep = verify_limit_axioms(c, LimitSpace(ls.x, ls.phis[:2] + (swapped,) + ls.phis[3:]))
+        assert walked
+        assert not rep.check("overlap").passed
+        assert any(w.startswith("stages 1,2: ") for w in rep.check("overlap").witnesses)
 
 
 class TestCanonicalBijection:
