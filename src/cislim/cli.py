@@ -279,56 +279,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a system document against the axioms")
     p.add_argument("cis")
-    p.set_defaults(run=cmd_validate)
 
     p = sub.add_parser("limit", help="build the fundamental limit of a system")
     p.add_argument("cis")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--dot", default=None, help="also write the specialization digraph")
-    p.set_defaults(run=cmd_limit)
 
     p = sub.add_parser("verify", help="verify a limit candidate against a system")
     p.add_argument("cis")
     p.add_argument("limit")
-    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("morphism", help="validate a morphism document")
     p.add_argument("morphism")
     p.add_argument("--induced", action="store_true", help="also build the induced map of limits")
-    p.set_defaults(run=cmd_morphism)
 
     p = sub.add_parser("diagram-limit", help="direct limit of a diagram of systems")
     p.add_argument("diagram")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(run=cmd_diagram_limit)
 
     p = sub.add_parser("homology", help="mod-2 betti numbers of stages and limit")
     p.add_argument("cis")
     p.add_argument("--pmax", type=int, default=2)
-    p.set_defaults(run=cmd_homology)
 
     p = sub.add_parser("invariance", help="(counter-)functorial invariance check")
     p.add_argument("cis")
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--co", dest="contravariant", action="store_true")
-    p.set_defaults(run=cmd_invariance)
 
     p = sub.add_parser("gallery", help="emit a canonical example system")
     p.add_argument("name", choices=sorted(GALLERY_NAMES))
     p.add_argument("params", nargs="*")
     p.add_argument("--stationary", action="store_true")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(run=cmd_gallery)
 
     p = sub.add_parser("fuzz", help="run the seeded theorem sweep")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(run=cmd_fuzz)
 
     p = sub.add_parser("search", help="look for non-fundamental limit topologies")
     p.add_argument("cis")
     p.add_argument("--cap", type=int, default=4)
-    p.set_defaults(run=cmd_search)
 
     return parser
 
@@ -340,9 +330,7 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = _parser().parse_args(argv)
     # The verb's function is looked up by name on each call, so a later
-    # rebinding of a cmd_* function (as a tracer does) is seen; the cached
-    # parser's `run` default would keep the one bound when it was built.
-    # main does not read `run`: it stays for callers of build_parser().
+    # rebinding of a cmd_* function (as a tracer does) is seen.
     run = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
         return run(args, out)

@@ -7,13 +7,17 @@ from abstract module-valued functors to something a desk machine can
 row-reduce.  Cohomology is realized by transposing, which over a field
 carries the same dimensions.
 
-One kernel, `_echelon`, reduces Python-int bitsets by leading bit.  It
-reduces boundary columns from the top dimension down, skipping those that
-are pivots of the dimension above ("clearing": Chen & Kerber, Persistent
-homology computation with a twist, 2011), and keeps the canonical cycles:
-of the RREF nullspace basis, the earliest independent modulo boundaries.
-A space keeps its order complex and homology, and a complex its chain
-data, from first use; the numpy functions wrap the kernel.
+The library computes on int columns: a matrix is a list of Python ints,
+one per column, with row r in bit r.  One kernel, `_echelon`, reduces
+them by leading bit.  It reduces boundary columns from the top dimension
+down, skipping those that are pivots of the dimension above ("clearing":
+Chen & Kerber, Persistent homology computation with a twist, 2011), and
+keeps the canonical cycles: of the RREF nullspace basis, the earliest
+independent modulo boundaries.  Linear systems are solved by one
+index-tagged reduction, `_solve`.  A space keeps its order complex and
+homology, and a complex its chain data, from first use.  numpy is the
+public view: `_pack` and `_unpack` convert at the edge, for the `gf2_*`
+wrappers, the matrix functions, module chains and the intertwiner.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .finspace import CtsMap, FinSpace, TopologyError, _kept, classify_map, comp
 from .limit import LimitSpace, _require_aligned, build_fundamental
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra: one kernel on int bitsets, numpy at the boundary
+# GF(2) linear algebra: one kernel on int columns, numpy at the boundary
 
 
 def _echelon(cols, shift: int = 0, skip=(), basis: dict[int, int] | None = None):
@@ -49,35 +53,59 @@ def _echelon(cols, shift: int = 0, skip=(), basis: dict[int, int] | None = None)
     return basis, zero
 
 
+def _solve(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Solve a x = b column by column.  a's columns are reduced carrying their own
+    index below bit len(a), so only pivot columns enter the basis.  Returns the kernel
+    of a, one vector per free column, and the solutions of b's columns up to the first
+    one outside the span of a; both are the RREF's, zero on every free column but a
+    kernel vector's own."""
+    n = len(a)
+    _, zero = _echelon([c << n | 1 << j for j, c in enumerate(a)] + [c << n for c in b], n)
+    null = [v for j, v in zero if j < n]
+    # once a column of b stays nonzero, each later vanishing one lags its place in zero
+    return null, [v for k, (j, v) in enumerate(zero[len(null):]) if j == n + k]
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """The product a @ b."""
+    return [reduce(xor, (c for i, c in enumerate(a) if v >> i & 1), 0) for v in b]
+
+
+def _transpose(cols: list[int], rows: int) -> list[int]:
+    """The columns of the transpose of a matrix with `rows` rows."""
+    return [sum((c >> r & 1) << j for j, c in enumerate(cols)) for r in range(rows)]
+
+
 def _pack(m: np.ndarray) -> list[int]:
-    """The rows of a 0/1 matrix as ints, column c in bit c."""
-    return [int.from_bytes(bytes(r), "little") for r in np.packbits(m, axis=1, bitorder="little")]
+    """The columns of a matrix mod 2 as ints, row r in bit r."""
+    bits = np.packbits(np.asarray(m, dtype=np.uint8).T % 2, axis=1, bitorder="little")
+    return [int.from_bytes(bytes(c), "little") for c in bits]
 
 
-def _unpack(vecs: list[int], width: int) -> np.ndarray:
-    """One 0/1 row per int, bit c in column c."""
-    n = (width + 7) // 8
-    buf = np.frombuffer(b"".join(v.to_bytes(n, "little") for v in vecs), dtype=np.uint8)
-    return np.unpackbits(buf, bitorder="little").reshape(len(vecs), 8 * n)[:, :width]
+def _unpack(cols: list[int], rows: int) -> np.ndarray:
+    """The 0/1 matrix with one column per int, bit r in row r."""
+    n = (rows + 7) // 8
+    buf = np.frombuffer(b"".join(c.to_bytes(n, "little") for c in cols), dtype=np.uint8)
+    bits = np.unpackbits(buf, bitorder="little").reshape(len(cols), 8 * n)[:, :rows]
+    return np.ascontiguousarray(bits.T)
 
 
 def gf2_rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(2); returns (R, pivot columns).
-    Column c is bit cols-1-c, so a row's leading bit is its pivot."""
-    a = np.asarray(mat, dtype=np.uint8) % 2
-    rows, cols = a.shape
-    basis, _ = _echelon(_pack(a[:, ::-1]))
+    Row r is an int with column c in bit cols-1-c, so its leading bit is its pivot."""
+    rows, cols = np.shape(mat)
+    basis, _ = _echelon(_pack(np.asarray(mat)[:, ::-1].T))
     done: dict[int, int] = {}
     for t in sorted(basis):  # clear each row at the pivots right of its own
         done[t] = reduce(xor, (u for s, u in done.items() if basis[t] >> s & 1), basis[t])
     lead = sorted(done, reverse=True)
     r = np.zeros((rows, cols), dtype=np.uint8)
-    r[: len(lead)] = _unpack([done[t] for t in lead], cols)[:, ::-1]
+    r[: len(lead)] = _unpack([done[t] for t in lead], cols)[::-1].T
     return r, [cols - 1 - t for t in lead]
 
 
 def gf2_rank(mat: np.ndarray) -> int:
-    return len(_echelon(_pack(np.asarray(mat, dtype=np.uint8) % 2))[0])
+    return len(_echelon(_pack(mat))[0])
 
 
 def gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -85,16 +113,12 @@ def gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
     b may be a vector or a matrix; a matrix's columns are solved together,
     with one reduction, and x has one column per column of b."""
-    a = np.asarray(a, dtype=np.uint8) % 2
-    b = np.asarray(b, dtype=np.uint8) % 2
-    rows, cols = a.shape
-    aug = np.concatenate([a, b.reshape(rows, 1) if b.ndim == 1 else b], axis=1)
-    r, pivots = gf2_rref(aug)
-    if pivots and pivots[-1] >= cols:
+    b = np.asarray(b)
+    rhs = _pack(b[:, None] if b.ndim == 1 else b)
+    _, xs = _solve(_pack(a), rhs)
+    if len(xs) < len(rhs):
         return None
-    x = np.zeros((cols,) + b.shape[1:], dtype=np.uint8)
-    x[pivots] = r[: len(pivots), cols:].reshape((len(pivots),) + b.shape[1:])
-    return x
+    return _unpack(xs, np.shape(a)[1]).reshape(np.shape(a)[1:] + b.shape[1:])
 
 
 def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,35 +126,22 @@ def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gf2_inverse(a: np.ndarray) -> np.ndarray | None:
-    a = np.asarray(a, dtype=np.uint8) % 2
-    if a.shape[0] != a.shape[1]:
+    n, cols = np.shape(a)
+    if n != cols:
         return None
-    n = a.shape[0]
-    aug = np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1)
-    r, pivots = gf2_rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return r[:, n:]
+    _, xs = _solve(_pack(a), [1 << i for i in range(n)])
+    return _unpack(xs, n) if len(xs) == n else None
 
 
 def gf2_nullspace(a: np.ndarray) -> np.ndarray:
     """Columns form a basis of the kernel of a."""
-    rows, cols = a.shape
-    r, pivots = gf2_rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.uint8)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for row_idx, pc in enumerate(pivots):
-            if r[row_idx, fc]:
-                basis[pc, k] = 1
-    return basis
+    return _unpack(_solve(_pack(a), [])[0], np.shape(a)[1])
 
 
 def gf2_column_basis(a: np.ndarray) -> np.ndarray:
     """A maximal independent subset of the columns of a."""
-    _, pivots = gf2_rref(a)
-    return a[:, pivots].astype(np.uint8)
+    free = {j for j, _ in _echelon(_pack(a))[1]}
+    return a[:, [j for j in range(a.shape[1]) if j not in free]].astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +246,7 @@ def _order_complex(space: FinSpace) -> SimplicialComplex:
 def boundary_matrix(k: SimplicialComplex, p: int) -> np.ndarray:
     """The mod-2 boundary from p-simplices to (p-1)-simplices."""
     ch = k._chains
-    if p <= 0:
-        return np.zeros((0, len(ch.cells(0))), dtype=np.uint8)
-    return np.ascontiguousarray(_unpack(ch.columns(p), len(ch.cells(p - 1))).T)
+    return _unpack(ch.columns(max(p, 0)), len(ch.cells(p - 1)))
 
 
 def betti_mod2(k: SimplicialComplex, pmax: int) -> list[int]:
@@ -303,11 +312,10 @@ def chain_map_matrix(m: CtsMap, p: int) -> np.ndarray:
     if not classify_map(m).continuous:
         raise TopologyError("homology is only functorial on continuous maps")
     kt = order_complex(m.target)
-    push = _push(m, p, order_complex(m.source), kt)
-    return np.ascontiguousarray(_unpack(push, len(kt._chains.cells(p))).T)
+    return _unpack(_push(m, p, order_complex(m.source), kt), len(kt._chains.cells(p)))
 
 
-def _induced(m: CtsMap, p: int, src: tuple, tgt: tuple) -> np.ndarray:
+def _induced(m: CtsMap, p: int, src: tuple, tgt: tuple) -> list[int]:
     """H_p(m) from the `_homology` values of its source and target: pushed
     forward and reduced against the target's classes, the source's cycles
     leave their coordinates (unique: cycles are independent modulo boundaries)."""
@@ -315,18 +323,18 @@ def _induced(m: CtsMap, p: int, src: tuple, tgt: tuple) -> np.ndarray:
         raise TopologyError("homology is only functorial on continuous maps")
     (ks, hs, _), (kt, ht, classes) = src, tgt
     if not hs or not ht:
-        return np.zeros((len(ht), len(hs)), dtype=np.uint8)
-    push = _push(m, p, ks, kt)
-    pushed = [reduce(xor, (t for i, t in enumerate(push) if z >> i & 1), 0) << len(ht) for z in hs]
+        return [0] * len(hs)
+    pushed = [z << len(ht) for z in _mul(_push(m, p, ks, kt), hs)]
     _, coords = _echelon(pushed, len(ht), basis=dict(classes))
     if len(coords) < len(hs):
         raise TopologyError("vector is not a cycle modulo boundaries")
-    return np.ascontiguousarray(_unpack([v for _, v in coords], len(ht)).T)
+    return [v for _, v in coords]
 
 
 def induced_matrix(m: CtsMap, p: int) -> np.ndarray:
     """The matrix of the degree-p homology functor applied to m."""
-    return _induced(m, p, _homology(m.source, p), _homology(m.target, p))
+    src, tgt = _homology(m.source, p), _homology(m.target, p)
+    return _unpack(_induced(m, p, src, tgt), len(tgt[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +362,20 @@ class GF2ModuleSeq:
                 )
 
 
+def _cocone(maps: list[list[int]], dim: int) -> list[list[int]]:
+    """The composites from each module of a chain to the last, of dimension dim."""
+    cocone = [[1 << i for i in range(dim)]]
+    for m in reversed(maps):
+        cocone.insert(0, _mul(cocone[0], m))
+    return cocone
+
+
 def module_colimit(s: GF2ModuleSeq) -> tuple[int, list[np.ndarray]]:
     """Colimit of a finite chain: the last module, with the composites to it
     as the cocone.  Returned as matrices so invariance can be checked
     map-by-map rather than by dimension counting."""
-    n = len(s.dims)
-    cocone: list[np.ndarray] = [None] * n
-    cocone[n - 1] = np.eye(s.dims[n - 1], dtype=np.uint8)
-    for k in range(n - 2, -1, -1):
-        cocone[k] = gf2_matmul(cocone[k + 1], s.maps[k])
-    return s.dims[n - 1], cocone
+    dim = s.dims[-1]
+    return dim, [_unpack(m, dim) for m in _cocone([_pack(m) for m in s.maps], dim)]
 
 
 def module_limit(s: GF2ModuleSeq) -> tuple[int, list[np.ndarray]]:
@@ -374,18 +386,19 @@ def module_limit(s: GF2ModuleSeq) -> tuple[int, list[np.ndarray]]:
     return dim, [m.T.copy() for m in cocone]
 
 
-def _stage_homologies(c: Cis, p: int) -> tuple[list[tuple], GF2ModuleSeq]:
-    """Each stage's `_homology` value, and the chain they form."""
+def _stage_homologies(c: Cis, p: int) -> tuple[list[tuple], list[list[int]]]:
+    """Each stage's `_homology` value, and the maps H_p(f_i) between them."""
     homs = [_homology(st.space, p) for st in c.stages]
-    maps = [_induced(stage_map(c, i), p, homs[i], homs[i + 1]) for i in range(c.stage_count - 1)]
-    return homs, GF2ModuleSeq(tuple(len(h) for _, h, _ in homs), tuple(maps))
+    return homs, [_induced(stage_map(c, i), p, homs[i], homs[i + 1]) for i in range(len(homs) - 1)]
 
 
 def stage_homology_sequence(c: Cis, p: int) -> GF2ModuleSeq:
     """The chain {H_p(X_i), H_p(f_i)} of an inductive system."""
     if not is_inductive(c):
         raise TopologyError("stage homology sequences need an inductive system")
-    return _stage_homologies(c, p)[1]
+    homs, maps = _stage_homologies(c, p)
+    dims = tuple(len(h) for _, h, _ in homs)
+    return GF2ModuleSeq(dims, tuple(_unpack(m, d) for m, d in zip(maps, dims[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -415,63 +428,44 @@ class InvarianceReport:
         return "\n".join(lines)
 
 
-def _solve_intertwiner(
-    constraints: list[tuple[np.ndarray, np.ndarray]], from_dim: int, to_dim: int
-) -> tuple[np.ndarray | None, bool, tuple[str, ...]]:
-    """Solve h @ a_k = b_k for all k; h has shape to_dim x from_dim.
-
-    Returns (solution, forced-uniquely, witnesses).  Uniqueness holds iff the
-    a_k columns span the domain; otherwise the free part is zero-filled and a
-    non-invertible fill shows up downstream as a failed isomorphism check.
-
-    All rows come from one reduction of [a.T | b.T]: a pivot right of a.T
-    marks the first row of h that has no solution."""
-    if not constraints:
-        return np.eye(to_dim, from_dim, dtype=np.uint8), from_dim == 0, ()
-    a = np.concatenate([ak for ak, _ in constraints], axis=1)
-    b = np.concatenate([bk for _, bk in constraints], axis=1)
-    r, pivots = gf2_rref(np.concatenate([a.T, b.T], axis=1))
-    lead = [col for col in pivots if col < from_dim]
-    unique = len(lead) == from_dim
-    if len(lead) < len(pivots):
-        return None, unique, (f"no map matches the cocone on row {pivots[len(lead)] - from_dim}",)
-    h = np.zeros((to_dim, from_dim), dtype=np.uint8)
-    h[:, lead] = r[: len(lead), from_dim:].T
-    return h, unique, ()
-
-
 def functorial_invariance_check(
     c: Cis, p: int, limit: LimitSpace | None = None
 ) -> InvarianceReport:
     """Homology of the fundamental limit against the colimit of the stage
-    homology chain: a unique isomorphism must intertwine the structure maps."""
+    homology chain: a unique isomorphism h must intertwine the structure
+    maps, h @ H_p(phi_k) = cocone_k for every k.
+
+    Side by side and transposed, a.T h.T = b.T, so one solve gives every row
+    of h, and the first column of b.T outside the span of a.T names the first
+    row with no solution.  h is unique iff a.T has no kernel; otherwise its
+    free part is zero-filled, and a non-invertible fill fails the
+    isomorphism check."""
     if not is_inductive(c):
         raise TopologyError("invariance holds for inductive systems; this one glues less")
     ls = limit if limit is not None else build_fundamental(c)
     _require_aligned(c, ls)
-    homs, seq = _stage_homologies(c, p)
-    module_dim, cocone = module_colimit(seq)
+    homs, maps = _stage_homologies(c, p)
+    module_dim = len(homs[-1][1])
+    cocone = _cocone(maps, module_dim)
     lim = _homology(ls.x, p)
     limit_dim = len(lim[1])
     structure = [_induced(phi, p, homs[i], lim) for i, phi in enumerate(ls.phis)]
-
-    h, unique, solver_wit = _solve_intertwiner(
-        list(zip(structure, cocone)), limit_dim, module_dim
-    )
-    witnesses = list(solver_wit)
-    exists = h is not None
-    if exists:
-        if limit_dim != module_dim or gf2_rank(h) != limit_dim:
-            exists = False
-            witnesses.append("intertwiner exists but is not an isomorphism")
-        else:
-            for k, (a_k, b_k) in enumerate(zip(structure, cocone)):
-                if not np.array_equal(gf2_matmul(h, a_k), b_k):
-                    exists = False
-                    witnesses.append(f"intertwiner fails on stage {k}")
-    return InvarianceReport(
-        p, limit_dim, module_dim, exists, unique, h if exists else None, tuple(witnesses)
-    )
+    a, b = [v for s in structure for v in s], [v for s in cocone for v in s]
+    null, rows = _solve(_transpose(a, limit_dim), _transpose(b, module_dim))
+    h = _transpose(rows, limit_dim)
+    exists, witnesses = len(rows) == module_dim, []
+    if not exists:
+        witnesses.append(f"no map matches the cocone on row {len(rows)}")
+    elif limit_dim != module_dim or len(_echelon(h)[0]) != limit_dim:
+        exists = False
+        witnesses.append("intertwiner exists but is not an isomorphism")
+    else:
+        for k, (a_k, b_k) in enumerate(zip(structure, cocone)):
+            if _mul(h, a_k) != b_k:
+                exists = False
+                witnesses.append(f"intertwiner fails on stage {k}")
+    iso = _unpack(h, module_dim) if exists else None
+    return InvarianceReport(p, limit_dim, module_dim, exists, not null, iso, tuple(witnesses))
 
 
 def counter_functorial_check(

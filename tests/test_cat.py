@@ -14,7 +14,15 @@ from cislim.cat import (
     validate_morphism,
 )
 from cislim.cis import validate_cis
-from cislim.finspace import CtsMap, TopologyError, classify_map, compose, find_homeomorphism
+from cislim.finspace import (
+    CtsMap,
+    TopologyError,
+    classify_map,
+    compose,
+    find_homeomorphism,
+    restrict_map,
+    subspace,
+)
 from cislim.gallery import identity_system, sphere_chain, sphere_space
 from cislim.limit import build_fundamental
 from cislim.randgen import FuzzGen, point_system
@@ -95,6 +103,24 @@ class TestComposition:
         assert validate_morphism(compose_morphisms(k, h)).ok
 
 
+def reclassifying_is_cis_isomorphism(m):
+    """The isomorphism predicate that also classifies each restriction Y -> W
+    as a map onto the target's gluing subspace, kept as an oracle."""
+    for st, tt, hi in zip(m.source.stages, m.target.stages, m.h):
+        prof = classify_map(hi)
+        if not (prof.embedding and prof.surjective):
+            return False
+        if frozenset(hi(y) for y in st.y) != tt.y:
+            return False
+        restricted = restrict_map(hi, st.y)
+        wsub, _ = subspace(tt.space, tt.y)
+        onto_w = CtsMap(restricted.source, wsub, restricted.assignment)
+        wprof = classify_map(onto_w)
+        if not (wprof.embedding and wprof.surjective):
+            return False
+    return True
+
+
 class TestIsomorphism:
     def test_identity_is_iso(self):
         assert is_cis_isomorphism(identity_morphism(sphere_chain(1)))
@@ -108,6 +134,20 @@ class TestIsomorphism:
         c = sphere_chain(1)
         _, m = point_system(c)
         assert not is_cis_isomorphism(m)
+
+    def test_matches_the_reclassifying_oracle(self):
+        # relabellings, collapses, random morphisms and composites; a stage map that
+        # is a homeomorphism carrying Y onto W never fails the restricted check
+        verdicts = []
+        for seed in range(400):
+            gen = FuzzGen(seed)
+            c = gen.cis()
+            first, second = gen.composable_pair(c)
+            for m in (gen.relabel_morphism(c), gen.collapse_morphism(c), first,
+                      compose_morphisms(second, first)):
+                verdicts.append(reclassifying_is_cis_isomorphism(m))
+                assert is_cis_isomorphism(m) == verdicts[-1], seed
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestInducedMap:

@@ -29,6 +29,7 @@ from cislim.homology import (
     counter_functorial_check,
     euler_characteristic,
     functorial_invariance_check,
+    gf2_column_basis,
     gf2_inverse,
     gf2_matmul,
     gf2_nullspace,
@@ -89,6 +90,83 @@ def reference_rref(m):
     return np.array(rows, dtype=np.uint8).reshape(m.shape), pivots
 
 
+WORD_EDGES = (0, 1, 2, 5, 63, 64, 65)
+
+
+@st.composite
+def word_edge_matrices(draw, square=False):
+    """Sides from WORD_EDGES, so 0-row, 0-column and word-boundary shapes
+    all occur: random, a product through a narrow middle (rank falls short),
+    or, when square, a product of unit triangular factors (invertible)."""
+    rows = draw(st.sampled_from(WORD_EDGES))
+    cols = rows if square else draw(st.sampled_from(WORD_EDGES))
+
+    def block(r, c):
+        ints = draw(st.lists(st.integers(0, 2**c - 1), min_size=r, max_size=r))
+        bits = [[x >> j & 1 for j in range(c)] for x in ints]
+        return np.array(bits, dtype=np.uint8).reshape(r, c)
+
+    kind = draw(st.sampled_from(["random", "narrow"] + ["invertible"] * square))
+    if kind == "random":
+        return block(rows, cols)
+    if kind == "narrow":
+        mid = draw(st.integers(1, 4))
+        return gf2_matmul(block(rows, mid), block(mid, cols))
+    eye = np.eye(rows, dtype=np.uint8)
+    lower, upper = np.tril(block(rows, rows), -1) | eye, np.triu(block(rows, rows), 1) | eye
+    return gf2_matmul(lower, upper)
+
+
+def rref_solve(a, b):
+    """gf2_solve through one textbook RREF of [a | b]: pivot rows give x, free
+    variables are zero."""
+    a = np.asarray(a, dtype=np.uint8) % 2
+    b = np.asarray(b, dtype=np.uint8) % 2
+    rows, cols = a.shape
+    aug = np.concatenate([a, b.reshape(rows, 1) if b.ndim == 1 else b], axis=1)
+    r, pivots = reference_rref(aug)
+    if pivots and pivots[-1] >= cols:
+        return None
+    x = np.zeros((cols,) + b.shape[1:], dtype=np.uint8)
+    x[pivots] = r[: len(pivots), cols:].reshape((len(pivots),) + b.shape[1:])
+    return x
+
+
+def rref_inverse(a):
+    a = np.asarray(a, dtype=np.uint8) % 2
+    if a.shape[0] != a.shape[1]:
+        return None
+    n = a.shape[0]
+    aug = np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1)
+    r, pivots = reference_rref(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return r[:, n:]
+
+
+def rref_nullspace(a):
+    """One kernel vector per free column: 1 there, and the RREF entries of
+    that column at the pivots."""
+    cols = a.shape[1]
+    r, pivots = reference_rref(a)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.uint8)
+    for k, fc in enumerate(free):
+        basis[fc, k] = 1
+        for row_idx, pc in enumerate(pivots):
+            if r[row_idx, fc]:
+                basis[pc, k] = 1
+    return basis
+
+
+def assert_same_matrix(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == want.dtype == np.uint8
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 class TestGF2:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(gf2_matrices(), large_gf2_matrices(max_dim=40)))
@@ -138,6 +216,38 @@ class TestGF2:
         want, want_pivots = reference_rref(m)
         assert np.array_equal(r, want) and pivots == want_pivots
         assert gf2_rank(m) == len(want_pivots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(word_edge_matrices(), st.integers(0, 3), st.data())
+    def test_solve_matches_the_rref_reference(self, m, k, data):
+        # right-hand sides in the column space, or off it in some columns
+        rows, cols = m.shape
+
+        def bits(r, c):
+            flat = data.draw(st.lists(st.integers(0, 1), min_size=r * c, max_size=r * c))
+            return np.array(flat, dtype=np.uint8).reshape(r, c)
+
+        b = gf2_matmul(m, bits(cols, k))
+        if data.draw(st.booleans()):
+            b ^= bits(rows, k)
+        assert_same_matrix(gf2_solve(m, b), rref_solve(m, b))
+        for j in range(k):
+            assert_same_matrix(gf2_solve(m, b[:, j]), rref_solve(m, b[:, j]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(word_edge_matrices())
+    def test_nullspace_matches_the_rref_reference(self, m):
+        assert_same_matrix(gf2_nullspace(m), rref_nullspace(m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(word_edge_matrices())
+    def test_column_basis_is_the_pivot_columns(self, m):
+        assert_same_matrix(gf2_column_basis(m), m[:, reference_rref(m)[1]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(word_edge_matrices(square=True), word_edge_matrices()))
+    def test_inverse_matches_the_rref_reference(self, m):
+        assert_same_matrix(gf2_inverse(m), rref_inverse(m))
 
     def test_solve_rejects_a_matrix_with_one_inconsistent_column(self):
         m = np.array([[1, 0], [0, 0]], dtype=np.uint8)
@@ -358,7 +468,35 @@ class TestInducedMatrix:
             assert np.array_equal(left, right)
 
 
+def matmul_colimit(s):
+    """module_colimit by numpy products, last module down."""
+    cocone = [np.eye(s.dims[-1], dtype=np.uint8)]
+    for m in reversed(s.maps):
+        cocone.insert(0, gf2_matmul(cocone[0], m))
+    return s.dims[-1], cocone
+
+
+@st.composite
+def module_chains(draw):
+    dims = draw(st.lists(st.sampled_from((0, 1, 2, 3, 5, 64, 65)), min_size=1, max_size=4))
+    maps = []
+    for n in range(len(dims) - 1):
+        size = dims[n + 1] * dims[n]
+        flat = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+        maps.append(np.array(flat, dtype=np.uint8).reshape(dims[n + 1], dims[n]))
+    return GF2ModuleSeq(tuple(dims), tuple(maps))
+
+
 class TestModuleSequences:
+    @settings(max_examples=40, deadline=None)
+    @given(module_chains())
+    def test_colimit_matches_the_matmul_reference(self, seq):
+        dim, cocone = module_colimit(seq)
+        want_dim, want = matmul_colimit(seq)
+        assert dim == want_dim and len(cocone) == len(want)
+        for got, ref in zip(cocone, want):
+            assert_same_matrix(got, ref)
+
     def test_constant_identity_sequence(self):
         seq = GF2ModuleSeq((2, 2, 2), (np.eye(2, dtype=np.uint8), np.eye(2, dtype=np.uint8)))
         dim, cocone = module_colimit(seq)
@@ -398,7 +536,62 @@ class TestModuleSequences:
             assert np.array_equal(a.T, b)
 
 
+def rref_intertwiner(constraints, from_dim, to_dim):
+    """Solve h @ a_k = b_k for all k through one textbook RREF of [a.T | b.T]:
+    (h or None, unique, witnesses).  A pivot right of a.T marks the first
+    row of h that has no solution."""
+    a = np.concatenate([ak for ak, _ in constraints], axis=1)
+    b = np.concatenate([bk for _, bk in constraints], axis=1)
+    r, pivots = reference_rref(np.concatenate([a.T, b.T], axis=1))
+    lead = [col for col in pivots if col < from_dim]
+    unique = len(lead) == from_dim
+    if len(lead) < len(pivots):
+        return None, unique, (f"no map matches the cocone on row {pivots[len(lead)] - from_dim}",)
+    h = np.zeros((to_dim, from_dim), dtype=np.uint8)
+    h[:, lead] = r[: len(lead), from_dim:].T
+    return h, unique, ()
+
+
+def matrix_invariance_report(c, p, lim):
+    """functorial_invariance_check from the public matrices, as an oracle:
+    (exists, unique, iso, witnesses)."""
+    _, cocone = module_colimit(stage_homology_sequence(c, p))
+    structure = [induced_matrix(phi, p) for phi in lim.phis]
+    limit_dim, module_dim = structure[0].shape[0], cocone[0].shape[0]
+    h, unique, witnesses = rref_intertwiner(list(zip(structure, cocone)), limit_dim, module_dim)
+    if h is None:
+        return False, unique, None, witnesses
+    if limit_dim != module_dim or gf2_rank(h) != limit_dim:
+        return False, unique, None, ("intertwiner exists but is not an isomorphism",)
+    bad = tuple(
+        f"intertwiner fails on stage {k}"
+        for k, (a, b) in enumerate(zip(structure, cocone))
+        if not np.array_equal(gf2_matmul(h, a), b)
+    )
+    return not bad, unique, None if bad else h, bad
+
+
 class TestInvariance:
+    def test_matches_the_matrix_reference_on_fuzzed_and_mutated_limits(self):
+        failing_rows = 0
+        for seed in range(80):
+            gen = FuzzGen(seed)
+            c = gen.cis(inductive=True, max_stages=4, max_points=6)
+            ls = build_fundamental(c)
+            for lim in (ls, gen.mutate_candidate(ls)[1], gen.mutate_candidate(ls)[1]):
+                for p in range(3):
+                    try:
+                        want = matrix_invariance_report(c, p, lim)
+                    except TopologyError:  # a mutated structure map may be discontinuous
+                        continue
+                    rep = functorial_invariance_check(c, p, lim)
+                    assert (rep.iso_exists, rep.iso_unique, rep.witnesses) == (
+                        want[0], want[1], want[3]
+                    )
+                    assert_same_matrix(rep.iso, want[2])
+                    failing_rows += any("on row" in w for w in rep.witnesses)
+        assert failing_rows
+
     def test_sphere_chain_every_degree(self):
         c = sphere_chain(4)
         ls = build_fundamental(c)
