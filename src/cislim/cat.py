@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cis import Cis, Stage, make_stage, validate_cis
+from .cis import Cis, make_cis, validate_cis
 from .finspace import (
     CtsMap,
     TopologyError,
@@ -209,38 +209,35 @@ def cis_direct_limit(d: CisDiagram) -> DirectLimitResult:
     s = d.objects[0].stage_count
     n_obj = len(d.objects)
 
-    columns = []
-    for i in range(s):
-        spaces = [o.stages[i].space for o in d.objects]
-        attachments = [dict(arr.h[i].assignment) for arr in d.arrows]
-        att = attaching_space(spaces, attachments)
-        columns.append(att)
+    columns = tuple(
+        attaching_space(
+            [o.stages[i].space for o in d.objects], [arr.h[i].assignment for arr in d.arrows]
+        )
+        for i in range(s)
+    )
 
     ys = []
     for i in range(s):
         y = frozenset()
         for n in range(n_obj):
-            y |= columns[i].projections[n].image(d.objects[n].stages[i].y)
+            y |= columns[i].phis[n].image(d.objects[n].stages[i].y)
         ys.append(y)
 
-    stages = []
-    for i in range(s):
-        if i == s - 1:
-            stages.append(Stage(columns[i].space, ys[i], None))
-            continue
+    attachments = []
+    for i in range(s - 1):
         asg: dict[str, str] = {}
         for n in range(n_obj):
             st = d.objects[n].stages[i]
-            xi = columns[i].projections[n]
-            xi_next = columns[i + 1].projections[n]
+            xi = columns[i].phis[n]
+            xi_next = columns[i + 1].phis[n]
             for y in sorted(st.y):
                 key, val = xi(y), xi_next(st.f(y))
                 if asg.setdefault(key, val) != val:
                     raise RuntimeError(
                         f"construction bug: glued attachment conflicts at {key}"
                     )
-        stages.append(make_stage(columns[i].space, ys[i], columns[i + 1].space, asg))
-    limit = Cis(tuple(stages), d.objects[0].tail)
+        attachments.append(asg)
+    limit = make_cis([col.x for col in columns], ys, attachments, d.objects[0].tail)
     rep = validate_cis(limit)
     if not rep.ok:
         raise RuntimeError("construction bug: direct limit is not a valid system\n" + rep.render())
@@ -250,7 +247,7 @@ def cis_direct_limit(d: CisDiagram) -> DirectLimitResult:
         morph = CisMorphism(
             d.objects[n],
             limit,
-            tuple(columns[i].projections[n] for i in range(s)),
+            tuple(columns[i].phis[n] for i in range(s)),
         )
         mrep = validate_morphism(morph)
         if not mrep.ok:
@@ -263,10 +260,7 @@ def cis_direct_limit(d: CisDiagram) -> DirectLimitResult:
                 mm.assignment for mm in cocone[m_idx].h
             ):
                 raise RuntimeError("construction bug: cocone identities fail")
-    column_limits = tuple(
-        LimitSpace(col.space, col.projections, col.rho) for col in columns
-    )
-    return DirectLimitResult(limit, tuple(cocone), column_limits)
+    return DirectLimitResult(limit, tuple(cocone), columns)
 
 
 @dataclass(frozen=True)

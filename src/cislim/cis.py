@@ -287,3 +287,15 @@ def make_stage(space: FinSpace, y, next_space: FinSpace | None, assignment: dict
         return Stage(space, y, None)
     sub, _ = subspace(space, y)
     return Stage(space, y, CtsMap(sub, next_space, dict(assignment or {})))
+
+
+def make_cis(spaces, ys, attachments, tail: TailPolicy = Cutoff()) -> Cis:
+    """The system gluing ys[i] into spaces[i + 1] along attachments[i]; the
+    last stage attaches nothing."""
+    n = len(spaces)
+    if len(ys) != n:
+        raise TopologyError(f"{n} stage spaces need {n} gluing sets, got {len(ys)}")
+    if n and len(attachments) != n - 1:
+        raise TopologyError(f"{n} stage spaces need {n - 1} attachments, got {len(attachments)}")
+    stages = map(make_stage, spaces, ys, [*spaces[1:], None], [*attachments, None])
+    return Cis(tuple(stages), tail)

@@ -197,52 +197,42 @@ def cmd_fuzz(args, out) -> int:
         "invariance on inductive systems": 0,
     }
     failures = []
+
+    def tally(counter: str, ok: bool, failure: str) -> None:
+        if ok:
+            counters[counter] += 1
+        else:
+            failures.append(failure)
+
     for k in range(args.count):
         c = gen.cis()
         ls = build_fundamental(c)
         counters["systems built"] += 1
         rep_a = verify_limit_axioms(c, ls)
         rep_g = verify_gluing_laws(c, ls)
-        if rep_a.passed:
-            counters["limit axioms on built limits"] += 1
-        else:
-            failures.append(f"system {k}: built limit failed axioms")
-        if rep_a.passed == rep_g.passed:
-            counters["gluing laws agree with axioms"] += 1
-        else:
-            failures.append(f"system {k}: verifier verdicts disagree")
-        if has_weak_topology(c, ls):
-            counters["weak topology on built limits"] += 1
-        else:
-            failures.append(f"system {k}: built limit lacks weak topology")
-        if images_closed(ls).value:
-            counters["closed images on built limits"] += 1
-        else:
-            failures.append(f"system {k}: built limit has a non-closed image")
+        tally("limit axioms on built limits", rep_a.passed,
+              f"system {k}: built limit failed axioms")
+        tally("gluing laws agree with axioms", rep_a.passed == rep_g.passed,
+              f"system {k}: verifier verdicts disagree")
+        tally("weak topology on built limits", has_weak_topology(c, ls),
+              f"system {k}: built limit lacks weak topology")
+        tally("closed images on built limits", images_closed(ls).value,
+              f"system {k}: built limit has a non-closed image")
 
         _, cand = gen.mutate_candidate(ls)
         mu_a = verify_limit_axioms(c, cand)
         mu_g = verify_gluing_laws(c, cand)
-        if mu_a.passed == mu_g.passed:
-            counters["mutant verdicts agree"] += 1
-        else:
-            failures.append(f"system {k}: mutant verdicts disagree")
-        if not mu_a.passed:
-            counters["mutants failing (corpus)"] += 1
+        tally("mutant verdicts agree", mu_a.passed == mu_g.passed,
+              f"system {k}: mutant verdicts disagree")
+        closed = weak = True  # a failing mutant makes both implications vacuous
         if mu_a.passed:
-            closed = images_closed(cand).value
-            weak = has_weak_topology(c, cand)
-            if weak and not closed:
-                failures.append(f"system {k}: weak mutant with open image")
-            else:
-                counters["weak topology implies closed images"] += 1
-            if closed and not weak:
-                failures.append(f"system {k}: closed cover without weak topology")
-            else:
-                counters["closed cover implies weak topology"] += 1
+            closed, weak = images_closed(cand).value, has_weak_topology(c, cand)
         else:
-            counters["weak topology implies closed images"] += 1
-            counters["closed cover implies weak topology"] += 1
+            counters["mutants failing (corpus)"] += 1
+        tally("weak topology implies closed images", closed or not weak,
+              f"system {k}: weak mutant with open image")
+        tally("closed cover implies weak topology", weak or not closed,
+              f"system {k}: closed cover without weak topology")
 
         if k % 5 == 0:
             ci = gen.cis(inductive=True, max_stages=3, max_points=5)
@@ -252,10 +242,7 @@ def cmd_fuzz(args, out) -> int:
                 and counter_functorial_check(ci, p, li).ok
                 for p in range(3)
             )
-            if good:
-                counters["invariance on inductive systems"] += 1
-            else:
-                failures.append(f"system {k}: invariance failed")
+            tally("invariance on inductive systems", good, f"system {k}: invariance failed")
 
     out.write(f"seed: {args.seed}\n")
     out.write(f"count: {args.count}\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .cis import Cis, Cutoff, Stationary, make_stage, validate_cis
+from .cis import Cis, Cutoff, Stationary, make_cis, validate_cis
 from .finspace import CtsMap, FinSpace, TopologyError, product
 from .limit import LimitSpace, build_fundamental, has_weak_topology, verify_limit_axioms
 
@@ -70,12 +70,9 @@ def torus_space(n: int) -> FinSpace:
 def identity_system(space: FinSpace, stages: int, stationary: bool = False) -> Cis:
     if stages < 1:
         raise TopologyError("need at least one stage")
-    sts = []
-    for i in range(stages):
-        nxt = space if i < stages - 1 else None
-        sts.append(make_stage(space, space.points, nxt, {p: p for p in space.points}))
+    ident = {p: p for p in space.points}
     tail = Stationary(stages - 1) if stationary else Cutoff()
-    return Cis(tuple(sts), tail)
+    return make_cis([space] * stages, [space.points] * stages, [ident] * (stages - 1), tail)
 
 
 def sphere_chain(n: int, stationary: bool = False) -> Cis:
@@ -83,12 +80,13 @@ def sphere_chain(n: int, stationary: bool = False) -> Cis:
     if not 0 <= n <= MAX_CHAIN:
         raise TopologyError(f"sphere chain truncation must be within 0..{MAX_CHAIN}")
     spheres = [sphere_space(k) for k in range(n + 1)]
-    sts = []
-    for k, sp in enumerate(spheres):
-        nxt = spheres[k + 1] if k < n else None
-        sts.append(make_stage(sp, sp.points, nxt, {p: p for p in sp.points}))
     tail = Stationary(n) if stationary else Cutoff()
-    return Cis(tuple(sts), tail)
+    return make_cis(
+        spheres,
+        [sp.points for sp in spheres],
+        [{p: p for p in sp.points} for sp in spheres[:-1]],
+        tail,
+    )
 
 
 def stationary_sphere(n: int) -> Cis:
@@ -100,13 +98,11 @@ def torus_chain(n: int) -> Cis:
     if not 1 <= n <= MAX_TORUS:
         raise TopologyError(f"torus chain truncation must be within 1..{MAX_TORUS}")
     tori = [torus_space(k) for k in range(1, n + 1)]
-    sts = []
-    for k, sp in enumerate(tori):
-        if k < n - 1:
-            sts.append(make_stage(sp, sp.points, tori[k + 1], {p: f"({p},a)" for p in sp.points}))
-        else:
-            sts.append(make_stage(sp, sp.points, None, None))
-    return Cis(tuple(sts), Cutoff())
+    return make_cis(
+        tori,
+        [sp.points for sp in tori],
+        [{p: f"({p},a)" for p in sp.points} for sp in tori[:-1]],
+    )
 
 
 def interval_chain(n: int) -> Cis:
@@ -117,28 +113,19 @@ def interval_chain(n: int) -> Cis:
     """
     if not 1 <= n <= MAX_CHAIN:
         raise TopologyError(f"interval chain length must be within 1..{MAX_CHAIN}")
-    spaces = [interval_space(i) for i in range(n)]
-    sts = []
-    for i, sp in enumerate(spaces):
-        if i < n - 1:
-            sts.append(make_stage(sp, {f"r{i}"}, spaces[i + 1], {f"r{i}": f"l{i + 1}"}))
-        else:
-            sts.append(make_stage(sp, {f"r{i}"}, None, None))
-    return Cis(tuple(sts), Cutoff())
+    return make_cis(
+        [interval_space(i) for i in range(n)],
+        [{f"r{i}"} for i in range(n)],
+        [{f"r{i}": f"l{i + 1}"} for i in range(n - 1)],
+    )
 
 
 def non_semicomponible() -> Cis:
     """Three stages whose first attachment image misses the second gluing set."""
-    x0 = sierpinski_space()
-    x1 = discrete_space("cd")
-    x2 = point_space("e")
-    return Cis(
-        (
-            make_stage(x0, {"b"}, x1, {"b": "d"}),
-            make_stage(x1, {"c"}, x2, {"c": "e"}),
-            make_stage(x2, {"e"}, None, None),
-        ),
-        Cutoff(),
+    return make_cis(
+        [sierpinski_space(), discrete_space("cd"), point_space("e")],
+        [{"b"}, {"c"}, {"e"}],
+        [{"b": "d"}, {"c": "e"}],
     )
 
 

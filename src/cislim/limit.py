@@ -76,16 +76,9 @@ class _UnionFind:
         return [frozenset(v) for v in out.values()]
 
 
-@dataclass(frozen=True)
-class AttachResult:
-    space: FinSpace
-    projections: tuple[CtsMap, ...]
-    rho: CtsMap
-    total: FinSpace
-
-
-def attaching_space(spaces, attachments) -> AttachResult:
-    """Quotient of the coproduct identifying each point with its image.
+def attaching_space(spaces, attachments) -> LimitSpace:
+    """Quotient of the coproduct identifying each point with its image, with
+    the projection of each space and of the coproduct onto it.
 
     `attachments[n]` maps a subset of spaces[n] into spaces[n+1]; the
     identifications are closed off transitively by union-find, which agrees
@@ -98,8 +91,7 @@ def attaching_space(spaces, attachments) -> AttachResult:
         for y in sorted(att):
             uf.union(injections[n](y), injections[n + 1](att[y]))
     space, rho = quotient(total, uf.classes())
-    projections = tuple(compose(rho, inj) for inj in injections)
-    return AttachResult(space, projections, rho, total)
+    return LimitSpace(space, tuple(compose(rho, inj) for inj in injections), rho)
 
 
 class InvalidSystemError(TopologyError):
@@ -121,12 +113,10 @@ def build_fundamental(c: Cis) -> LimitSpace:
     rep = validate_cis(c)
     if not rep.ok:
         raise InvalidSystemError(rep)
-    spaces = [st.space for st in c.stages]
-    attachments = [
-        {y: st.f(y) for y in st.y} for st in c.stages[:-1]  # last stage attaches nothing
-    ]
-    att = attaching_space(spaces, attachments)
-    ls = LimitSpace(att.space, att.projections, att.rho)
+    ls = attaching_space(
+        [st.space for st in c.stages],
+        [st.f.assignment for st in c.stages[:-1]],  # last stage attaches nothing
+    )
     axioms = verify_limit_axioms(c, ls)
     if not axioms.passed:
         raise RuntimeError("construction bug: built limit fails its axioms\n" + axioms.render())

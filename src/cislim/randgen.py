@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from .cat import CisDiagram, CisMorphism, validate_morphism
-from .cis import Cis, Cutoff, Stationary, make_stage, validate_cis
+from .cis import Cis, Cutoff, Stationary, make_cis, validate_cis
 from .finspace import CtsMap, FinSpace, quotient, subspace
 from .limit import LimitSpace
 
@@ -73,33 +73,17 @@ class FuzzGen:
         fresh = self.space(max_points=room, prefix=f"{prefix}n", discrete=discrete) if room else None
         fresh_pts = sorted(fresh.points) if fresh else []
 
-        above: dict[str, frozenset] = {}
+        grown = {}
         for p in sorted(glue_sub.points):
-            picked = frozenset(
-                q for q in fresh_pts if not discrete and self.rng.random() < 0.4
-            )
-            grown = set()
-            for q in picked:
-                grown |= fresh.min_open[q]
-            above[copy_label[p]] = frozenset(grown)
-        # monotone along the copy order: smaller minimal opens feed larger ones
-        changed = True
-        while changed:
-            changed = False
-            for p in sorted(glue_sub.points):
-                cp = copy_label[p]
-                merged = set(above[cp])
-                for q in glue_sub.min_open[p]:
-                    merged |= above[copy_label[q]]
-                if merged != above[cp]:
-                    above[cp] = frozenset(merged)
-                    changed = True
+            picked = [q for q in fresh_pts if not discrete and self.rng.random() < 0.4]
+            grown[p] = frozenset().union(*(fresh.min_open[q] for q in picked))
 
         points = set(copy_label.values()) | set(fresh_pts)
         min_open = {}
         for p in sorted(glue_sub.points):
-            cp = copy_label[p]
-            min_open[cp] = frozenset(copy_label[q] for q in glue_sub.min_open[p]) | above[cp]
+            # q in U_p gives U_q within U_p, so one union keeps the copy order monotone
+            above = frozenset().union(*(grown[q] for q in glue_sub.min_open[p]))
+            min_open[copy_label[p]] = frozenset(copy_label[q] for q in glue_sub.min_open[p]) | above
         if fresh:
             for q in fresh_pts:
                 min_open[q] = fresh.min_open[q]
@@ -138,12 +122,8 @@ class FuzzGen:
         last = spaces[-1]
         ys.append(last.points if (stationary or inductive) else self.closed_subset(last))
 
-        stages = []
-        for i, sp in enumerate(spaces):
-            nxt = spaces[i + 1] if i < n_stages - 1 else None
-            stages.append(make_stage(sp, ys[i], nxt, attach[i] if nxt is not None else None))
         tail = Stationary(n_stages - 1) if stationary else Cutoff()
-        c = Cis(tuple(stages), tail)
+        c = make_cis(spaces, ys, attach, tail)
         rep = validate_cis(c)
         if not rep.ok:
             raise RuntimeError("generator bug: produced an invalid system\n" + rep.render())
@@ -285,16 +265,12 @@ def relabel_cis(c: Cis, tables: list[dict]) -> Cis:
                 {tab[p]: frozenset(tab[q] for q in st.space.min_open[p]) for p in st.space.points},
             )
         )
-    stages = []
-    for i, (st, tab) in enumerate(zip(c.stages, tables)):
-        y = frozenset(tab[p] for p in st.y)
-        if st.f is None:
-            stages.append(make_stage(spaces[i], y, None, None))
-        else:
-            nxt_tab = tables[i + 1]
-            asg = {tab[p]: nxt_tab[st.f(p)] for p in st.y}
-            stages.append(make_stage(spaces[i], y, spaces[i + 1], asg))
-    return Cis(tuple(stages), c.tail)
+    ys = [frozenset(tab[p] for p in st.y) for st, tab in zip(c.stages, tables)]
+    attachments = [
+        {tab[p]: nxt_tab[st.f(p)] for p in st.y}
+        for st, tab, nxt_tab in zip(c.stages[:-1], tables, tables[1:])
+    ]
+    return make_cis(spaces, ys, attachments, c.tail)
 
 
 class GeneratorRetry(Exception):
@@ -317,19 +293,16 @@ def collapse_cis_morphism(c: Cis, chunks: list[frozenset]) -> CisMorphism:
         q_space, proj = quotient(st.space, parts)
         targets.append(q_space)
         projections.append(proj)
-    stages = []
-    for i, st in enumerate(c.stages):
-        w = frozenset(projections[i](y) for y in st.y)
-        if st.f is None:
-            stages.append(make_stage(targets[i], w, None, None))
-        else:
-            asg = {}
-            for y in st.y:
-                key, val = projections[i](y), projections[i + 1](st.f(y))
-                if asg.setdefault(key, val) != val:
-                    raise GeneratorRetry("collapse does not commute with the attachment")
-            stages.append(make_stage(targets[i], w, targets[i + 1], asg))
-    target = Cis(tuple(stages), c.tail)
+    ys = [proj.image(st.y) for st, proj in zip(c.stages, projections)]
+    attachments = []
+    for i, st in enumerate(c.stages[:-1]):
+        asg = {}
+        for y in st.y:
+            key, val = projections[i](y), projections[i + 1](st.f(y))
+            if asg.setdefault(key, val) != val:
+                raise GeneratorRetry("collapse does not commute with the attachment")
+        attachments.append(asg)
+    target = make_cis(targets, ys, attachments, c.tail)
     if not validate_cis(target).ok:
         raise GeneratorRetry("collapse target is not a valid system")
     morph = CisMorphism(c, target, tuple(projections))
@@ -341,11 +314,8 @@ def collapse_cis_morphism(c: Cis, chunks: list[frozenset]) -> CisMorphism:
 def point_system(c: Cis) -> tuple[Cis, CisMorphism]:
     """The one-point-per-stage system and the collapse onto it."""
     pt = FinSpace(frozenset({"*"}), {"*": frozenset({"*"})})
-    stages = []
-    for i in range(c.stage_count):
-        nxt = pt if i < c.stage_count - 1 else None
-        stages.append(make_stage(pt, {"*"}, nxt, {"*": "*"} if nxt is not None else None))
-    target = Cis(tuple(stages), c.tail)
+    n = c.stage_count
+    target = make_cis([pt] * n, [{"*"}] * n, [{"*": "*"}] * (n - 1), c.tail)
     h = tuple(
         CtsMap(st.space, pt, {p: "*" for p in st.space.points}) for st in c.stages
     )

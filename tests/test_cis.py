@@ -10,6 +10,7 @@ from cislim.cis import (
     is_finitely_semicomponible,
     is_inductive,
     is_stationary,
+    make_cis,
     make_stage,
     semicomponible,
     stage_map,
@@ -101,6 +102,35 @@ class TestValidation:
     @settings(max_examples=50)
     def test_generator_output_always_valid(self, seed):
         assert validate_cis(FuzzGen(seed).cis()).ok
+
+
+class TestMakeCis:
+    def test_equals_the_hand_built_system(self, sierpinski, circle4):
+        ident = {p: p for p in circle4.points}
+        by_hand = Cis(
+            (
+                make_stage(sierpinski, {"b"}, circle4, {"b": "a"}),
+                make_stage(circle4, circle4.points, circle4, ident),
+                make_stage(circle4, {"a"}, None, None),
+            ),
+            Cutoff(),
+        )
+        built = make_cis(
+            [sierpinski, circle4, circle4], [{"b"}, circle4.points, {"a"}], [{"b": "a"}, ident]
+        )
+        assert built == by_hand
+        assert validate_cis(built).ok
+
+    def test_gluing_set_count_must_match(self, sierpinski):
+        with pytest.raises(TopologyError, match="3 stage spaces need 3 gluing sets, got 2"):
+            make_cis([sierpinski] * 3, [{"b"}] * 2, [{"b": "b"}] * 2)
+
+    def test_attachment_count_must_match(self, sierpinski):
+        # a short list must not silently drop a middle stage
+        with pytest.raises(TopologyError, match="3 stage spaces need 2 attachments, got 1"):
+            make_cis([sierpinski] * 3, [{"b"}] * 3, [{"b": "b"}])
+        with pytest.raises(TopologyError, match="1 stage spaces need 0 attachments, got 1"):
+            make_cis([sierpinski], [{"b"}], [{"b": "b"}])
 
 
 class TestSemicomponible:

@@ -1,8 +1,13 @@
+import hashlib
+
 import pytest
 
+from cislim import interchange
 from cislim.cis import is_finitely_semicomponible, is_inductive, semicomponible, validate_cis
 from cislim.finspace import TopologyError, classify_map, find_homeomorphism
 from cislim.gallery import (
+    MAX_CHAIN,
+    MAX_TORUS,
     build_example,
     interval_chain,
     non_semicomponible,
@@ -23,6 +28,7 @@ from cislim.limit import (
     images_closed,
     verify_limit_axioms,
 )
+from cislim.randgen import FuzzGen, point_system
 
 
 class TestBuilders:
@@ -71,6 +77,42 @@ class TestBuilders:
     def test_identity_stationary_capable(self, sierpinski):
         c = identity_system(sierpinski, 3, stationary=True)
         assert validate_cis(c).ok and is_inductive(c)
+
+
+class TestPinnedDocuments:
+    def test_gallery_and_generator_documents_are_pinned(self):
+        # every system document the gallery and the generators emit, byte for byte
+        chain = range(1, MAX_CHAIN + 1)
+        examples = [("identity", (base, n)) for base in ("circle", "point", "sierpinski")
+                    for n in chain]
+        examples += [("sphere_chain", (n,)) for n in range(MAX_CHAIN + 1)]
+        examples += [("stationary_sphere", (n,)) for n in range(MAX_CHAIN + 1)]
+        examples += [("torus_chain", (n,)) for n in range(1, MAX_TORUS + 1)]
+        examples += [("interval_chain", (n,)) for n in chain]
+        examples += [("non_semicomponible", ())]
+        h = hashlib.sha256()
+        for name, params in examples:
+            for stationary in (False, True) if name in ("identity", "sphere_chain") else (False,):
+                c = build_example(name, *params, stationary=stationary)
+                h.update(f"{name} {params} {stationary}\n".encode())
+                h.update(interchange.dumps(interchange.cis_to_doc(c)).encode())
+        for seed in range(200):
+            gen = FuzzGen(seed)
+            c = gen.cis()
+            docs = [
+                interchange.cis_to_doc(c),
+                interchange.cis_to_doc(gen.relabelled(c)),
+                interchange.morphism_to_doc(gen.morphism(c)),
+                interchange.diagram_to_doc(gen.diagram(c, 3)),
+            ]
+            pt, collapse = point_system(c)
+            docs += [interchange.cis_to_doc(pt), interchange.morphism_to_doc(collapse)]
+            h.update(f"seed {seed}\n".encode())
+            for doc in docs:
+                h.update(interchange.dumps(doc).encode())
+        assert h.hexdigest() == (
+            "54fc0129b60aaacc04a11723340a32b576f4bad6306b535fe97cdf734b84f69a"
+        )
 
 
 class TestLimits:
