@@ -183,6 +183,24 @@ class CisDiagram:
         return out
 
 
+def push_forward(legs, spaces, tail) -> Cis:
+    """The system on `spaces` carried along stagewise maps.  Each leg (c, h)
+    sends X_i to spaces[i] by the assignment h[i]; the gluing sets are
+    Y'_i = ∪ h_i(Y_i) and the attachments g_i(h_i(y)) = h_{i+1}(f_i(y)).
+    Two values for one g_i raise a TopologyError naming the stage."""
+    ys = [set() for _ in spaces]
+    attachments = [{} for _ in spaces[1:]]
+    for c, h in legs:
+        for i, st in enumerate(c.stages):
+            ys[i].update(h[i][y] for y in st.y)
+        for i, (st, g) in enumerate(zip(c.stages[:-1], attachments)):
+            for y in sorted(st.y):
+                key, val = h[i][y], h[i + 1][st.f(y)]
+                if g.setdefault(key, val) != val:
+                    raise TopologyError(f"stage {i}: attachment sends {key} to {g[key]} and {val}")
+    return make_cis(spaces, ys, attachments, tail)
+
+
 @dataclass(frozen=True)
 class DirectLimitResult:
     limit: Cis
@@ -192,13 +210,12 @@ class DirectLimitResult:
 
 def cis_direct_limit(d: CisDiagram) -> DirectLimitResult:
     """The direct limit system: stagewise columns are glued along the arrow
-    maps, gluing sets are unions of the embedded stage gluing sets, and the
-    attachments are pieced together from the embedded ones.
+    maps, and every object is pushed forward into them along its cocone leg.
 
-    Arrow stage maps need not be injective, so columns are glued by the
-    plain attaching construction rather than via system validation; the
-    assembled result is itself validated, and the cocone identities are
-    checked on the spot.
+    Arrows are input and are validated first.  Their stage maps need not be
+    injective, so columns are glued by the plain attaching construction
+    rather than via system validation; the assembled result is itself
+    validated, and the cocone identities are checked on the spot.
     """
     counts = {o.stage_count for o in d.objects}
     if len(counts) != 1:
@@ -206,6 +223,10 @@ def cis_direct_limit(d: CisDiagram) -> DirectLimitResult:
     tails = {o.tail for o in d.objects}
     if len(tails) != 1:
         raise TopologyError("diagram objects must share their tail policy")
+    for n, arr in enumerate(d.arrows):
+        arep = validate_morphism(arr)
+        if not arep.ok:
+            raise TopologyError(f"arrow {n} is not a cis-morphism:\n" + arep.render())
     s = d.objects[0].stage_count
     n_obj = len(d.objects)
 
@@ -215,40 +236,18 @@ def cis_direct_limit(d: CisDiagram) -> DirectLimitResult:
         )
         for i in range(s)
     )
-
-    ys = []
-    for i in range(s):
-        y = frozenset()
-        for n in range(n_obj):
-            y |= columns[i].phis[n].image(d.objects[n].stages[i].y)
-        ys.append(y)
-
-    attachments = []
-    for i in range(s - 1):
-        asg: dict[str, str] = {}
-        for n in range(n_obj):
-            st = d.objects[n].stages[i]
-            xi = columns[i].phis[n]
-            xi_next = columns[i + 1].phis[n]
-            for y in sorted(st.y):
-                key, val = xi(y), xi_next(st.f(y))
-                if asg.setdefault(key, val) != val:
-                    raise RuntimeError(
-                        f"construction bug: glued attachment conflicts at {key}"
-                    )
-        attachments.append(asg)
-    limit = make_cis([col.x for col in columns], ys, attachments, d.objects[0].tail)
+    legs = [(o, [col.phis[n].assignment for col in columns]) for n, o in enumerate(d.objects)]
+    try:
+        limit = push_forward(legs, [col.x for col in columns], d.objects[0].tail)
+    except TopologyError as e:
+        raise RuntimeError(f"construction bug: {e}") from e
     rep = validate_cis(limit)
     if not rep.ok:
         raise RuntimeError("construction bug: direct limit is not a valid system\n" + rep.render())
 
     cocone = []
     for n in range(n_obj):
-        morph = CisMorphism(
-            d.objects[n],
-            limit,
-            tuple(columns[i].phis[n] for i in range(s)),
-        )
+        morph = CisMorphism(d.objects[n], limit, tuple(col.phis[n] for col in columns))
         mrep = validate_morphism(morph)
         if not mrep.ok:
             raise RuntimeError("construction bug: cocone leg invalid\n" + mrep.render())
@@ -269,6 +268,7 @@ class CompatibilityReport:
     cocone_identities: bool
     final_topology: bool
     witnesses: tuple[str, ...]
+    direct_limit: DirectLimitResult
 
     @property
     def ok(self) -> bool:
@@ -279,7 +279,8 @@ def check_limit_compatibility(d: CisDiagram) -> CompatibilityReport:
     """Transitioning to fundamental limits commutes with the direct limit:
     the mediating maps out of each object's limit are continuous, form a
     cocone over the induced maps, and exhibit the direct limit's fundamental
-    limit as carrying their final topology."""
+    limit as carrying their final topology.  The report carries the direct
+    limit it was computed on."""
     res = cis_direct_limit(d)
     big = build_fundamental(res.limit)
     obj_limits = [build_fundamental(o) for o in d.objects]
@@ -309,4 +310,4 @@ def check_limit_compatibility(d: CisDiagram) -> CompatibilityReport:
     final_ok = finest.min_open == big.x.min_open
     if not final_ok:
         witnesses.append("limit topology is not the final topology of the mediating maps")
-    return CompatibilityReport(cts, identities, final_ok, tuple(witnesses))
+    return CompatibilityReport(cts, identities, final_ok, tuple(witnesses), res)

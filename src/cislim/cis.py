@@ -70,8 +70,8 @@ class Cis:
                 continue
             if st.f is None:
                 raise TopologyError(f"stage {i} is missing its attachment")
-            expected_src, _ = subspace(st.space, st.y)
-            if st.f.source != expected_src:
+            # the source must be the subspace on Y: U'_y = U_y ∩ Y, keyed by exactly Y
+            if st.f.source.min_open != {y: st.space.min_open[y] & st.y for y in st.y}:
                 raise TopologyError(f"attachment at stage {i} is not defined on the subspace Y")
             if st.f.target != stages[i + 1].space:
                 raise TopologyError(f"attachment at stage {i} does not land in stage {i + 1}")

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import interchange
-from .cat import check_limit_compatibility, cis_direct_limit, induced_fundamental_map, validate_morphism
+from .cat import check_limit_compatibility, induced_fundamental_map, validate_morphism
 from .cis import is_finitely_semicomponible, is_inductive, is_stationary, validate_cis
 from .finspace import TopologyError, classify_map
 from .gallery import GALLERY_NAMES, build_example, search_non_fundamental
@@ -122,15 +122,15 @@ def cmd_morphism(args, out) -> int:
 
 def cmd_diagram_limit(args, out) -> int:
     d = interchange.diagram_from_doc(_load_json(args.diagram), args.diagram)
-    res = cis_direct_limit(d)
+    compat = check_limit_compatibility(d)
+    limit = compat.direct_limit.limit
     if args.output:
-        _write(args.output, interchange.dumps(interchange.cis_to_doc(res.limit)), out)
+        _write(args.output, interchange.dumps(interchange.cis_to_doc(limit)), out)
     out.write(
         f"direct limit over {len(d.objects)} objects: "
-        + " ".join(str(len(st.space.points)) for st in res.limit.stages)
+        + " ".join(str(len(st.space.points)) for st in limit.stages)
         + " points per stage\n"
     )
-    compat = check_limit_compatibility(d)
     out.write("mediating maps continuous: " + ("pass" if compat.mediating_continuous else "FAIL") + "\n")
     out.write("mediating cocone identities: " + ("pass" if compat.cocone_identities else "FAIL") + "\n")
     out.write("final topology of mediating maps: " + ("pass" if compat.final_topology else "FAIL") + "\n")

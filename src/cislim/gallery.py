@@ -136,38 +136,58 @@ _BASE_SPACES = {
 }
 
 
+# the most parameters each gallery system takes, in command-line order
+_ARITY = {
+    "identity": 2,
+    "sphere_chain": 1,
+    "stationary_sphere": 1,
+    "torus_chain": 1,
+    "interval_chain": 1,
+    "non_semicomponible": 0,
+}
+_HAS_STATIONARY_FORM = ("identity", "sphere_chain", "stationary_sphere")
+
+
+def _int_param(params, k: int, default: int) -> int:
+    if len(params) <= k:
+        return default
+    try:
+        return int(params[k])
+    except ValueError:
+        raise TopologyError(f"parameter {k + 1} must be an integer, got {params[k]!r}") from None
+
+
 def build_example(name: str, *params, stationary: bool = False) -> Cis:
-    """Gallery dispatcher used by the command line; raises on unknown names
-    or parameters outside the documented caps."""
+    """Gallery dispatcher used by the command line; raises on unknown names,
+    non-integer or extra parameters, a stationary request the system has no
+    form for, and parameters outside the documented caps."""
+    if name not in _ARITY:
+        raise TopologyError(f"unknown gallery system {name!r}")
+    if len(params) > _ARITY[name]:
+        extra = params[_ARITY[name]]
+        raise TopologyError(f"extra parameter {extra!r}: {name} takes at most {_ARITY[name]}")
+    if stationary and name not in _HAS_STATIONARY_FORM:
+        raise TopologyError(f"{name} has no stationary form, so stationary=True does not apply")
     if name == "identity":
         base = str(params[0]) if params else "sierpinski"
-        stages = int(params[1]) if len(params) > 1 else 3
+        stages = _int_param(params, 1, 3)
         if base not in _BASE_SPACES:
             raise TopologyError(f"unknown base space {base!r}; pick from {sorted(_BASE_SPACES)}")
         if not 1 <= stages <= MAX_CHAIN:
             raise TopologyError(f"identity system length must be within 1..{MAX_CHAIN}")
         return identity_system(_BASE_SPACES[base](), stages, stationary=stationary)
     if name == "sphere_chain":
-        return sphere_chain(int(params[0]) if params else 2, stationary=stationary)
+        return sphere_chain(_int_param(params, 0, 2), stationary=stationary)
     if name == "stationary_sphere":
-        return stationary_sphere(int(params[0]) if params else 2)
+        return stationary_sphere(_int_param(params, 0, 2))
     if name == "torus_chain":
-        return torus_chain(int(params[0]) if params else 2)
+        return torus_chain(_int_param(params, 0, 2))
     if name == "interval_chain":
-        return interval_chain(int(params[0]) if params else 3)
-    if name == "non_semicomponible":
-        return non_semicomponible()
-    raise TopologyError(f"unknown gallery system {name!r}")
+        return interval_chain(_int_param(params, 0, 3))
+    return non_semicomponible()
 
 
-GALLERY_NAMES = (
-    "identity",
-    "sphere_chain",
-    "stationary_sphere",
-    "torus_chain",
-    "interval_chain",
-    "non_semicomponible",
-)
+GALLERY_NAMES = tuple(_ARITY)
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,8 @@ def cis_from_doc(doc, path: str = "cis") -> Cis:
     tail_doc = doc["tail"]
     _expect(isinstance(tail_doc, dict) and "kind" in tail_doc, f"{path}.tail", "needs a 'kind'")
     if tail_doc["kind"] == "stationary":
-        _expect(isinstance(tail_doc.get("n0"), int), f"{path}.tail.n0", "expected an integer")
+        # bool is a subclass of int, and true is no stage index
+        _expect(type(tail_doc.get("n0")) is int, f"{path}.tail.n0", "expected an integer")
         tail = Stationary(tail_doc["n0"])
     elif tail_doc["kind"] == "cutoff":
         tail = Cutoff()

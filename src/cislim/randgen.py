@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import random
 
-from .cat import CisDiagram, CisMorphism, validate_morphism
+from .cat import CisDiagram, CisMorphism, push_forward, validate_morphism
 from .cis import Cis, Cutoff, Stationary, make_cis, validate_cis
-from .finspace import CtsMap, FinSpace, quotient, subspace
+from .finspace import CtsMap, FinSpace, TopologyError, quotient, subspace
 from .limit import LimitSpace
 
 
@@ -265,12 +265,7 @@ def relabel_cis(c: Cis, tables: list[dict]) -> Cis:
                 {tab[p]: frozenset(tab[q] for q in st.space.min_open[p]) for p in st.space.points},
             )
         )
-    ys = [frozenset(tab[p] for p in st.y) for st, tab in zip(c.stages, tables)]
-    attachments = [
-        {tab[p]: nxt_tab[st.f(p)] for p in st.y}
-        for st, tab, nxt_tab in zip(c.stages[:-1], tables, tables[1:])
-    ]
-    return make_cis(spaces, ys, attachments, c.tail)
+    return push_forward([(c, tables)], spaces, c.tail)
 
 
 class GeneratorRetry(Exception):
@@ -293,16 +288,10 @@ def collapse_cis_morphism(c: Cis, chunks: list[frozenset]) -> CisMorphism:
         q_space, proj = quotient(st.space, parts)
         targets.append(q_space)
         projections.append(proj)
-    ys = [proj.image(st.y) for st, proj in zip(c.stages, projections)]
-    attachments = []
-    for i, st in enumerate(c.stages[:-1]):
-        asg = {}
-        for y in st.y:
-            key, val = projections[i](y), projections[i + 1](st.f(y))
-            if asg.setdefault(key, val) != val:
-                raise GeneratorRetry("collapse does not commute with the attachment")
-        attachments.append(asg)
-    target = make_cis(targets, ys, attachments, c.tail)
+    try:
+        target = push_forward([(c, [proj.assignment for proj in projections])], targets, c.tail)
+    except TopologyError as e:
+        raise GeneratorRetry(f"collapse does not commute with the attachments: {e}") from e
     if not validate_cis(target).ok:
         raise GeneratorRetry("collapse target is not a valid system")
     morph = CisMorphism(c, target, tuple(projections))

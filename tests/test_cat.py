@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +13,13 @@ from cislim.cat import (
     identity_morphism,
     induced_fundamental_map,
     is_cis_isomorphism,
+    push_forward,
     validate_morphism,
 )
-from cislim.cis import validate_cis
+from cislim.cis import Cis, Cutoff, make_stage, validate_cis
 from cislim.finspace import (
     CtsMap,
+    FinSpace,
     TopologyError,
     classify_map,
     compose,
@@ -24,6 +28,7 @@ from cislim.finspace import (
     subspace,
 )
 from cislim.gallery import identity_system, sphere_chain, sphere_space
+from cislim.interchange import cis_to_doc, dumps
 from cislim.limit import build_fundamental
 from cislim.randgen import FuzzGen, point_system
 
@@ -211,7 +216,83 @@ class TestInducedMap:
         assert compose(lk, lh).assignment == lkh.assignment
 
 
+def _discrete(*points):
+    return FinSpace(frozenset(points), {p: frozenset({p}) for p in points})
+
+
+class TestPushForward:
+    """Y'_i = ∪ h_i(Y_i) and g_i(h_i(y)) = h_{i+1}(f_i(y)) over every leg."""
+
+    @staticmethod
+    def _legs(second_start):
+        c1 = Cis(
+            (make_stage(_discrete("a"), {"a"}, _discrete("b"), {"a": "b"}),
+             make_stage(_discrete("b"), {"b"}, None, None)),
+            Cutoff(),
+        )
+        c2 = Cis(
+            (make_stage(_discrete("c"), {"c"}, _discrete("d"), {"c": "d"}),
+             make_stage(_discrete("d"), set(), None, None)),
+            Cutoff(),
+        )
+        return [(c1, [{"a": "p"}, {"b": "r"}]), (c2, [{"c": second_start}, {"d": "s"}])]
+
+    def test_two_legs_union_their_gluing_sets(self):
+        spaces = [_discrete("p", "q"), _discrete("r", "s")]
+        built = push_forward(self._legs("q"), spaces, Cutoff())
+        by_hand = Cis(
+            (make_stage(spaces[0], {"p", "q"}, spaces[1], {"p": "r", "q": "s"}),
+             make_stage(spaces[1], {"r"}, None, None)),
+            Cutoff(),
+        )
+        assert built == by_hand
+
+    def test_conflicting_values_name_the_stage(self):
+        # both legs send their stage-0 point to p, then on to r and to s
+        spaces = [_discrete("p", "q"), _discrete("r", "s")]
+        with pytest.raises(TopologyError, match="^stage 0: attachment sends p to r and s$"):
+            push_forward(self._legs("p"), spaces, Cutoff())
+
+    def test_relabelling_matches_the_hand_built_system(self, sierpinski, circle4):
+        c = Cis(
+            (make_stage(sierpinski, {"b"}, circle4, {"b": "a"}),
+             make_stage(circle4, {"a", "b"}, None, None)),
+            Cutoff(),
+        )
+        tables = [{"a": "A", "b": "B"}, {p: p.upper() for p in circle4.points}]
+        spaces = [
+            FinSpace(frozenset("AB"), {"A": frozenset("A"), "B": frozenset("AB")}),
+            FinSpace(frozenset("ABPQ"), {"A": frozenset("APQ"), "B": frozenset("BPQ"),
+                                         "P": frozenset("P"), "Q": frozenset("Q")}),
+        ]
+        by_hand = Cis(
+            (make_stage(spaces[0], {"B"}, spaces[1], {"B": "A"}),
+             make_stage(spaces[1], {"A", "B"}, None, None)),
+            Cutoff(),
+        )
+        assert push_forward([(c, tables)], spaces, Cutoff()) == by_hand
+
+
 class TestDirectLimit:
+    def test_direct_limits_are_pinned(self):
+        # the limit system, every cocone leg and the compatibility verdict
+        h = hashlib.sha256()
+        for seed in range(200):
+            gen = FuzzGen(seed)
+            d = gen.diagram(gen.cis(), 3)
+            rep = check_limit_compatibility(d)
+            res = rep.direct_limit
+            h.update(f"seed {seed}\n".encode())
+            h.update(dumps(cis_to_doc(res.limit)).encode())
+            for leg in res.cocone:
+                for m in leg.h:
+                    h.update(f"{sorted(m.assignment.items())}\n".encode())
+            h.update(f"{rep.mediating_continuous} {rep.cocone_identities} {rep.final_topology}"
+                     f" {rep.witnesses}\n".encode())
+        assert h.hexdigest() == (
+            "406da9bb641fd9c83a896669438e84301109cd40d57017c160420a6ae7786217"
+        )
+
     def test_constant_diagram_reproduces_object(self):
         c = sphere_chain(1)
         d = CisDiagram((c, c), (identity_morphism(c),))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from cislim.cis import (
     Cis,
     Cutoff,
+    Stage,
     Stationary,
     composite,
     is_finitely_semicomponible,
@@ -19,7 +20,7 @@ from cislim.cis import (
     transits,
     validate_cis,
 )
-from cislim.finspace import TopologyError, classify_map
+from cislim.finspace import CtsMap, FinSpace, TopologyError, classify_map
 from cislim.gallery import (
     identity_system,
     interval_chain,
@@ -82,6 +83,25 @@ class TestValidation:
                 (
                     make_stage(sierpinski, {"b"}, sierpinski, {"b": "b"}),
                     make_stage(circle4, circle4.points, None, None),
+                ),
+                Cutoff(),
+            )
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            FinSpace(frozenset("a"), {"a": frozenset("a")}),  # Y is {a, b}
+            FinSpace(frozenset("ab"), {"a": frozenset("a"), "b": frozenset("b")}),  # discrete
+        ],
+        ids=["wrong points", "wrong topology"],
+    )
+    def test_attachment_must_be_defined_on_the_subspace_y(self, sierpinski, source):
+        f = CtsMap(source, sierpinski, {p: p for p in source.points})
+        with pytest.raises(TopologyError, match="not defined on the subspace Y"):
+            Cis(
+                (
+                    Stage(sierpinski, sierpinski.points, f),
+                    make_stage(sierpinski, sierpinski.points, None, None),
                 ),
                 Cutoff(),
             )

@@ -1,10 +1,11 @@
 import io
 import json
+import sys
 
 import pytest
 
 from cislim.cli import main
-from cislim.cat import CisDiagram
+from cislim.cat import CisDiagram, cis_direct_limit
 from cislim.interchange import (
     cis_from_doc,
     cis_to_doc,
@@ -90,6 +91,47 @@ class TestExitCodes:
         assert status == 2
         assert text == f"input error: {p}.arrows[0]: target has 1 stages, source has 2\n"
 
+    @pytest.mark.parametrize(
+        "stage_maps",
+        [
+            [{"a": "b", "b": "a"}, {"a": "b", "b": "a"}],  # swaps the closed and open point
+            [{"a": "a", "b": "b"}, {"a": "a", "b": "a"}],  # constant on stage 1: no square commutes
+        ],
+        ids=["discontinuous", "non-commuting"],
+    )
+    def test_diagram_with_an_invalid_arrow_is_two(self, tmp_path, stage_maps):
+        obj = tmp_path / "identity.json"
+        assert run("gallery", "identity", "sierpinski", "2", "-o", str(obj))[0] == 0
+        c = json.loads(obj.read_text())
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps({"objects": [c, c], "arrows": [{"h": stage_maps}]}))
+        status, text = run("diagram-limit", str(p))
+        assert status == 2
+        assert text.startswith("input error: arrow 0 is not a cis-morphism:\n")
+
+    def test_boolean_stationary_index_is_two(self, tmp_path):
+        doc = cis_to_doc(sphere_chain(1))
+        doc["tail"] = {"kind": "stationary", "n0": True}
+        p = tmp_path / "c.json"
+        p.write_text(dumps(doc))
+        status, text = run("validate", str(p))
+        assert status == 2
+        assert text == f"input error: {p}.tail.n0: expected an integer\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sphere_chain", "abc"), "parameter 1 must be an integer, got 'abc'"),
+            (("torus_chain", "2", "3"), "extra parameter '3': torus_chain takes at most 1"),
+            (("interval_chain", "--stationary"), "interval_chain has no stationary form"),
+        ],
+        ids=["non-integer", "extra", "no stationary form"],
+    )
+    def test_bad_gallery_parameter_is_two(self, argv, message):
+        status, text = run("gallery", *argv)
+        assert status == 2
+        assert text.startswith(f"input error: {message}")
+
 
 class TestPipelines:
     def test_limit_verify_round_trip(self, sphere_doc, tmp_path):
@@ -151,6 +193,25 @@ class TestPipelines:
         assert "final topology of mediating maps: pass" in text
         limit = cis_from_doc(json.loads(out_path.read_text()))
         assert validate_cis(limit).ok
+
+    def test_diagram_limit_builds_the_direct_limit_once(self, tmp_path):
+        c = sphere_chain(1)
+        target, m = point_system(c)
+        p = tmp_path / "d.json"
+        p.write_text(dumps(diagram_to_doc(CisDiagram((c, target), (m,)))))
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is cis_direct_limit.__code__:
+                calls.append(event)
+
+        sys.setprofile(count)
+        try:
+            status, _ = run("diagram-limit", str(p))
+        finally:
+            sys.setprofile(None)
+        assert status == 0
+        assert len(calls) == 1
 
     def test_search_reports_findings(self, tmp_path):
         p = tmp_path / "ns.json"
