@@ -217,12 +217,6 @@ def cis_direct_limit(d: CisDiagram) -> DirectLimitResult:
     rather than via system validation; the assembled result is itself
     validated, and the cocone identities are checked on the spot.
     """
-    counts = {o.stage_count for o in d.objects}
-    if len(counts) != 1:
-        raise TopologyError("diagram objects must share their stage count")
-    tails = {o.tail for o in d.objects}
-    if len(tails) != 1:
-        raise TopologyError("diagram objects must share their tail policy")
     for n, arr in enumerate(d.arrows):
         arep = validate_morphism(arr)
         if not arep.ok:

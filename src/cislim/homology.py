@@ -7,17 +7,18 @@ from abstract module-valued functors to something a desk machine can
 row-reduce.  Cohomology is realized by transposing, which over a field
 carries the same dimensions.
 
-The library computes on int columns: a matrix is a list of Python ints,
-one per column, with row r in bit r.  One kernel, `_echelon`, reduces
-them by leading bit.  It reduces boundary columns from the top dimension
-down, skipping those that are pivots of the dimension above ("clearing":
-Chen & Kerber, Persistent homology computation with a twist, 2011), and
-keeps the canonical cycles: of the RREF nullspace basis, the earliest
-independent modulo boundaries.  Linear systems are solved by one
+A matrix is a list of Python ints, one per column, with row r in bit r;
+its row count is whatever the context fixes (a matrix with trailing zero
+rows is the same list).  This is the one matrix type, inside the library
+and out: the `gf2_*` functions, the matrix functions, module chains and
+the intertwiner all take or return it.  One kernel, `_echelon`, reduces
+columns by leading bit.  It reduces boundary columns from the top
+dimension down, skipping those that are pivots of the dimension above
+("clearing": Chen & Kerber, Persistent homology computation with a twist,
+2011), and keeps the canonical cycles: of the RREF nullspace basis, the
+earliest independent modulo boundaries.  Linear systems are solved by one
 index-tagged reduction, `_solve`.  A space keeps its order complex and
-homology, and a complex its chain data, from first use.  numpy is the
-public view: `_pack` and `_unpack` convert at the edge, for the `gf2_*`
-wrappers, the matrix functions, module chains and the intertwiner.
+homology, and a complex its chain data, from first use.
 """
 
 from __future__ import annotations
@@ -26,14 +27,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from operator import xor
 
-import numpy as np
-
 from .cis import Cis, is_inductive, stage_map
 from .finspace import CtsMap, FinSpace, TopologyError, _kept, classify_map, components
 from .limit import LimitSpace, _require_aligned, build_fundamental
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra: one kernel on int columns, numpy at the boundary
+# GF(2) linear algebra on int columns
 
 
 def _echelon(cols, shift: int = 0, skip=(), basis: dict[int, int] | None = None):
@@ -66,82 +65,51 @@ def _solve(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return null, [v for k, (j, v) in enumerate(zero[len(null):]) if j == n + k]
 
 
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    """The product a @ b."""
-    return [reduce(xor, (c for i, c in enumerate(a) if v >> i & 1), 0) for v in b]
-
-
 def _transpose(cols: list[int], rows: int) -> list[int]:
     """The columns of the transpose of a matrix with `rows` rows."""
     return [sum((c >> r & 1) << j for j, c in enumerate(cols)) for r in range(rows)]
 
 
-def _pack(m: np.ndarray) -> list[int]:
-    """The columns of a matrix mod 2 as ints, row r in bit r."""
-    bits = np.packbits(np.asarray(m, dtype=np.uint8).T % 2, axis=1, bitorder="little")
-    return [int.from_bytes(bytes(c), "little") for c in bits]
+def gf2_matmul(a: list[int], b: list[int]) -> list[int]:
+    """The product a @ b."""
+    return [reduce(xor, (c for i, c in enumerate(a) if v >> i & 1), 0) for v in b]
 
 
-def _unpack(cols: list[int], rows: int) -> np.ndarray:
-    """The 0/1 matrix with one column per int, bit r in row r."""
-    n = (rows + 7) // 8
-    buf = np.frombuffer(b"".join(c.to_bytes(n, "little") for c in cols), dtype=np.uint8)
-    bits = np.unpackbits(buf, bitorder="little").reshape(len(cols), 8 * n)[:, :rows]
-    return np.ascontiguousarray(bits.T)
-
-
-def gf2_rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def gf2_rref(a: list[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form over GF(2); returns (R, pivot columns).
-    Row r is an int with column c in bit cols-1-c, so its leading bit is its pivot."""
-    rows, cols = np.shape(mat)
-    basis, _ = _echelon(_pack(np.asarray(mat)[:, ::-1].T))
-    done: dict[int, int] = {}
-    for t in sorted(basis):  # clear each row at the pivots right of its own
-        done[t] = reduce(xor, (u for s, u in done.items() if basis[t] >> s & 1), basis[t])
-    lead = sorted(done, reverse=True)
-    r = np.zeros((rows, cols), dtype=np.uint8)
-    r[: len(lead)] = _unpack([done[t] for t in lead], cols)[::-1].T
-    return r, [cols - 1 - t for t in lead]
+    a = C R with C the pivot columns of a (the CR factorization), so each
+    column of R holds its column's coordinates over the pivot columns."""
+    free = dict(_echelon(a)[1])
+    pivots = [j for j in range(len(a)) if j not in free]
+    return _solve([a[j] for j in pivots], a)[1], pivots
 
 
-def gf2_rank(mat: np.ndarray) -> int:
-    return len(_echelon(_pack(mat))[0])
+def gf2_rank(a: list[int]) -> int:
+    return len(_echelon(a)[0])
 
 
-def gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution of a x = b over GF(2), or None if inconsistent.
-
-    b may be a vector or a matrix; a matrix's columns are solved together,
-    with one reduction, and x has one column per column of b."""
-    b = np.asarray(b)
-    rhs = _pack(b[:, None] if b.ndim == 1 else b)
-    _, xs = _solve(_pack(a), rhs)
-    if len(xs) < len(rhs):
-        return None
-    return _unpack(xs, np.shape(a)[1]).reshape(np.shape(a)[1:] + b.shape[1:])
+def gf2_solve(a: list[int], b: list[int]) -> list[int] | None:
+    """One solution x of a x = b over GF(2), one column per column of b, solved
+    with one reduction; None if some column of b is outside the span of a."""
+    xs = _solve(a, b)[1]
+    return xs if len(xs) == len(b) else None
 
 
-def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.uint16) @ b.astype(np.uint16) % 2).astype(np.uint8)
+def gf2_inverse(a: list[int]) -> list[int] | None:
+    """The inverse of a, read as a square matrix (one row per column); None if
+    that is singular, or if a has a bit in a row past its last column."""
+    return gf2_solve(a, [1 << i for i in range(len(a))])
 
 
-def gf2_inverse(a: np.ndarray) -> np.ndarray | None:
-    n, cols = np.shape(a)
-    if n != cols:
-        return None
-    _, xs = _solve(_pack(a), [1 << i for i in range(n)])
-    return _unpack(xs, n) if len(xs) == n else None
-
-
-def gf2_nullspace(a: np.ndarray) -> np.ndarray:
+def gf2_nullspace(a: list[int]) -> list[int]:
     """Columns form a basis of the kernel of a."""
-    return _unpack(_solve(_pack(a), [])[0], np.shape(a)[1])
+    return _solve(a, [])[0]
 
 
-def gf2_column_basis(a: np.ndarray) -> np.ndarray:
-    """A maximal independent subset of the columns of a."""
-    free = {j for j, _ in _echelon(_pack(a))[1]}
-    return a[:, [j for j in range(a.shape[1]) if j not in free]].astype(np.uint8)
+def gf2_column_basis(a: list[int]) -> list[int]:
+    """A maximal independent subset of the columns of a: its pivot columns."""
+    free = dict(_echelon(a)[1])
+    return [c for j, c in enumerate(a) if j not in free]
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +211,9 @@ def _order_complex(space: FinSpace) -> SimplicialComplex:
     return SimplicialComplex(frozenset(reps), frozenset(map(frozenset, chains)))
 
 
-def boundary_matrix(k: SimplicialComplex, p: int) -> np.ndarray:
+def boundary_matrix(k: SimplicialComplex, p: int) -> list[int]:
     """The mod-2 boundary from p-simplices to (p-1)-simplices."""
-    ch = k._chains
-    return _unpack(ch.columns(max(p, 0)), len(ch.cells(p - 1)))
+    return k._chains.columns(p)
 
 
 def betti_mod2(k: SimplicialComplex, pmax: int) -> list[int]:
@@ -303,7 +270,7 @@ def _push(m: CtsMap, p: int, ks: SimplicialComplex, kt: SimplicialComplex) -> li
     return [1 << ct.index[t] if t.bit_count() == p + 1 else 0 for t in images]
 
 
-def chain_map_matrix(m: CtsMap, p: int) -> np.ndarray:
+def chain_map_matrix(m: CtsMap, p: int) -> list[int]:
     """The simplicial chain map between order complexes in degree p.
 
     Continuous maps of finite spaces preserve specialization, hence send
@@ -311,8 +278,7 @@ def chain_map_matrix(m: CtsMap, p: int) -> np.ndarray:
     """
     if not classify_map(m).continuous:
         raise TopologyError("homology is only functorial on continuous maps")
-    kt = order_complex(m.target)
-    return _unpack(_push(m, p, order_complex(m.source), kt), len(kt._chains.cells(p)))
+    return _push(m, p, order_complex(m.source), order_complex(m.target))
 
 
 def _induced(m: CtsMap, p: int, src: tuple, tgt: tuple) -> list[int]:
@@ -324,21 +290,20 @@ def _induced(m: CtsMap, p: int, src: tuple, tgt: tuple) -> list[int]:
     (ks, hs, _), (kt, ht, classes) = src, tgt
     if not hs or not ht:
         return [0] * len(hs)
-    pushed = [z << len(ht) for z in _mul(_push(m, p, ks, kt), hs)]
+    pushed = [z << len(ht) for z in gf2_matmul(_push(m, p, ks, kt), hs)]
     _, coords = _echelon(pushed, len(ht), basis=dict(classes))
     if len(coords) < len(hs):
         raise TopologyError("vector is not a cycle modulo boundaries")
     return [v for _, v in coords]
 
 
-def induced_matrix(m: CtsMap, p: int) -> np.ndarray:
+def induced_matrix(m: CtsMap, p: int) -> list[int]:
     """The matrix of the degree-p homology functor applied to m."""
-    src, tgt = _homology(m.source, p), _homology(m.target, p)
-    return _unpack(_induced(m, p, src, tgt), len(tgt[1]))
+    return _induced(m, p, _homology(m.source, p), _homology(m.target, p))
 
 
 # ---------------------------------------------------------------------------
-# module sequences and their (co)limits
+# module sequences and their colimits
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,44 +311,32 @@ class GF2ModuleSeq:
     """A finite chain of GF(2) vector spaces and maps, dims[n+1] x dims[n]."""
 
     dims: tuple[int, ...]
-    maps: tuple[np.ndarray, ...]
+    maps: tuple[list[int], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(
-            self, "maps", tuple(np.asarray(m, dtype=np.uint8) % 2 for m in self.maps)
-        )
+        object.__setattr__(self, "maps", tuple(list(m) for m in self.maps))
         if len(self.maps) != len(self.dims) - 1:
             raise TopologyError("need exactly one map between consecutive modules")
         for n, m in enumerate(self.maps):
-            if m.shape != (self.dims[n + 1], self.dims[n]):
-                raise TopologyError(
-                    f"map {n} has shape {m.shape}, expected {(self.dims[n + 1], self.dims[n])}"
-                )
+            rows, cols = self.dims[n + 1], self.dims[n]
+            if len(m) != cols or any(c >> rows for c in m):
+                raise TopologyError(f"map {n} does not have shape {(rows, cols)}")
 
 
 def _cocone(maps: list[list[int]], dim: int) -> list[list[int]]:
     """The composites from each module of a chain to the last, of dimension dim."""
     cocone = [[1 << i for i in range(dim)]]
     for m in reversed(maps):
-        cocone.insert(0, _mul(cocone[0], m))
+        cocone.insert(0, gf2_matmul(cocone[0], m))
     return cocone
 
 
-def module_colimit(s: GF2ModuleSeq) -> tuple[int, list[np.ndarray]]:
+def module_colimit(s: GF2ModuleSeq) -> tuple[int, list[list[int]]]:
     """Colimit of a finite chain: the last module, with the composites to it
     as the cocone.  Returned as matrices so invariance can be checked
     map-by-map rather than by dimension counting."""
-    dim = s.dims[-1]
-    return dim, [_unpack(m, dim) for m in _cocone([_pack(m) for m in s.maps], dim)]
-
-
-def module_limit(s: GF2ModuleSeq) -> tuple[int, list[np.ndarray]]:
-    """Limit of the dualized (reversed, transposed) chain; for a finite
-    chain this is again the last module, with transposed composites as the
-    cone."""
-    dim, cocone = module_colimit(s)
-    return dim, [m.T.copy() for m in cocone]
+    return s.dims[-1], _cocone(s.maps, s.dims[-1])
 
 
 def _stage_homologies(c: Cis, p: int) -> tuple[list[tuple], list[list[int]]]:
@@ -397,8 +350,7 @@ def stage_homology_sequence(c: Cis, p: int) -> GF2ModuleSeq:
     if not is_inductive(c):
         raise TopologyError("stage homology sequences need an inductive system")
     homs, maps = _stage_homologies(c, p)
-    dims = tuple(len(h) for _, h, _ in homs)
-    return GF2ModuleSeq(dims, tuple(_unpack(m, d) for m, d in zip(maps, dims[1:])))
+    return GF2ModuleSeq(tuple(len(h) for _, h, _ in homs), tuple(maps))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +364,7 @@ class InvarianceReport:
     module_dim: int
     iso_exists: bool
     iso_unique: bool
-    iso: np.ndarray | None
+    iso: list[int] | None
     witnesses: tuple[str, ...]
 
     @property
@@ -461,10 +413,10 @@ def functorial_invariance_check(
         witnesses.append("intertwiner exists but is not an isomorphism")
     else:
         for k, (a_k, b_k) in enumerate(zip(structure, cocone)):
-            if _mul(h, a_k) != b_k:
+            if gf2_matmul(h, a_k) != b_k:
                 exists = False
                 witnesses.append(f"intertwiner fails on stage {k}")
-    iso = _unpack(h, module_dim) if exists else None
+    iso = h if exists else None
     return InvarianceReport(p, limit_dim, module_dim, exists, not null, iso, tuple(witnesses))
 
 
@@ -479,4 +431,4 @@ def counter_functorial_check(
     the same linear system, so the intertwiner is the covariant one
     transposed and every dimension, flag and witness carries over."""
     rep = functorial_invariance_check(c, p, limit)
-    return replace(rep, iso=None if rep.iso is None else rep.iso.T.copy())
+    return replace(rep, iso=None if rep.iso is None else _transpose(rep.iso, rep.module_dim))

@@ -269,3 +269,35 @@ class TestRepeatedCalls:
         status, text = run("limit", str(sphere_doc))
         assert status == 0
         assert text == written
+
+
+# imports every cislim module with numpy blocked, then runs verbs on argv[1]
+_WITHOUT_NUMPY = """
+import importlib, io, pkgutil, sys
+sys.modules["numpy"] = None
+import cislim
+for mod in pkgutil.iter_modules(cislim.__path__):
+    importlib.import_module("cislim." + mod.name)
+from cislim.cli import main
+doc = sys.argv[1]
+verbs = [["fuzz", "--count", "5", "--seed", "7"], ["homology", doc],
+         ["invariance", doc, "--p", "1"], ["invariance", doc, "--p", "1", "--co"]]
+print([main(argv, io.StringIO()) for argv in verbs])
+"""
+
+
+def test_the_library_runs_without_numpy(sphere_doc):
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import cislim
+
+    src = str(Path(cislim.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(sphere_doc)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[0, 0, 0, 0]\n"
