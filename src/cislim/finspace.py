@@ -394,8 +394,10 @@ class HomeoResult:
 DEFAULT_HOMEO_CAP = 12
 
 
-def _signature(space: FinSpace, p: str) -> tuple[int, int]:
-    return len(space.min_open[p]), len(space.closure({p}))
+def _signatures(space: FinSpace) -> dict[str, tuple[int, int]]:
+    """(|U_x|, |cl{x}|) for every point x, the closures read from the table."""
+    cl = space._point_closures()
+    return {p: (len(u), len(cl[p])) for p, u in space.min_open.items()}
 
 
 def find_homeomorphism(a: FinSpace, b: FinSpace, cap: int = DEFAULT_HOMEO_CAP) -> HomeoResult:
@@ -411,17 +413,17 @@ def find_homeomorphism(a: FinSpace, b: FinSpace, cap: int = DEFAULT_HOMEO_CAP) -
     """
     if len(a.points) != len(b.points):
         return HomeoResult("none")
-    sig_a = sorted(_signature(a, p) for p in a.points)
-    sig_b = sorted(_signature(b, p) for p in b.points)
-    if sig_a != sig_b:
+    sig_a, sig_b = _signatures(a), _signatures(b)
+    if sorted(sig_a.values()) != sorted(sig_b.values()):
         return HomeoResult("none")
     if len(a.points) > cap:
         return HomeoResult("undecided")
 
-    order = sorted(a.points, key=lambda p: (_signature(a, p), p))
-    candidates = {
-        p: sorted(q for q in b.points if _signature(b, q) == _signature(a, p)) for p in order
-    }
+    order = sorted(a.points, key=lambda p: (sig_a[p], p))
+    with_sig: dict[tuple[int, int], list[str]] = {}
+    for q in sorted(b.points):
+        with_sig.setdefault(sig_b[q], []).append(q)
+    candidates = {p: with_sig[sig_a[p]] for p in order}
     assigned: dict[str, str] = {}
     used: set[str] = set()
 

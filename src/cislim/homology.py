@@ -7,6 +7,11 @@ from abstract module-valued functors to something a desk machine can
 row-reduce.  Cohomology is realized by transposing, which over a field
 carries the same dimensions.
 
+A simplex is a vertex mask over the complex's sorted vertices, earlier
+labels in higher bits.  Chains are enumerated as masks, and faces are
+checked, boundary columns built and maps pushed forward on them; label
+sets (`simplices`, `of_dim`) are a view derived on read.
+
 A matrix is a list of Python ints, one per column, with row r in bit r;
 its row count is whatever the context fixes (a matrix with trailing zero
 rows is the same list).  This is the one matrix type, inside the library
@@ -116,65 +121,106 @@ def gf2_column_basis(a: list[int]) -> list[int]:
 # simplicial complexes
 
 
+def _vertex_bits(vertices: tuple[str, ...]) -> dict[str, int]:
+    """Each vertex's bit, for vertices in ascending order: earlier labels in higher bits."""
+    n = len(vertices)
+    return {v: 1 << n - 1 - i for i, v in enumerate(vertices)}
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
-    vertices: frozenset[str]
-    simplices: frozenset[frozenset[str]]
+    """A complex on labelled vertices whose simplices are vertex masks.
+
+    The vertices are kept in ascending order, and vertex i of n is bit
+    n - 1 - i: earlier labels go in higher bits, so descending masks list
+    the simplices of a dimension in the order of their sorted labels.
+    `simplices` and `of_dim` are label views of the masks, derived on read.
+    """
+
+    vertices: tuple[str, ...]
+    masks: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "simplices", frozenset(frozenset(s) for s in self.simplices))
-        for s in self.simplices:
-            if not s:
-                raise TopologyError("empty simplex")
-            if not s <= self.vertices:
-                raise TopologyError(f"simplex {sorted(s)} uses unknown vertices")
-            for v in s:
-                if s - {v} and (s - {v}) not in self.simplices:
-                    raise TopologyError(f"face {sorted(s - {v})} of {sorted(s)} is missing")
-        for v in self.vertices:
-            if frozenset({v}) not in self.simplices:
+        vertices, masks = tuple(sorted(set(self.vertices))), frozenset(self.masks)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "masks", masks)
+        n = len(vertices)
+        if 0 in masks:
+            raise TopologyError("empty simplex")
+        for s in masks:
+            if s >> n:
+                unknown = [b for b in range(n, s.bit_length()) if s >> b & 1]
+                raise TopologyError(
+                    f"simplex {self._labels(s)} uses unknown vertices at bits {unknown}"
+                )
+            t = s
+            while t:
+                b = t & -t
+                if s != b and s ^ b not in masks:
+                    face, simplex = self._labels(s ^ b), self._labels(s)
+                    raise TopologyError(f"face {face} of {simplex} is missing")
+                t ^= b
+        for v, b in self._bit.items():
+            if b not in masks:
                 raise TopologyError(f"vertex {v} has no singleton simplex")
+
+    @cached_property
+    def _bit(self) -> dict[str, int]:
+        return _vertex_bits(self.vertices)
+
+    def _labels(self, s: int) -> list[str]:
+        """The sorted labels of the vertices in mask s."""
+        return [v for v, b in self._bit.items() if s & b]
+
+    @property
+    def simplices(self) -> frozenset[frozenset[str]]:
+        return frozenset(frozenset(self._labels(s)) for s in self.masks)
 
     @cached_property
     def _chains(self) -> _Chains:
         return _Chains(self)
 
     def of_dim(self, p: int) -> list[frozenset[str]]:
-        return [self._chains.simplex[s] for s in self._chains.cells(p)]
+        return [frozenset(self._labels(s)) for s in self._chains.cells(p)]
 
     @property
     def dim(self) -> int:
-        return max((len(s) - 1 for s in self.simplices), default=-1)
+        return max((s.bit_count() for s in self.masks), default=0) - 1
 
 
 class _Chains:
     """A complex's simplices per dimension, boundary columns and reductions.
-    A simplex is keyed by its vertex mask, earlier labels in higher bits, so
-    descending masks list a dimension's simplices as their sorted labels do."""
+    Descending masks list a dimension's simplices as their sorted labels do."""
 
     def __init__(self, k: SimplicialComplex):
-        self.bit = {v: 1 << b for b, v in enumerate(sorted(k.vertices, reverse=True))}
-        self.simplex = {sum(self.bit[v] for v in s): s for s in k.simplices}
-        self.masks: dict[int, list[int]] = {}
-        for s in sorted(self.simplex, reverse=True):
-            self.masks.setdefault(s.bit_count() - 1, []).append(s)
-        self.index = {s: i for ms in self.masks.values() for i, s in enumerate(ms)}
+        self.by_dim: dict[int, list[int]] = {}
+        for s in sorted(k.masks, reverse=True):
+            self.by_dim.setdefault(s.bit_count() - 1, []).append(s)
+        self.index = {s: i for ms in self.by_dim.values() for i, s in enumerate(ms)}
         self._boundaries: dict[int, dict[int, int]] = {}
 
     def cells(self, p: int) -> list[int]:
-        return self.masks.get(p, [])
+        return self.by_dim.get(p, [])
 
     def columns(self, p: int) -> list[int]:
         """The boundary of each p-simplex as a bitset over the (p-1)-simplices."""
-        return [sum(1 << self.index[s ^ self.bit[v]] for v in self.simplex[s]) if p else 0
-                for s in self.cells(p)]
+        if p <= 0:
+            return [0] * len(self.cells(p))
+        index, cols = self.index, []
+        for s in self.cells(p):
+            c, t = 0, s
+            while t:
+                b = t & -t
+                c |= 1 << index[s ^ b]
+                t ^= b
+            cols.append(c)
+        return cols
 
     def boundaries(self, p: int) -> dict[int, int]:
         """An echelon basis of the image of the boundary from dimension p,
         whose keys are the columns of dimension p-1 that clearing skips."""
         if p not in self._boundaries:
-            skip = self.boundaries(p + 1) if 0 < p <= max(self.masks, default=-1) else None
+            skip = self.boundaries(p + 1) if 0 < p <= max(self.by_dim, default=-1) else None
             self._boundaries[p] = {} if skip is None else _echelon(self.columns(p), skip=skip)[0]
         return self._boundaries[p]
 
@@ -203,12 +249,20 @@ def order_complex(space: FinSpace) -> SimplicialComplex:
 
 
 def _order_complex(space: FinSpace) -> SimplicialComplex:
-    reps = sorted(set(t0_classes(space).values()))
-    above = {c: [d for d in reps if d != c and d in space.min_open[c]] for c in reps}  # c < d
-    chains = [(c,) for c in reps]
-    for chain in chains:  # grows while it is walked, each chain extended once
-        chains.extend(chain + (d,) for d in above[chain[-1]])
-    return SimplicialComplex(frozenset(reps), frozenset(map(frozenset, chains)))
+    reps = tuple(sorted(set(t0_classes(space).values())))
+    bit = _vertex_bits(reps)
+    mo = space.min_open
+    # the chains starting at c: c alone, or c below a chain starting at some
+    # representative d > c; U_d is strictly inside U_c, so smaller opens come first
+    starting: dict[str, list[int]] = {}
+    for c in sorted(reps, key=lambda r: len(mo[r])):
+        b = bit[c]
+        chains = [b]
+        for d in mo[c]:
+            if d != c and d in bit:
+                chains += [m | b for m in starting[d]]
+        starting[c] = chains
+    return SimplicialComplex(reps, frozenset(m for ms in starting.values() for m in ms))
 
 
 def boundary_matrix(k: SimplicialComplex, p: int) -> list[int]:
@@ -226,7 +280,7 @@ def betti_mod2(k: SimplicialComplex, pmax: int) -> list[int]:
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:
-    return sum((-1) ** (len(s) - 1) for s in k.simplices)
+    return sum((-1) ** (s.bit_count() - 1) for s in k.masks)
 
 
 def h0_rank(space: FinSpace) -> int:
@@ -263,11 +317,20 @@ def _homology(space: FinSpace, p: int) -> tuple[SimplicialComplex, list[int], di
 
 def _push(m: CtsMap, p: int, ks: SimplicialComplex, kt: SimplicialComplex) -> list[int]:
     """Each p-simplex of ks mapped into kt: one bit, or 0 where the image is
-    degenerate (it vanishes mod 2)."""
+    degenerate (it vanishes mod 2).  A simplex maps to the OR of its vertices'
+    image bits, degenerate when that has fewer than p + 1 bits."""
     cs, ct = ks._chains, kt._chains
     cls = t0_classes(m.target)
-    images = (sum({ct.bit[cls[m(v)]] for v in cs.simplex[s]}) for s in cs.cells(p))
-    return [1 << ct.index[t] if t.bit_count() == p + 1 else 0 for t in images]
+    image = {b: kt._bit[cls[m(v)]] for v, b in ks._bit.items()}
+    out = []
+    for s in cs.cells(p):
+        t = 0
+        while s:
+            b = s & -s
+            t |= image[b]
+            s ^= b
+        out.append(1 << ct.index[t] if t.bit_count() == p + 1 else 0)
+    return out
 
 
 def chain_map_matrix(m: CtsMap, p: int) -> list[int]:

@@ -92,3 +92,18 @@ def staircase_torus_complex():
     for node in nodes:
         grow((node,))
     return {frozenset(f"{x}{y}" for x, y in s) for s in simplices}
+
+
+def label_order_complex(space):
+    """(vertices, simplices) of the order complex of a space's T0 quotient,
+    as label sets: each chain a label tuple grown one point at a time, each
+    T0 class named by its least point."""
+    groups = {}
+    for p in sorted(space.points):
+        groups.setdefault(space.min_open[p], []).append(p)
+    reps = sorted(min(g) for g in groups.values())
+    above = {c: [d for d in reps if d != c and d in space.min_open[c]] for c in reps}  # c < d
+    chains = [(c,) for c in reps]
+    for chain in chains:  # grows while it is walked, each chain extended once
+        chains.extend(chain + (d,) for d in above[chain[-1]])
+    return frozenset(reps), frozenset(map(frozenset, chains))

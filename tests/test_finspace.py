@@ -407,6 +407,15 @@ class TestFindHomeomorphism:
         prof = classify_map(res.map)
         assert prof.embedding and prof.surjective
 
+    def test_signatures_read_each_closure_table_once(self, circle4, monkeypatch):
+        reads = []
+        table = FinSpace._point_closures
+        monkeypatch.setattr(FinSpace, "_point_closures", lambda s: reads.append(s) or table(s))
+        a = product(circle4, circle4)
+        b = FinSpace(a.points, dict(a.min_open))
+        assert find_homeomorphism(a, b, cap=16).status == "found"
+        assert len(reads) == 2
+
     def test_undecided_above_cap(self, circle4):
         big_a = product(circle4, circle4)
         big_b = product(circle4, circle4)

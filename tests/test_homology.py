@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import continuous_maps, finspaces
-from homology_oracles import bitmask_rank, complex_betti, cross_polytope_boundary, staircase_torus_complex
+from homology_oracles import (
+    bitmask_rank,
+    complex_betti,
+    cross_polytope_boundary,
+    label_order_complex,
+    staircase_torus_complex,
+)
 from cislim.finspace import CtsMap, FinSpace, TopologyError, classify_map, compose, identity_map
 from cislim.gallery import (
     identity_system,
@@ -55,6 +61,13 @@ def to_array(columns: list[int], rows: int) -> np.ndarray:
     """Int columns as a rows x len(columns) uint8 matrix."""
     bits = [[c >> r & 1 for c in columns] for r in range(rows)]
     return np.array(bits, dtype=np.uint8).reshape(rows, len(columns))
+
+
+def label_complex(vertices, simplices) -> SimplicialComplex:
+    """A complex given by label sets, as vertex masks: earlier labels in higher bits."""
+    order = sorted(vertices)
+    bit = {v: 1 << len(order) - 1 - i for i, v in enumerate(order)}
+    return SimplicialComplex(tuple(order), frozenset(sum(bit[v] for v in s) for s in simplices))
 
 
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -305,8 +318,53 @@ class TestOrderComplex:
         assert len(k.vertices) == 1
 
     def test_rejects_missing_faces(self):
-        with pytest.raises(TopologyError, match="face"):
-            SimplicialComplex(frozenset("ab"), frozenset({frozenset("ab"), frozenset("a")}))
+        with pytest.raises(TopologyError, match=re.escape("face ['b'] of ['a', 'b'] is missing")):
+            label_complex("ab", [{"a", "b"}, {"a"}])
+
+    def test_rejects_the_empty_simplex(self):
+        with pytest.raises(TopologyError, match="^empty simplex$"):
+            SimplicialComplex(("a",), frozenset({0, 1}))
+
+    def test_rejects_unknown_vertices(self):
+        # bit 1 names no vertex of a one-vertex complex
+        with pytest.raises(
+            TopologyError, match=re.escape("simplex ['a'] uses unknown vertices at bits [1]")
+        ):
+            SimplicialComplex(("a",), frozenset({0b1, 0b11}))
+
+    def test_rejects_a_vertex_without_its_singleton(self):
+        with pytest.raises(TopologyError, match="^vertex b has no singleton simplex$"):
+            label_complex("ab", [{"a"}])
+
+    def test_labels_are_a_view_of_the_masks(self):
+        k = label_complex("abc", [{"a"}, {"b"}, {"c"}, {"a", "c"}, {"b", "c"}])
+        assert k.vertices == ("a", "b", "c") and k.masks == {0b100, 0b010, 0b001, 0b101, 0b011}
+        assert k.of_dim(1) == [frozenset("ac"), frozenset("bc")]
+        same = SimplicialComplex(("c", "b", "a", "a"), k.masks)  # sorted and deduplicated
+        assert same == k and hash(same) == hash(k)
+        assert k.dim == 1 and euler_characteristic(k) == 1
+
+    @staticmethod
+    def assert_matches_label_chains(space):
+        k = order_complex(space)
+        vertices, simplices = label_order_complex(space)
+        assert set(k.vertices) == vertices and k.simplices == simplices
+        for p in range(-1, k.dim + 2):
+            dim_p = [s for s in simplices if len(s) == p + 1]
+            assert k.of_dim(p) == sorted(dim_p, key=lambda s: tuple(sorted(s)))
+
+    @given(finspaces())
+    def test_chains_match_the_label_reference(self, space):
+        self.assert_matches_label_chains(space)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_fuzzed_limit_chains_match_the_label_reference(self, seed):
+        self.assert_matches_label_chains(build_fundamental(FuzzGen(seed).cis()).x)
+
+    def test_sphere_and_torus_chains_match_the_label_reference(self):
+        for space in [sphere_space(n) for n in range(7)] + [torus_space(2)]:
+            self.assert_matches_label_chains(space)
 
     @given(finspaces())
     def test_boundary_squares_to_zero(self, space):
@@ -331,7 +389,7 @@ class TestBetti:
     @pytest.mark.parametrize("n", range(7))
     def test_cross_polytopes_against_oracle(self, n):
         vertices, simplices = cross_polytope_boundary(n)
-        k = SimplicialComplex(frozenset(vertices), frozenset(simplices))
+        k = label_complex(vertices, simplices)
         assert betti_mod2(k, n + 1) == complex_betti(simplices, n + 1)
 
     @given(st.integers(0, 2**32 - 1))
