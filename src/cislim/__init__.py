@@ -27,7 +27,6 @@ from .finspace import (
     product,
     quotient,
     separation_profile,
-    set_closure,
     subspace,
 )
 from .limit import (

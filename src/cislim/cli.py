@@ -321,10 +321,7 @@ def main(argv=None, out=None) -> int:
     run = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
         return run(args, out)
-    except interchange.InterchangeError as e:
-        out.write(f"input error: {e}\n")
-        return INPUT_ERROR
-    except TopologyError as e:
+    except (interchange.InterchangeError, TopologyError) as e:
         out.write(f"input error: {e}\n")
         return INPUT_ERROR
 

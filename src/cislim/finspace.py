@@ -119,11 +119,6 @@ class FinSpace:
         return all(a.issuperset(cl[p]) for p in a)
 
 
-def set_closure(space: FinSpace, a) -> PointSet:
-    """Closure of a point-set; errors on ids outside the space."""
-    return space.closure(a)
-
-
 @dataclass(frozen=True)
 class CtsMap:
     """A point function between finite spaces, stored as a total assignment.
@@ -160,9 +155,6 @@ class CtsMap:
     def preimage(self, b) -> PointSet:
         b = self.target.check_points(b)
         return frozenset(p for p, q in self.assignment.items() if q in b)
-
-    def profile(self) -> "MapProfile":
-        return classify_map(self)
 
 
 class MapProfile:

@@ -22,8 +22,9 @@ dimension down, skipping those that are pivots of the dimension above
 ("clearing": Chen & Kerber, Persistent homology computation with a twist,
 2011), and keeps the canonical cycles: of the RREF nullspace basis, the
 earliest independent modulo boundaries.  Linear systems are solved by one
-index-tagged reduction, `_solve`.  A space keeps its order complex and
-homology, and a complex its chain data, from first use.
+index-tagged reduction, `_solve`.  A space keeps one homology record
+(its order complex, each point's vertex bit and its cycles per degree), and
+a complex its chain data, from first use; each lives as long as its owner.
 """
 
 from __future__ import annotations
@@ -225,17 +226,30 @@ class _Chains:
         return self._boundaries[p]
 
 
-def t0_classes(space: FinSpace) -> dict[str, str]:
-    """Each point's T0 class label (points sharing a minimal open set)."""
-    groups: dict[frozenset, list[str]] = {}
-    for p in sorted(space.points):
-        groups.setdefault(space.min_open[p], []).append(p)
-    out = {}
-    for members in groups.values():
-        label = min(members)
-        for p in members:
-            out[p] = label
-    return out
+class _Homology:
+    """A space's order complex, each point's vertex bit (that of the least point
+    sharing its minimal open set: T0 classes are grouped once, here) and the
+    `_homology` value of each degree asked for."""
+
+    def __init__(self, space: FinSpace):
+        mo, rep = space.min_open, {}
+        for p in sorted(space.points):
+            rep.setdefault(mo[p], p)
+        bit = _vertex_bits(tuple(rep.values()))  # each class's least point, ascending
+        # the chains starting at c: c alone, or c below a chain starting at some
+        # representative d > c; U_d is strictly inside U_c, so smaller opens come first
+        starting: dict[str, list[int]] = {}
+        for c in sorted(bit, key=lambda r: len(mo[r])):
+            b = bit[c]
+            chains = [b]
+            for d in mo[c]:
+                if d != c and d in bit:
+                    chains += [m | b for m in starting[d]]
+            starting[c] = chains
+        masks = frozenset(m for ms in starting.values() for m in ms)
+        self.complex = SimplicialComplex(tuple(bit), masks)
+        self.bit = {p: bit[rep[mo[p]]] for p in space.points}
+        self.degrees: dict[int, tuple[list[int], dict[int, int]]] = {}
 
 
 def order_complex(space: FinSpace) -> SimplicialComplex:
@@ -245,24 +259,15 @@ def order_complex(space: FinSpace) -> SimplicialComplex:
     indistinguishable points first makes the relation a partial order, and
     the collapse does not change the weak homotopy type.
     """
-    return _kept(space, "_order_complex", _order_complex)
+    return _kept(space, "_homology", _Homology).complex
 
 
-def _order_complex(space: FinSpace) -> SimplicialComplex:
-    reps = tuple(sorted(set(t0_classes(space).values())))
-    bit = _vertex_bits(reps)
-    mo = space.min_open
-    # the chains starting at c: c alone, or c below a chain starting at some
-    # representative d > c; U_d is strictly inside U_c, so smaller opens come first
-    starting: dict[str, list[int]] = {}
-    for c in sorted(reps, key=lambda r: len(mo[r])):
-        b = bit[c]
-        chains = [b]
-        for d in mo[c]:
-            if d != c and d in bit:
-                chains += [m | b for m in starting[d]]
-        starting[c] = chains
-    return SimplicialComplex(reps, frozenset(m for ms in starting.values() for m in ms))
+def _record(space: FinSpace) -> _Homology:
+    """The space's homology record.  Only `order_complex` builds it, so that
+    `perfbench/tracer.py` books every build to that name."""
+    if "_homology" not in vars(space):
+        order_complex(space)
+    return space._homology
 
 
 def boundary_matrix(k: SimplicialComplex, p: int) -> list[int]:
@@ -292,38 +297,36 @@ def h0_rank(space: FinSpace) -> int:
 # the homology functor on maps
 
 
-def _homology(space: FinSpace, p: int) -> tuple[SimplicialComplex, list[int], dict[int, int]]:
-    """(order complex K, cycles, classes) in degree p: a cycle over the
-    p-simplices of K per class of a basis of H_p, and an echelon basis of
-    boundaries and cycles whose bits below b_p are cycle coordinates.  The
-    columns clearing leaves are reduced carrying their own index below bit
-    n; each that vanishes is a free column, and its low bits its RREF
-    nullspace vector, as only pivot columns ever enter the basis."""
+def _homology(space: FinSpace, p: int) -> tuple[_Homology, list[int], dict[int, int]]:
+    """(homology record, cycles, classes) in degree p: a cycle over the
+    p-simplices of the record's complex per class of a basis of H_p, and an
+    echelon basis of boundaries and cycles whose bits below b_p are cycle
+    coordinates.  The columns clearing leaves are reduced carrying their own
+    index below bit n; each that vanishes is a free column, and its low bits
+    its RREF nullspace vector, as only pivot columns ever enter the basis."""
     if p < 0:
         raise TopologyError(f"homology degree must be >= 0, got {p}")
-    memo = _kept(space, "_homology", lambda _: {})
-    if p not in memo:
-        k = order_complex(space)
-        ch = k._chains
+    rec = _record(space)
+    if p not in rec.degrees:
+        ch = rec.complex._chains
         n, bounds = len(ch.cells(p)), ch.boundaries(p + 1)
         _, zero = _echelon([c << n | 1 << j for j, c in enumerate(ch.columns(p))], n, skip=bounds)
         cycles = [z for _, z in zero]
         m = len(cycles)
         classes = {t + m: b << m for t, b in bounds.items()}
         _echelon([z << m | 1 << c for c, z in enumerate(cycles)], m, basis=classes)
-        memo[p] = (k, cycles, classes)
-    return memo[p]
+        rec.degrees[p] = (cycles, classes)
+    return (rec, *rec.degrees[p])
 
 
-def _push(m: CtsMap, p: int, ks: SimplicialComplex, kt: SimplicialComplex) -> list[int]:
-    """Each p-simplex of ks mapped into kt: one bit, or 0 where the image is
-    degenerate (it vanishes mod 2).  A simplex maps to the OR of its vertices'
-    image bits, degenerate when that has fewer than p + 1 bits."""
-    cs, ct = ks._chains, kt._chains
-    cls = t0_classes(m.target)
-    image = {b: kt._bit[cls[m(v)]] for v, b in ks._bit.items()}
+def _push(m: CtsMap, p: int, src: _Homology, tgt: _Homology) -> list[int]:
+    """Each p-simplex of the source's complex sent into the target's: the bit
+    of the simplex its vertices' image bits OR to, or 0 where that has fewer
+    than p + 1 vertices (the image is degenerate and vanishes mod 2)."""
+    ks, ct = src.complex, tgt.complex._chains
+    image = {b: tgt.bit[m(v)] for v, b in ks._bit.items()}
     out = []
-    for s in cs.cells(p):
+    for s in ks._chains.cells(p):
         t = 0
         while s:
             b = s & -s
@@ -341,7 +344,7 @@ def chain_map_matrix(m: CtsMap, p: int) -> list[int]:
     """
     if not classify_map(m).continuous:
         raise TopologyError("homology is only functorial on continuous maps")
-    return _push(m, p, order_complex(m.source), order_complex(m.target))
+    return _push(m, p, _record(m.source), _record(m.target))
 
 
 def _induced(m: CtsMap, p: int, src: tuple, tgt: tuple) -> list[int]:
@@ -350,10 +353,10 @@ def _induced(m: CtsMap, p: int, src: tuple, tgt: tuple) -> list[int]:
     leave their coordinates (unique: cycles are independent modulo boundaries)."""
     if not classify_map(m).continuous:
         raise TopologyError("homology is only functorial on continuous maps")
-    (ks, hs, _), (kt, ht, classes) = src, tgt
+    (rs, hs, _), (rt, ht, classes) = src, tgt
     if not hs or not ht:
         return [0] * len(hs)
-    pushed = [z << len(ht) for z in gf2_matmul(_push(m, p, ks, kt), hs)]
+    pushed = [z << len(ht) for z in gf2_matmul(_push(m, p, rs, rt), hs)]
     _, coords = _echelon(pushed, len(ht), basis=dict(classes))
     if len(coords) < len(hs):
         raise TopologyError("vector is not a cycle modulo boundaries")

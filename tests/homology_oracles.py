@@ -107,3 +107,23 @@ def label_order_complex(space):
     for chain in chains:  # grows while it is walked, each chain extended once
         chains.extend(chain + (d,) for d in above[chain[-1]])
     return frozenset(reps), frozenset(map(frozenset, chains))
+
+
+def label_chain_map(m, p):
+    """chain_map_matrix(m, p) on label order complexes: each p-simplex of the
+    source, in sorted-label order, goes to the set of its vertices' image
+    classes, each named by its least point, and vanishes when that set has
+    fewer than p + 1 members."""
+    tgt = m.target
+
+    def cells(space):
+        dim_p = [s for s in label_order_complex(space)[1] if len(s) == p + 1]
+        return sorted(dim_p, key=lambda s: tuple(sorted(s)))
+
+    index = {s: i for i, s in enumerate(cells(tgt))}
+    cls = {q: min(x for x in tgt.points if tgt.min_open[x] == tgt.min_open[q]) for q in tgt.points}
+    out = []
+    for s in cells(m.source):
+        image = frozenset(cls[m.assignment[v]] for v in s)
+        out.append(1 << index[image] if len(image) == p + 1 else 0)
+    return out

@@ -30,7 +30,6 @@ from cislim.finspace import (
     product,
     quotient,
     separation_profile,
-    set_closure,
     subspace,
 )
 from cislim.limit import build_fundamental
@@ -60,22 +59,22 @@ class TestConstruction:
 
 class TestClosure:
     def test_sierpinski_open_point(self, sierpinski):
-        assert set_closure(sierpinski, {"a"}) == frozenset("ab")
+        assert sierpinski.closure({"a"}) == frozenset("ab")
 
     def test_empty(self, sierpinski):
-        assert set_closure(sierpinski, frozenset()) == frozenset()
+        assert sierpinski.closure(frozenset()) == frozenset()
 
     def test_circle_arc(self, circle4):
-        assert set_closure(circle4, {"p"}) == frozenset("pab")
+        assert circle4.closure({"p"}) == frozenset("pab")
 
     def test_unknown_point(self, sierpinski):
         with pytest.raises(TopologyError, match="unknown"):
-            set_closure(sierpinski, {"zzz"})
+            sierpinski.closure({"zzz"})
 
     @given(spaces_with_subsets())
     def test_matches_brute_force(self, sa):
         space, a = sa
-        assert set_closure(space, a) == brute_closure(space, a)
+        assert space.closure(a) == brute_closure(space, a)
         assert space.is_closed(a) == (brute_closure(space, a) == a)
 
     @given(spaces_with_subsets())
@@ -116,13 +115,6 @@ class TestClassifyMap:
     @given(continuous_maps())
     def test_continuous_by_construction(self, m):
         assert classify_map(m).continuous
-
-    @given(finspaces(4), st.data())
-    def test_profile_accessor_agrees_with_classification(self, src, data):
-        tgt = data.draw(finspaces(4))
-        asg = {p: data.draw(st.sampled_from(sorted(tgt.points))) for p in sorted(src.points)}
-        m = CtsMap(src, tgt, asg)
-        assert m.profile() == classify_map(m)
 
     @settings(max_examples=60)
     @given(finspaces(4), finspaces(4), st.data())

@@ -13,6 +13,7 @@ from homology_oracles import (
     bitmask_rank,
     complex_betti,
     cross_polytope_boundary,
+    label_chain_map,
     label_order_complex,
     staircase_torus_complex,
 )
@@ -532,6 +533,15 @@ class TestInducedMatrix:
             left = induced_matrix(compose(g, f), p)
             right = gf2_matmul(induced_matrix(g, p), induced_matrix(f, p))
             assert left == right
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(0, 2))
+    def test_chain_map_matches_the_label_reference(self, data, p):
+        # targets with two points in one T0 class, which push through a shared vertex
+        shared = finspaces(5).filter(lambda t: len(set(t.min_open.values())) < len(t.points))
+        tgt = data.draw(shared)
+        m = data.draw(continuous_maps(target=tgt))
+        assert chain_map_matrix(m, p) == label_chain_map(m, p)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
