@@ -37,7 +37,7 @@ def main():
     for name, c in cases:
         res = search_non_fundamental(c, cap=cap)
         if res.status == "undecided":
-            print(f"{name}: undecided at cap {cap}")
+            print(f"{name}: undecided at cap {res.cap}")
             continue
         print(f"{name}: examined {res.examined} topologies, found {len(res.found)}")
         for cand in res.found:

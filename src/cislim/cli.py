@@ -141,10 +141,10 @@ def cmd_diagram_limit(args, out) -> int:
 
 def cmd_homology(args, out) -> int:
     c = interchange.cis_from_doc(_load_json(args.cis), args.cis)
+    ls = build_fundamental(c)  # an invalid system stops here, before any line is printed
     for i, st in enumerate(c.stages):
         b = betti_mod2(order_complex(st.space), args.pmax)
         out.write(f"stage {i}: betti {b}\n")
-    ls = build_fundamental(c)
     b = betti_mod2(order_complex(ls.x), args.pmax)
     out.write(f"fundamental limit: betti {b}\n")
     return OK
@@ -174,7 +174,7 @@ def cmd_search(args, out) -> int:
     c = interchange.cis_from_doc(_load_json(args.cis), args.cis)
     res = search_non_fundamental(c, cap=args.cap)
     if res.status == "undecided":
-        out.write(f"undecided: limit exceeds the cap of {args.cap} points\n")
+        out.write(f"undecided: limit exceeds the cap of {res.cap} points\n")
         return OK
     out.write(f"examined {res.examined} topologies, found {len(res.found)} non-fundamental limits\n")
     for cand in res.found:

@@ -19,6 +19,8 @@ from .limit import LimitSpace, build_fundamental, has_weak_topology, verify_limi
 
 MAX_CHAIN = 6
 MAX_TORUS = 3
+# the search walks 2^(n(n-1)) relations: 2^20 at 5 points, 2^30 at 6
+MAX_SEARCH_POINTS = 5
 
 
 def point_space(label: str = "pt") -> FinSpace:
@@ -194,14 +196,16 @@ GALLERY_NAMES = tuple(_ARITY)
 class NonFundamentalSearch:
     """Outcome of the exhaustive topology search.
 
-    status "undecided" means the limit was larger than the cap and nothing
-    was enumerated; "completed" means every Alexandrov topology on the
-    limit's point set was examined.
+    status "undecided" means the limit was larger than the cap applied, the
+    requested cap or MAX_SEARCH_POINTS if that is less, and nothing was
+    enumerated; "completed" means every Alexandrov topology on the limit's
+    point set was examined.
     """
 
     status: str  # "completed" | "undecided"
     found: tuple[LimitSpace, ...]
     examined: int
+    cap: int  # the cap applied
 
 
 def _all_preorder_spaces(points: tuple[str, ...]):
@@ -245,15 +249,17 @@ def search_non_fundamental(c: Cis, cap: int = 4) -> NonFundamentalSearch:
 
     Enumerates every topology on the fundamental limit's point set, keeps
     the candidates that satisfy the limit-space axioms with the same stage
-    assignments, and returns those without the weak topology.
+    assignments, and returns those without the weak topology.  Limits of
+    more than min(cap, MAX_SEARCH_POINTS) points are left undecided.
     """
     rep = validate_cis(c)
     if not rep.ok:
         raise TopologyError("cannot search an invalid system:\n" + rep.render())
     base = build_fundamental(c)
     pts = tuple(sorted(base.x.points))
+    cap = min(cap, MAX_SEARCH_POINTS)
     if len(pts) > cap:
-        return NonFundamentalSearch("undecided", (), 0)
+        return NonFundamentalSearch("undecided", (), 0, cap)
     found = []
     examined = 0
     for space in _all_preorder_spaces(pts):
@@ -266,4 +272,4 @@ def search_non_fundamental(c: Cis, cap: int = 4) -> NonFundamentalSearch:
             continue
         if not has_weak_topology(c, cand):
             found.append(cand)
-    return NonFundamentalSearch("completed", tuple(found), examined)
+    return NonFundamentalSearch("completed", tuple(found), examined, cap)

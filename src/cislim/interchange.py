@@ -256,18 +256,18 @@ def dumps(doc) -> str:
 
 def to_dot(space: FinSpace, name: str = "specialization") -> str:
     """The specialization preorder as a DOT digraph, transitively reduced:
-    an edge y -> x whenever y sits in U_x with no third point between."""
+    an edge y -> x whenever y sits in U_x and no U_z lies strictly between
+    U_y and U_x.  Points sharing a minimal open set get edges both ways, so
+    the edges close to the preorder on spaces that are not T0 too."""
+    mo = space.min_open
     lines = [f"digraph {json.dumps(name)} {{"]
     for p in sorted(space.points):
         lines.append(f"  {json.dumps(p)};")
     for x in sorted(space.points):
-        for y in sorted(space.min_open[x]):
+        for y in sorted(mo[x]):
             if y == x:
                 continue
-            skip = any(
-                z not in (x, y) and y in space.min_open[z] and z in space.min_open[x]
-                for z in space.points
-            )
+            skip = any(mo[y] < mo[z] < mo[x] for z in space.points)
             if not skip:
                 lines.append(f"  {json.dumps(y)} -> {json.dumps(x)};")
     lines.append("}")

@@ -52,45 +52,26 @@ class LimitSpace:
                 raise TopologyError(f"structure map {k} does not land in the limit space")
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def classes(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), set()).add(x)
-        return [frozenset(v) for v in out.values()]
-
-
 def attaching_space(spaces, attachments) -> LimitSpace:
     """Quotient of the coproduct identifying each point with its image, with
     the projection of each space and of the coproduct onto it.
 
-    `attachments[n]` maps a subset of spaces[n] into spaces[n+1]; the
-    identifications are closed off transitively by union-find, which agrees
-    with generating the relation through composite transits because every
-    composite is a chain of one-step attachments.
+    `attachments[n]` maps a subset of spaces[n] into spaces[n+1].  Each point
+    has at most one image, one stage on, so the identifications form in-trees:
+    two points are identified exactly when their forward orbits end at the
+    same point.  One backward pass names every point by that end; the maps
+    need not be injective.
     """
     total, injections = coproduct(list(spaces))
-    uf = _UnionFind(total.points)
-    for n, att in enumerate(attachments):
-        for y in sorted(att):
-            uf.union(injections[n](y), injections[n + 1](att[y]))
-    space, rho = quotient(total, uf.classes())
+    end = {p: p for p in total.points}
+    for n in range(len(attachments) - 1, -1, -1):
+        here, there = injections[n], injections[n + 1]
+        for y, z in attachments[n].items():
+            end[here(y)] = end[there(z)]
+    classes: dict[str, set[str]] = {}
+    for p, e in end.items():
+        classes.setdefault(e, set()).add(p)
+    space, rho = quotient(total, classes.values())
     return LimitSpace(space, tuple(compose(rho, inj) for inj in injections), rho)
 
 

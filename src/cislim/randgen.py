@@ -16,7 +16,7 @@ import random
 
 from .cat import CisDiagram, CisMorphism, push_forward, validate_morphism
 from .cis import Cis, Cutoff, Stationary, make_cis, validate_cis
-from .finspace import CtsMap, FinSpace, TopologyError, quotient, subspace
+from .finspace import CtsMap, FinSpace, quotient, subspace
 from .limit import LimitSpace
 
 
@@ -30,27 +30,22 @@ class FuzzGen:
     def space(self, max_points: int = 6, prefix: str = "x", discrete: bool = False) -> FinSpace:
         n = self.rng.randint(1, max_points)
         labels = [f"{prefix}{k}" for k in range(n)]
-        reach = {i: {i} for i in range(n)}
+        edges = {i: {i} for i in range(n)}
         if not discrete:
             edge_count = self.rng.randint(0, 2 * n)
             for _ in range(edge_count):
                 i = self.rng.randrange(n)
                 j = self.rng.randrange(n)
-                reach[i].add(j)
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n):
-                    merged = set(reach[i])
-                    for j in list(reach[i]):
-                        merged |= reach[j]
-                    if merged != reach[i]:
-                        reach[i] = merged
-                        changed = True
-        return FinSpace(
-            frozenset(labels),
-            {labels[i]: frozenset(labels[j] for j in reach[i]) for i in range(n)},
-        )
+                edges[i].add(j)
+        min_open = {}
+        for i in range(n):  # U_i is everything a search along the edges reaches from i
+            reach, todo = {i}, [i]
+            while todo:
+                for j in edges[todo.pop()] - reach:
+                    reach.add(j)
+                    todo.append(j)
+            min_open[labels[i]] = frozenset(labels[j] for j in reach)
+        return FinSpace(frozenset(labels), min_open)
 
     def closed_subset(self, space: FinSpace, allow_empty: bool = True):
         pts = sorted(space.points)
@@ -150,27 +145,18 @@ class FuzzGen:
     def collapse_morphism(self, c: Cis) -> CisMorphism:
         """Collapse one closed chunk per stage, chosen backwards so the
         collapse commutes with the attachments and the induced attachments
-        stay injective.  Draws whose induced system fails validation are
-        retried; the identity collapse always succeeds."""
+        stay injective: each chunk is the pull-back of the next one through
+        f_i, plus a closed set that misses Y_i or nothing.  The pull-back is
+        closed, since f_i is continuous on the closed Y_i, so the chunk is."""
         n = c.stage_count
-        for _ in range(8):
-            chunks: list[frozenset] = [frozenset()] * n
-            chunks[n - 1] = self.closed_subset(c.stages[n - 1].space)
-            for i in range(n - 2, -1, -1):
-                st = c.stages[i]
-                pulled = frozenset(y for y in st.y if st.f(y) in chunks[i + 1])
-                extra = self.closed_subset(st.space)
-                if extra & st.y:
-                    extra = frozenset()
-                chunks[i] = st.space.closure(pulled | extra)
-                # closure may touch the gluing set; keep only the compatible pull-back
-                if (chunks[i] & st.y) != pulled:
-                    chunks[i] = pulled
-            try:
-                return collapse_cis_morphism(c, chunks)
-            except GeneratorRetry:
-                continue
-        return collapse_cis_morphism(c, [frozenset()] * n)
+        chunks: list[frozenset] = [frozenset()] * n
+        chunks[n - 1] = self.closed_subset(c.stages[n - 1].space)
+        for i in range(n - 2, -1, -1):
+            st = c.stages[i]
+            pulled = frozenset(y for y in st.y if st.f(y) in chunks[i + 1])
+            extra = self.closed_subset(st.space)
+            chunks[i] = pulled if extra & st.y else pulled | extra
+        return collapse_cis_morphism(c, chunks)
 
     def relabel_morphism(self, c: Cis) -> CisMorphism:
         tables = self.relabel_tables(c)
@@ -268,15 +254,12 @@ def relabel_cis(c: Cis, tables: list[dict]) -> Cis:
     return push_forward([(c, tables)], spaces, c.tail)
 
 
-class GeneratorRetry(Exception):
-    """A random draw produced data outside the constructive guarantees."""
-
-
 def collapse_cis_morphism(c: Cis, chunks: list[frozenset]) -> CisMorphism:
     """Collapse chunks[i] of stage i to one point, with the induced system
     as target.  Chunks must be closed and compatible with the attachments
     (the pull-back of a chunk through f_i inside Y_i is the previous chunk's
-    trace); incompatible draws raise GeneratorRetry."""
+    trace), or the push-forward raises a TopologyError naming the stage;
+    a collapse that then fails validation is a generator bug."""
     targets = []
     projections = []
     for st, chunk in zip(c.stages, chunks):
@@ -288,15 +271,14 @@ def collapse_cis_morphism(c: Cis, chunks: list[frozenset]) -> CisMorphism:
         q_space, proj = quotient(st.space, parts)
         targets.append(q_space)
         projections.append(proj)
-    try:
-        target = push_forward([(c, [proj.assignment for proj in projections])], targets, c.tail)
-    except TopologyError as e:
-        raise GeneratorRetry(f"collapse does not commute with the attachments: {e}") from e
-    if not validate_cis(target).ok:
-        raise GeneratorRetry("collapse target is not a valid system")
+    target = push_forward([(c, [proj.assignment for proj in projections])], targets, c.tail)
+    rep = validate_cis(target)
+    if not rep.ok:
+        raise RuntimeError("generator bug: collapse target is not a valid system\n" + rep.render())
     morph = CisMorphism(c, target, tuple(projections))
-    if not validate_morphism(morph).ok:
-        raise GeneratorRetry("collapse projections are not a cis-morphism")
+    mrep = validate_morphism(morph)
+    if not mrep.ok:
+        raise RuntimeError("generator bug: collapse is not a cis-morphism\n" + mrep.render())
     return morph
 
 

@@ -5,7 +5,7 @@ deliberately avoiding the minimal-open shortcuts used by the library.
 Only usable for spaces with a handful of points.
 """
 
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 
 from cislim.finspace import CtsMap, FinSpace
 
@@ -82,6 +82,46 @@ def brute_final_min_open(points, maps):
     for x in pts:
         out[x] = min((s for s in opens if x in s), key=len)
     return out
+
+
+def brute_homeomorphic(a: FinSpace, b: FinSpace) -> bool:
+    """Whether some bijection carries the minimal-open relation both ways,
+    trying every permutation of b's points."""
+    pa, pb = sorted(a.points), sorted(b.points)
+    if len(pa) != len(pb):
+        return False
+    for perm in permutations(pb):
+        f = dict(zip(pa, perm))
+        if all((y in a.min_open[x]) == (f[y] in b.min_open[f[x]]) for x in pa for y in pa):
+            return True
+    return False
+
+
+class UnionFind:
+    """Disjoint sets with path compression: the general-purpose way to close
+    off identifications, kept as the oracle for `limit.attaching_space`."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+    def classes(self):
+        out = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), set()).add(x)
+        return {frozenset(v) for v in out.values()}
 
 
 def powerset_nonempty(iterable):

@@ -14,7 +14,7 @@ from cislim.interchange import (
     limit_from_doc,
     morphism_to_doc,
 )
-from cislim.gallery import sphere_chain
+from cislim.gallery import MAX_SEARCH_POINTS, identity_system, sierpinski_space, sphere_chain
 from cislim.limit import verify_limit_axioms
 from cislim.randgen import FuzzGen, point_system
 from cislim.cis import validate_cis
@@ -132,6 +132,37 @@ class TestExitCodes:
         assert status == 2
         assert text.startswith(f"input error: {message}")
 
+    def test_homology_of_an_invalid_system_prints_only_the_error(self, tmp_path):
+        doc = cis_to_doc(identity_system(sierpinski_space(), 2))
+        doc["stages"][0]["f"] = {"a": "a", "b": "a"}  # not injective
+        p = tmp_path / "c.json"
+        p.write_text(dumps(doc))
+        status, text = run("homology", str(p))
+        assert status == 2
+        assert text.startswith("input error: invalid closed injective system:\n")
+        assert "betti" not in text
+
+    def test_unknown_point_in_a_minimal_open_set_is_two(self, tmp_path):
+        doc = cis_to_doc(sphere_chain(1))
+        doc["stages"][0]["space"]["min_open"]["a"].append("zz")
+        p = tmp_path / "c.json"
+        p.write_text(dumps(doc))
+        status, text = run("validate", str(p))
+        assert status == 2
+        assert text == f"input error: {p}.stages[0].space: U_'a' contains unknown points ['zz']\n"
+
+    def test_structure_map_that_is_not_total_is_two(self, sphere_doc, tmp_path):
+        lim = tmp_path / "l.json"
+        assert run("limit", str(sphere_doc), "-o", str(lim))[0] == 0
+        doc = json.loads(lim.read_text())
+        del doc["phis"][1]["a"]
+        lim.write_text(dumps(doc))
+        status, text = run("verify", str(sphere_doc), str(lim))
+        assert status == 2
+        assert text == (
+            f"input error: {lim}.phis[1]: assignment is not total on the source; mismatch at ['a']\n"
+        )
+
 
 class TestPipelines:
     def test_limit_verify_round_trip(self, sphere_doc, tmp_path):
@@ -225,6 +256,18 @@ class TestPipelines:
         status, text = run("search", str(sphere_doc), "--cap", "3")
         assert status == 0
         assert "undecided" in text
+
+    @pytest.mark.parametrize("cap", [MAX_SEARCH_POINTS + 1, 30])
+    def test_search_caps_above_the_limit_name_the_cap_applied(self, sphere_doc, cap):
+        # the 6-point S^2 limit would walk 2^30 relations under a cap of 6
+        status, text = run("search", str(sphere_doc), "--cap", str(cap))
+        assert status == 0
+        assert text == f"undecided: limit exceeds the cap of {MAX_SEARCH_POINTS} points\n"
+
+    def test_search_above_the_limit_still_completes_small_limits(self, tmp_path):
+        p = tmp_path / "ns.json"
+        assert run("gallery", "non_semicomponible", "-o", str(p))[0] == 0
+        assert run("search", str(p), "--cap", "6") == run("search", str(p), "--cap", "4")
 
 
 class TestDeterminism:

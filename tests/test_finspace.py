@@ -10,6 +10,7 @@ from bruteforce import (
     brute_continuous,
     brute_embedding,
     brute_final_min_open,
+    brute_homeomorphic,
     brute_quotient_min_open,
     closed_sets,
     open_sets,
@@ -380,7 +381,56 @@ class TestFinalSpaceAgainstFixpoint:
             assert again.min_open == ls.x.min_open, seed
 
 
+def crown(k: int, prefix: str) -> FinSpace:
+    """A circle of 2k points: each closed c_i has U = {c_i, o_i, o_(i+1 mod k)}
+    over open points o_i, so all closed points share one (|U|, |cl|) and all
+    open points another, whatever k is."""
+    mo = {f"{prefix}o{i}": frozenset({f"{prefix}o{i}"}) for i in range(k)}
+    for i in range(k):
+        mo[f"{prefix}c{i}"] = frozenset({f"{prefix}c{i}", f"{prefix}o{i}", f"{prefix}o{(i + 1) % k}"})
+    return FinSpace(frozenset(mo), mo)
+
+
+def _signature_multiset(space: FinSpace) -> list[tuple[int, int]]:
+    return sorted((len(space.min_open[p]), len(space.closure({p}))) for p in space.points)
+
+
+def _indiscrete_pairs(pairs) -> FinSpace:
+    return FinSpace(frozenset("".join(pairs)), {p: frozenset(pr) for pr in pairs for p in pr})
+
+
+HOMEOMORPHISM_CASES = {
+    # one circle against two: equal sizes and signatures, so only backtracking says "none"
+    "crown vs two crowns": (crown(4, "x"), coproduct([crown(2, "y"), crown(2, "z")])[0], False),
+    "crown vs crown": (crown(4, "x"), crown(4, "y"), True),
+    # b's first candidate for the second point lies in another class than its partner
+    "interleaved pairs": (_indiscrete_pairs(["ab", "cd"]), _indiscrete_pairs(["ac", "bd"]), True),
+}
+
+
 class TestFindHomeomorphism:
+    def test_crown_against_two_crowns_is_none(self):
+        a, b, _ = HOMEOMORPHISM_CASES["crown vs two crowns"]
+        assert len(a.points) == len(b.points) == 8
+        assert _signature_multiset(a) == _signature_multiset(b)
+        assert find_homeomorphism(a, b).status == "none"
+
+    @pytest.mark.parametrize("name", sorted(HOMEOMORPHISM_CASES))
+    def test_backtracking_matches_the_permutation_oracle(self, name):
+        a, b, homeomorphic = HOMEOMORPHISM_CASES[name]
+        assert brute_homeomorphic(a, b) == homeomorphic
+        res = find_homeomorphism(a, b)
+        assert res.status == ("found" if homeomorphic else "none")
+        if homeomorphic:
+            prof = classify_map(res.map)
+            assert prof.embedding and prof.surjective
+
+    @given(finspaces(5), finspaces(5))
+    @settings(max_examples=200, deadline=None)
+    def test_status_matches_the_permutation_oracle(self, a, b):
+        expected = "found" if brute_homeomorphic(a, b) else "none"
+        assert find_homeomorphism(a, b).status == expected
+
     def test_self_identity(self, circle4):
         res = find_homeomorphism(circle4, circle4)
         assert res.status == "found"

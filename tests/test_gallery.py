@@ -7,6 +7,7 @@ from cislim.cis import is_finitely_semicomponible, is_inductive, semicomponible,
 from cislim.finspace import TopologyError, classify_map, find_homeomorphism
 from cislim.gallery import (
     MAX_CHAIN,
+    MAX_SEARCH_POINTS,
     MAX_TORUS,
     build_example,
     interval_chain,
@@ -177,6 +178,15 @@ class TestSearchNonFundamental:
         res = search_non_fundamental(sphere_chain(2), cap=3)
         assert res.status == "undecided"
         assert res.found == ()
+        assert res.cap == 3
+
+    @pytest.mark.parametrize("cap", [MAX_SEARCH_POINTS + 1, 100])
+    def test_caps_above_the_search_limit_are_lowered_to_it(self, cap):
+        # sphere_chain(2) has a 6-point limit: 2^30 relations under a cap of 6
+        res = search_non_fundamental(sphere_chain(2), cap=cap)
+        assert (res.status, res.examined, res.cap) == ("undecided", 0, MAX_SEARCH_POINTS)
+        small = search_non_fundamental(non_semicomponible(), cap=cap)
+        assert (small.status, small.examined, small.cap) == ("completed", 29, MAX_SEARCH_POINTS)
 
     def test_found_candidates_are_strictly_coarser(self):
         c = non_semicomponible()

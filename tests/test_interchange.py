@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from cislim.cat import CisDiagram, identity_morphism, validate_morphism
 from cislim.cis import Cutoff, Stationary, validate_cis
@@ -22,6 +23,16 @@ from cislim.interchange import (
 )
 from cislim.limit import build_fundamental, verify_limit_axioms
 from cislim.randgen import FuzzGen, point_system
+from conftest import finspaces
+
+
+def _dot_edges(dot: str) -> set[tuple[str, str]]:
+    edges = set()
+    for line in dot.splitlines():
+        if "->" in line:
+            y, x = line.strip().rstrip(";").split(" -> ")
+            edges.add((json.loads(y), json.loads(x)))
+    return edges
 
 
 class TestSpaceDocs:
@@ -159,3 +170,21 @@ class TestRendering:
         assert '"p2" -> "a";' not in dot
         assert '"p1" -> "a";' in dot
         assert '"p2" -> "p1";' in dot
+
+    @given(finspaces(max_points=6))
+    @settings(max_examples=200, deadline=None)
+    def test_dot_edges_close_to_the_specialization_order(self, space):
+        below = {x: {x} for x in space.points}  # reflexive-transitive closure, x's row
+        for y, x in _dot_edges(to_dot(space)):
+            below[x].add(y)
+        for _ in space.points:
+            below = {x: set().union(*(below[y] for y in ys)) for x, ys in below.items()}
+        assert below == {x: set(u) for x, u in space.min_open.items()}
+
+    def test_dot_keeps_edges_into_a_point_above_a_t0_class(self):
+        # y and z share U_y = U_z = {y, z} inside U_x
+        space = space_from_doc({
+            "points": ["x", "y", "z"],
+            "min_open": {"x": ["x", "y", "z"], "y": ["y", "z"], "z": ["y", "z"]},
+        })
+        assert _dot_edges(to_dot(space)) == {("y", "z"), ("z", "y"), ("y", "x"), ("z", "x")}

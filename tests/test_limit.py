@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruteforce import UnionFind
 from cislim import limit
 from cislim.cis import Cis, Cutoff, make_stage
 from cislim.finspace import (
@@ -36,6 +37,50 @@ from cislim.limit import (
     verify_limit_axioms,
 )
 from cislim.randgen import FuzzGen, relabel_cis
+from conftest import finspaces
+
+
+@st.composite
+def layered_maps(draw, max_layers: int = 5, max_points: int = 4):
+    """Spaces in a row, each with a partial map into the next: neither
+    injective nor continuous, as the direct-limit columns allow."""
+    spaces = draw(st.lists(finspaces(max_points), min_size=1, max_size=max_layers))
+    attachments = []
+    for here, there in zip(spaces, spaces[1:]):
+        targets = st.none() | st.sampled_from(sorted(there.points))
+        drawn = {y: draw(targets) for y in sorted(here.points)}
+        attachments.append({y: z for y, z in drawn.items() if z is not None})
+    return spaces, attachments
+
+
+class TestAttachingSpace:
+    @given(layered_maps())
+    @settings(max_examples=200, deadline=None)
+    def test_partition_matches_the_union_find_oracle(self, drawn):
+        spaces, attachments = drawn
+        ls = limit.attaching_space(spaces, attachments)
+        uf = UnionFind(ls.rho.source.points)
+        for n, att in enumerate(attachments):
+            for y, z in att.items():
+                uf.union(f"{n}:{y}", f"{n + 1}:{z}")
+        blocks = {}
+        for p, q in ls.rho.assignment.items():
+            blocks.setdefault(q, set()).add(p)
+        assert {frozenset(b) for b in blocks.values()} == uf.classes()
+        for n, phi in enumerate(ls.phis):
+            assert all(phi(y) == ls.rho(f"{n}:{y}") for y in phi.source.points)
+
+    def test_merging_orbits_share_one_point(self, sierpinski):
+        # a, b -> a -> b: both stage-0 points end at stage 2's b
+        ls = limit.attaching_space([sierpinski] * 3, [{"a": "a", "b": "a"}, {"a": "b"}])
+        assert len(ls.x.points) == 3
+        assert ls.phis[0]("a") == ls.phis[0]("b") == ls.phis[1]("a") == ls.phis[2]("b")
+        assert ls.phis[1]("b") not in ls.phis[0].image() | ls.phis[2].image()
+
+    @pytest.mark.parametrize("att", [{"z": "a"}, {"a": "z"}])
+    def test_stray_attachment_key_or_value_raises(self, sierpinski, att):
+        with pytest.raises(KeyError, match="z"):
+            limit.attaching_space([sierpinski, sierpinski], [att])
 
 
 class TestBuildFundamental:
