@@ -9,10 +9,12 @@ polynomial instead of enumerating the exponential open-set family.
 Dually, the closure of a point is cl{p} = {y : p in U_y}.  Each space
 keeps the closure of every point in a table, built on first use by
 inverting the minimal opens, so closures and closed-set tests cost the
-size of the relation rather than a scan of the space.  A map's profile
-computes each flag (continuous, closed, injective, embedding, surjective,
-quotient) on first read and keeps it.  Final topologies are reachability:
-the minimal open of a point is everything a graph search reaches from it.
+size of the relation rather than a scan of the space.  A map's flags
+(continuous, closed, injective, embedding, surjective, quotient) are each
+computed on first read and kept on the map itself, so they live as long
+as the map and every `classify_map` profile of it, a view onto them, shares
+them.  Final topologies are reachability: the minimal open of a point is
+everything a graph search reaches from it.
 
 Every finite space is compact; compactness is therefore never computed.
 """
@@ -20,7 +22,6 @@ Every finite space is compact; compactness is therefore never computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from types import SimpleNamespace
 
 PointSet = frozenset[str]
@@ -157,8 +158,27 @@ class CtsMap:
         return frozenset(p for p, q in self.assignment.items() if q in b)
 
 
+class _flag:
+    """A `MapProfile` flag whose body is a function of the map.  It is computed
+    on its first read and kept in the map's own `__dict__`, under the flag's
+    name with a leading underscore, so it lives exactly as long as the map.
+    The map holds only the value: nothing on it points back at a profile."""
+
+    def __init__(self, compute):
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.key = f"_{name}"
+
+    def __get__(self, prof, owner=None):
+        if prof is None:
+            return self
+        return _kept(prof._map, self.key, self.compute)
+
+
 class MapProfile:
-    """The flags of a map, each computed on its first read and then kept.
+    """A view onto the flags of a map, each computed on its first read and
+    kept on the map, so that every profile of one map object shares them.
 
     Equality, hashing and repr read all six flags.
     """
@@ -168,58 +188,59 @@ class MapProfile:
     def __init__(self, m: CtsMap):
         self._map = m
 
-    @cached_property
-    def continuous(self) -> bool:
+    @_flag
+    def continuous(m: CtsMap) -> bool:
         """m(U_p) lies inside U_m(p) for every point p."""
-        src, tgt, f = self._map.source, self._map.target, self._map.assignment
+        src, tgt, f = m.source, m.target, m.assignment
         return all(
             {f[q] for q in src.min_open[p]} <= tgt.min_open[f[p]] for p in src.points
         )
 
-    @cached_property
-    def closed(self) -> bool:
+    @_flag
+    def closed(m: CtsMap) -> bool:
         """Every point closure has a closed image.
 
         Every closed set is a finite union of point closures and images of
         unions are unions of images, so this test is exact without
         enumerating all closed sets.
         """
-        src, tgt, f = self._map.source, self._map.target, self._map.assignment
+        tgt, f = m.target, m.assignment
         tgt_cl = tgt._point_closures()
-        for c in src._point_closures().values():
+        for c in m.source._point_closures().values():
             img = {f[x] for x in c}
             if not all(img.issuperset(tgt_cl[y]) for y in img):
                 return False
         return True
 
-    @cached_property
-    def injective(self) -> bool:
-        f = self._map.assignment
+    @_flag
+    def injective(m: CtsMap) -> bool:
+        f = m.assignment
         return len(set(f.values())) == len(f)
 
-    @cached_property
-    def embedding(self) -> bool:
+    @_flag
+    def embedding(m: CtsMap) -> bool:
         """Injective and continuous, and each U_q maps onto U_f(q) within the image.
 
         Continuity puts f(U_q) inside U_f(q) ∩ f(X), and injectivity gives
         f(U_q) the size of U_q, so comparing sizes settles equality.
         """
-        if not (self.injective and self.continuous):
+        prof = MapProfile(m)
+        if not (prof.injective and prof.continuous):
             return False
-        src, tgt, f = self._map.source, self._map.target, self._map.assignment
+        tgt, f = m.target, m.assignment
         img = frozenset(f.values())
-        return all(len(tgt.min_open[f[q]] & img) == len(u) for q, u in src.min_open.items())
+        return all(len(tgt.min_open[f[q]] & img) == len(u) for q, u in m.source.min_open.items())
 
-    @cached_property
-    def surjective(self) -> bool:
-        return set(self._map.assignment.values()) == set(self._map.target.points)
+    @_flag
+    def surjective(m: CtsMap) -> bool:
+        return set(m.assignment.values()) == set(m.target.points)
 
-    @cached_property
-    def quotient_map(self) -> bool:
-        m = self._map
+    @_flag
+    def quotient_map(m: CtsMap) -> bool:
+        prof = MapProfile(m)
         return (
-            self.surjective
-            and self.continuous
+            prof.surjective
+            and prof.continuous
             and final_space(m.target.points, [m]).min_open == m.target.min_open
         )
 
@@ -261,7 +282,7 @@ def classify_map(m: CtsMap) -> MapProfile:
     """Continuity, closedness, injectivity, embedding, surjectivity, quotient.
 
     Each flag is computed when it is first read, so a caller pays only for
-    the flags it asks for.
+    the flags it asks for, and kept on m, so it is computed once per map.
     """
     return MapProfile(m)
 

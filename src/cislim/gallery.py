@@ -13,9 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .cis import Cis, Cutoff, Stationary, make_cis, validate_cis
+from .cis import Cis, Cutoff, Stationary, make_cis
 from .finspace import CtsMap, FinSpace, TopologyError, product
-from .limit import LimitSpace, build_fundamental, has_weak_topology, verify_limit_axioms
+from .limit import (
+    InvalidSystemError,
+    LimitSpace,
+    build_fundamental,
+    has_weak_topology,
+    verify_limit_axioms,
+)
 
 MAX_CHAIN = 6
 MAX_TORUS = 3
@@ -252,10 +258,10 @@ def search_non_fundamental(c: Cis, cap: int = 4) -> NonFundamentalSearch:
     assignments, and returns those without the weak topology.  Limits of
     more than min(cap, MAX_SEARCH_POINTS) points are left undecided.
     """
-    rep = validate_cis(c)
-    if not rep.ok:
-        raise TopologyError("cannot search an invalid system:\n" + rep.render())
-    base = build_fundamental(c)
+    try:
+        base = build_fundamental(c)
+    except InvalidSystemError as e:
+        raise TopologyError("cannot search an invalid system:\n" + e.report.render()) from e
     pts = tuple(sorted(base.x.points))
     cap = min(cap, MAX_SEARCH_POINTS)
     if len(pts) > cap:

@@ -23,8 +23,10 @@ dimension down, skipping those that are pivots of the dimension above
 2011), and keeps the canonical cycles: of the RREF nullspace basis, the
 earliest independent modulo boundaries.  Linear systems are solved by one
 index-tagged reduction, `_solve`.  A space keeps one homology record
-(its order complex, each point's vertex bit and its cycles per degree), and
-a complex its chain data, from first use; each lives as long as its owner.
+(its order complex, each point's vertex bit and its cycles per degree), a
+complex its chain data, and a map its H_p(m) per degree, next to the flags
+`finspace` keeps on it, so a second check on the same maps reads their
+matrices back; each is kept from first use and lives as long as its owner.
 """
 
 from __future__ import annotations
@@ -347,25 +349,38 @@ def chain_map_matrix(m: CtsMap, p: int) -> list[int]:
     return _push(m, p, _record(m.source), _record(m.target))
 
 
-def _induced(m: CtsMap, p: int, src: tuple, tgt: tuple) -> list[int]:
-    """H_p(m) from the `_homology` values of its source and target: pushed
-    forward and reduced against the target's classes, the source's cycles
-    leave their coordinates (unique: cycles are independent modulo boundaries)."""
+def _induced(m: CtsMap, p: int, source: FinSpace, target: FinSpace) -> list[int]:
+    """H_p(m), from the homology records of `source` and `target`, spaces equal
+    to m.source and m.target (a stage map passes the stage space for its
+    subspace copy, so that one record serves both): pushed forward and reduced
+    against the target's classes, the source's cycles leave their coordinates
+    (unique: cycles are independent modulo boundaries).
+
+    A record is a function of its space's points and minimal opens, so H_p(m)
+    depends on m and p alone: it is kept on m, one matrix per degree, for as
+    long as m lives.  Callers must not mutate it."""
+    kept = _kept(m, "_induced", lambda _: {})
+    if p in kept:
+        return kept[p]
+    (rs, hs, _), (rt, ht, classes) = _homology(source, p), _homology(target, p)
     if not classify_map(m).continuous:
         raise TopologyError("homology is only functorial on continuous maps")
-    (rs, hs, _), (rt, ht, classes) = src, tgt
     if not hs or not ht:
-        return [0] * len(hs)
-    pushed = [z << len(ht) for z in gf2_matmul(_push(m, p, rs, rt), hs)]
-    _, coords = _echelon(pushed, len(ht), basis=dict(classes))
-    if len(coords) < len(hs):
-        raise TopologyError("vector is not a cycle modulo boundaries")
-    return [v for _, v in coords]
+        h = [0] * len(hs)
+    else:
+        pushed = [z << len(ht) for z in gf2_matmul(_push(m, p, rs, rt), hs)]
+        _, coords = _echelon(pushed, len(ht), basis=dict(classes))
+        if len(coords) < len(hs):
+            raise TopologyError("vector is not a cycle modulo boundaries")
+        h = [v for _, v in coords]
+    kept[p] = h
+    return h
 
 
 def induced_matrix(m: CtsMap, p: int) -> list[int]:
-    """The matrix of the degree-p homology functor applied to m."""
-    return _induced(m, p, _homology(m.source, p), _homology(m.target, p))
+    """The matrix of the degree-p homology functor applied to m, computed
+    once per map object and degree; each call returns its own copy."""
+    return list(_induced(m, p, m.source, m.target))
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +420,19 @@ def module_colimit(s: GF2ModuleSeq) -> tuple[int, list[list[int]]]:
     return s.dims[-1], _cocone(s.maps, s.dims[-1])
 
 
-def _stage_homologies(c: Cis, p: int) -> tuple[list[tuple], list[list[int]]]:
-    """Each stage's `_homology` value, and the maps H_p(f_i) between them."""
-    homs = [_homology(st.space, p) for st in c.stages]
-    return homs, [_induced(stage_map(c, i), p, homs[i], homs[i + 1]) for i in range(len(homs) - 1)]
+def _stage_homologies(c: Cis, p: int) -> tuple[list[int], list[list[int]]]:
+    """The dimension of each stage's H_p, and the maps H_p(f_i) between them."""
+    spaces = [st.space for st in c.stages]
+    maps = [_induced(stage_map(c, i), p, spaces[i], spaces[i + 1]) for i in range(len(spaces) - 1)]
+    return [len(_homology(x, p)[1]) for x in spaces], maps
 
 
 def stage_homology_sequence(c: Cis, p: int) -> GF2ModuleSeq:
     """The chain {H_p(X_i), H_p(f_i)} of an inductive system."""
     if not is_inductive(c):
         raise TopologyError("stage homology sequences need an inductive system")
-    homs, maps = _stage_homologies(c, p)
-    return GF2ModuleSeq(tuple(len(h) for _, h, _ in homs), tuple(maps))
+    dims, maps = _stage_homologies(c, p)
+    return GF2ModuleSeq(tuple(dims), tuple(maps))
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +478,11 @@ def functorial_invariance_check(
         raise TopologyError("invariance holds for inductive systems; this one glues less")
     ls = limit if limit is not None else build_fundamental(c)
     _require_aligned(c, ls)
-    homs, maps = _stage_homologies(c, p)
-    module_dim = len(homs[-1][1])
+    dims, maps = _stage_homologies(c, p)
+    module_dim = dims[-1]
     cocone = _cocone(maps, module_dim)
-    lim = _homology(ls.x, p)
-    limit_dim = len(lim[1])
-    structure = [_induced(phi, p, homs[i], lim) for i, phi in enumerate(ls.phis)]
+    limit_dim = len(_homology(ls.x, p)[1])
+    structure = [_induced(phi, p, c.stages[i].space, ls.x) for i, phi in enumerate(ls.phis)]
     a, b = [v for s in structure for v in s], [v for s in cocone for v in s]
     null, rows = _solve(_transpose(a, limit_dim), _transpose(b, module_dim))
     h = _transpose(rows, limit_dim)

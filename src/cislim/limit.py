@@ -18,6 +18,7 @@ forward walk (`cis.transits`).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cis import Cis, transits, validate_cis
@@ -365,17 +366,23 @@ class CoverProfile:
 
 
 def cover_profile(ls: LimitSpace) -> CoverProfile:
-    images = [phi.image() for phi in ls.phis]
-    point_mult = {
-        x: sum(1 for img in images if x in img) for x in ls.x.points
-    }
-    nbhd_mult = {
-        x: sum(1 for img in images if ls.x.min_open[x] & img) for x in ls.x.points
-    }
+    """One pass over the images.  U_x meets an image A exactly when x lies in
+    cl(A), so a point's neighbourhood multiplicity counts the image closures
+    that hold it, as its point multiplicity counts the images; and A is
+    closed exactly when cl(A) = A."""
+    point_mult: Counter[str] = Counter()
+    nbhd_mult: Counter[str] = Counter()
+    closed = True
+    for phi in ls.phis:
+        img = phi.image()
+        cl = ls.x.closure(img)
+        point_mult.update(img)
+        nbhd_mult.update(cl)
+        closed = closed and cl == img
     return CoverProfile(
         pointwise_finite=True,
         locally_finite=True,
-        closed_cover=bool(images_closed(ls)),
+        closed_cover=closed,
         max_point_multiplicity=max(point_mult.values(), default=0),
         max_neighbourhood_multiplicity=max(nbhd_mult.values(), default=0),
     )

@@ -8,6 +8,7 @@ Only usable for spaces with a handful of points.
 from itertools import chain, combinations, permutations
 
 from cislim.finspace import CtsMap, FinSpace
+from cislim.limit import CoverProfile, LimitSpace, images_closed
 
 
 def all_subsets(points):
@@ -122,6 +123,26 @@ class UnionFind:
         for x in self.parent:
             out.setdefault(self.find(x), set()).add(x)
         return {frozenset(v) for v in out.values()}
+
+
+def scan_cover_profile(ls: LimitSpace) -> CoverProfile:
+    """`limit.cover_profile` by scanning every point against every image: the
+    multiplicities count the images a point lies in and the images its
+    minimal open meets."""
+    images = [phi.image() for phi in ls.phis]
+    point_mult = {
+        x: sum(1 for img in images if x in img) for x in ls.x.points
+    }
+    nbhd_mult = {
+        x: sum(1 for img in images if ls.x.min_open[x] & img) for x in ls.x.points
+    }
+    return CoverProfile(
+        pointwise_finite=True,
+        locally_finite=True,
+        closed_cover=bool(images_closed(ls)),
+        max_point_multiplicity=max(point_mult.values(), default=0),
+        max_neighbourhood_multiplicity=max(nbhd_mult.values(), default=0),
+    )
 
 
 def powerset_nonempty(iterable):

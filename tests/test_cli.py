@@ -269,6 +269,35 @@ class TestPipelines:
         assert run("gallery", "non_semicomponible", "-o", str(p))[0] == 0
         assert run("search", str(p), "--cap", "6") == run("search", str(p), "--cap", "4")
 
+    @pytest.mark.parametrize("invalid", [False, True])
+    def test_search_validates_once(self, tmp_path, invalid):
+        doc = cis_to_doc(sphere_chain(1))
+        if invalid:
+            doc["stages"][1]["y"] = ["p1"]  # an open singleton: not closed
+        p = tmp_path / "s.json"
+        p.write_text(dumps(doc))
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is validate_cis.__code__:
+                calls.append(event)
+
+        sys.setprofile(count)
+        try:
+            status, text = run("search", str(p))
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 1
+        if invalid:
+            assert (status, text) == (2, (
+                "input error: cannot search an invalid system:\n"
+                "stage 1: gluing set closed: closure adds ['a', 'b']\n"
+            ))
+        else:
+            assert (status, text) == (
+                0, "examined 355 topologies, found 0 non-fundamental limits\n"
+            )
+
 
 class TestDeterminism:
     def test_fuzz_reports_are_byte_identical(self):

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ import cislim.finspace
 from cislim.finspace import (
     CtsMap,
     FinSpace,
+    MapProfile,
     TopologyError,
     classify_map,
     components,
@@ -164,6 +167,63 @@ class TestClassifyMap:
         asg = {p: data.draw(st.sampled_from(sorted(tgt.points))) for p in sorted(space.points)}
         first, second = classify_map(CtsMap(space, tgt, asg)), classify_map(CtsMap(twin, tgt, asg))
         assert first == second and hash(first) == hash(second)
+
+
+@contextmanager
+def counted_flag_bodies():
+    """Counts each flag body's runs per (map, flag) while the block runs."""
+    runs = Counter()
+    flags = [vars(MapProfile)[name] for name in MapProfile._FLAGS]
+    bodies = [flag.compute for flag in flags]
+    for name, flag, body in zip(MapProfile._FLAGS, flags, bodies):
+        def counted(m, name=name, body=body):
+            runs[id(m), name] += 1
+            return body(m)
+        flag.compute = counted
+    try:
+        yield runs
+    finally:
+        for flag, body in zip(flags, bodies):
+            flag.compute = body
+
+
+def assert_kept_equals_fresh(m):
+    """Every flag of m, read twice, and read on a fresh copy of m, agrees with
+    the brute-force oracles, and each flag body runs once per map object."""
+    want = {
+        "continuous": brute_continuous(m),
+        "closed": brute_closed_map(m),
+        "embedding": brute_embedding(m),
+    }
+    fresh = CtsMap(m.source, m.target, dict(m.assignment))
+    with counted_flag_bodies() as runs:
+        for mm in (m, m, fresh, fresh):
+            prof = classify_map(mm)
+            assert {name: getattr(prof, name) for name in want} == want
+            assert prof == classify_map(m)  # reads all six flags on both maps
+    assert set(runs) <= {(id(mm), name) for mm in (m, fresh) for name in MapProfile._FLAGS}
+    assert len(runs) == 2 * len(MapProfile._FLAGS) and set(runs.values()) == {1}
+
+
+class TestKeptFlags:
+    @settings(max_examples=60, deadline=None)
+    @given(continuous_maps())
+    def test_continuous_maps(self, m):
+        assert_kept_equals_fresh(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(finspaces(4), finspaces(4), st.data())
+    def test_arbitrary_maps(self, src, tgt, data):
+        asg = {p: data.draw(st.sampled_from(sorted(tgt.points))) for p in sorted(src.points)}
+        assert_kept_equals_fresh(CtsMap(src, tgt, asg))
+
+    def test_flags_are_kept_on_the_map_and_shared_by_its_profiles(self, circle4):
+        m = identity_map(circle4)
+        first, second = classify_map(m), classify_map(m)
+        assert first is not second and first.continuous
+        assert vars(m)["_continuous"] is True and "_closed" not in vars(m)
+        assert second.closed and vars(m)["_closed"] is True
+        assert not any(isinstance(v, MapProfile) for v in vars(m).values())
 
 
 class TestSubspace:

@@ -17,7 +17,15 @@ from homology_oracles import (
     label_order_complex,
     staircase_torus_complex,
 )
-from cislim.finspace import CtsMap, FinSpace, TopologyError, classify_map, compose, identity_map
+from cislim.finspace import (
+    CtsMap,
+    FinSpace,
+    MapProfile,
+    TopologyError,
+    classify_map,
+    compose,
+    identity_map,
+)
 from cislim.gallery import (
     identity_system,
     point_space,
@@ -445,6 +453,23 @@ class TestChainData:
         gc.collect()
         assert k() is None
 
+    def test_kept_flags_and_matrices_die_with_the_map(self):
+        # the map must not point back at anything that points at it: with the
+        # cyclic collector off, dropping the last reference must free it
+        space = sphere_space(2)
+        m = CtsMap(space, space, {x: x for x in space.points})
+        gc.disable()
+        try:
+            for name in MapProfile._FLAGS:
+                assert getattr(classify_map(m), name)
+            assert induced_matrix(m, 0) == [1] and induced_matrix(m, 2) == [1]
+            assert set(vars(m)) >= {f"_{name}" for name in MapProfile._FLAGS} | {"_induced"}
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 def reference_induced(m, p):
     """H_p(m) the matrix way: RREF nullspace cycles, the earliest of them
@@ -670,6 +695,38 @@ class TestInvariance:
                     assert_same_matrix(rep.iso, want[2])
                     failing_rows += any("on row" in w for w in rep.witnesses)
         assert failing_rows
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_kept_matrices_equal_fresh_ones(self, seed):
+        c = FuzzGen(seed).cis(inductive=True, max_stages=4, max_points=6)
+        ls = build_fundamental(c)
+        maps = [st_.f for st_ in c.stages[:-1]] + list(ls.phis)
+        for p in range(3):
+            assert functorial_invariance_check(c, p, ls).ok
+            assert counter_functorial_check(c, p, ls).ok
+            for m in maps:
+                fresh = CtsMap(m.source, m.target, dict(m.assignment))
+                assert induced_matrix(m, p) == induced_matrix(fresh, p)
+
+    def test_the_second_check_reads_the_kept_matrices(self, monkeypatch):
+        from cislim import homology
+
+        c = sphere_chain(3)
+        ls = build_fundamental(c)
+        pushes = []
+        push = homology._push
+        monkeypatch.setattr(homology, "_push", lambda *a: pushes.append(a[:2]) or push(*a))
+        first = [functorial_invariance_check(c, p, ls).render() for p in range(3)]
+        stage_maps = [st_.f for st_ in c.stages[:-1]]
+        assert {(id(m), p) for m, p in pushes} == {(id(m), 0) for m in stage_maps + list(ls.phis)}
+        pushes.clear()
+        again = [counter_functorial_check(c, p, ls).render() for p in range(3)]
+        assert again == first and pushes == []
+        # a copy of the limit carries new structure maps: only they are pushed
+        twin = LimitSpace(ls.x, tuple(CtsMap(phi.source, ls.x, phi.assignment) for phi in ls.phis))
+        assert functorial_invariance_check(c, 0, twin).render() == first[0]
+        assert [id(m) for m, _ in pushes] == [id(phi) for phi in twin.phis]
 
     def test_sphere_chain_every_degree(self):
         c = sphere_chain(4)

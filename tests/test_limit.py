@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import UnionFind
+from bruteforce import UnionFind, scan_cover_profile
 from cislim import limit
 from cislim.cis import Cis, Cutoff, make_stage
 from cislim.finspace import (
@@ -421,6 +421,25 @@ class TestCoverAndPerfect:
         prof = cover_profile(ls)
         assert prof.closed_cover
         assert prof.max_point_multiplicity == 3  # poles sit inside every stage
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_scan_on_fuzzed_and_mutated_limits(self, seed):
+        gen = FuzzGen(seed)
+        ls = build_fundamental(gen.cis(max_stages=6))
+        for cand in (ls, gen.mutate_candidate(ls)[1], gen.mutate_candidate(ls)[1]):
+            assert cover_profile(cand) == scan_cover_profile(cand)
+
+    def test_neighbourhood_multiplicity_counts_image_closures(self):
+        # U_c = {p, c} meets both one-point images of the Sierpinski space, as
+        # c lies in cl{p}; and the image {p} is not closed
+        s = FinSpace(frozenset("pc"), {"p": frozenset("p"), "c": frozenset("pc")})
+        pt_p, pt_c = (FinSpace(frozenset(x), {x: frozenset(x)}) for x in "pc")
+        cand = LimitSpace(s, (CtsMap(pt_p, s, {"p": "p"}), CtsMap(pt_c, s, {"c": "c"})))
+        prof = cover_profile(cand)
+        assert prof == scan_cover_profile(cand)
+        assert (prof.max_point_multiplicity, prof.max_neighbourhood_multiplicity) == (1, 2)
+        assert not prof.closed_cover
 
     def test_rho_perfect_for_finitely_semicomponible(self):
         ls = build_fundamental(interval_chain(4))
