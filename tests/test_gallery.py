@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from cislim import interchange
+from cislim.cat import check_limit_compatibility
 from cislim.cis import is_finitely_semicomponible, is_inductive, semicomponible, validate_cis
 from cislim.finspace import TopologyError, classify_map, find_homeomorphism
 from cislim.gallery import (
@@ -80,23 +81,29 @@ class TestBuilders:
         assert validate_cis(c).ok and is_inductive(c)
 
 
+def gallery_examples():
+    """(name, params, stationary) for every system the gallery can build."""
+    chain = range(1, MAX_CHAIN + 1)
+    examples = [("identity", (base, n)) for base in ("circle", "point", "sierpinski")
+                for n in chain]
+    examples += [("sphere_chain", (n,)) for n in range(MAX_CHAIN + 1)]
+    examples += [("stationary_sphere", (n,)) for n in range(MAX_CHAIN + 1)]
+    examples += [("torus_chain", (n,)) for n in range(1, MAX_TORUS + 1)]
+    examples += [("interval_chain", (n,)) for n in chain]
+    examples += [("non_semicomponible", ())]
+    for name, params in examples:
+        for stationary in (False, True) if name in ("identity", "sphere_chain") else (False,):
+            yield name, params, stationary
+
+
 class TestPinnedDocuments:
     def test_gallery_and_generator_documents_are_pinned(self):
         # every system document the gallery and the generators emit, byte for byte
-        chain = range(1, MAX_CHAIN + 1)
-        examples = [("identity", (base, n)) for base in ("circle", "point", "sierpinski")
-                    for n in chain]
-        examples += [("sphere_chain", (n,)) for n in range(MAX_CHAIN + 1)]
-        examples += [("stationary_sphere", (n,)) for n in range(MAX_CHAIN + 1)]
-        examples += [("torus_chain", (n,)) for n in range(1, MAX_TORUS + 1)]
-        examples += [("interval_chain", (n,)) for n in chain]
-        examples += [("non_semicomponible", ())]
         h = hashlib.sha256()
-        for name, params in examples:
-            for stationary in (False, True) if name in ("identity", "sphere_chain") else (False,):
-                c = build_example(name, *params, stationary=stationary)
-                h.update(f"{name} {params} {stationary}\n".encode())
-                h.update(interchange.dumps(interchange.cis_to_doc(c)).encode())
+        for name, params, stationary in gallery_examples():
+            c = build_example(name, *params, stationary=stationary)
+            h.update(f"{name} {params} {stationary}\n".encode())
+            h.update(interchange.dumps(interchange.cis_to_doc(c)).encode())
         for seed in range(200):
             gen = FuzzGen(seed)
             c = gen.cis()
@@ -113,6 +120,30 @@ class TestPinnedDocuments:
                 h.update(interchange.dumps(doc).encode())
         assert h.hexdigest() == (
             "54fc0129b60aaacc04a11723340a32b576f4bad6306b535fe97cdf734b84f69a"
+        )
+
+
+    def test_built_limit_documents_are_pinned(self):
+        # every built limit document, byte for byte: gallery systems, fuzzed
+        # systems of each kind, and the glued columns of fuzzed direct limits
+        h = hashlib.sha256()
+
+        def pin(label, ls):
+            h.update(f"{label}\n".encode())
+            h.update(interchange.dumps(interchange.limit_to_doc(ls)).encode())
+
+        for name, params, stationary in gallery_examples():
+            pin(f"{name} {params} {stationary}",
+                build_fundamental(build_example(name, *params, stationary=stationary)))
+        for seed in range(200):
+            for kw in ({}, {"inductive": True}, {"stationary": True}):
+                pin(f"seed {seed} {kw}", build_fundamental(FuzzGen(seed).cis(**kw)))
+            gen = FuzzGen(seed)
+            rep = check_limit_compatibility(gen.diagram(gen.cis(), 3))
+            for i, col in enumerate(rep.direct_limit.column_limits):
+                pin(f"seed {seed} column {i}", col)
+        assert h.hexdigest() == (
+            "0de1e0d17db4d2d2c82ad9cdc2f760edf9c1a4c1ce1bbfc833b0cd01140dce58"
         )
 
 
