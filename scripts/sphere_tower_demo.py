@@ -14,7 +14,6 @@ from cislim.finspace import find_homeomorphism
 from cislim.gallery import sphere_chain, sphere_space
 from cislim.homology import (
     betti_mod2,
-    counter_functorial_check,
     functorial_invariance_check,
     order_complex,
 )
@@ -31,7 +30,7 @@ def main():
         print(f"truncation {n}: {len(ls.x.points)} points, model match: {model}, betti {betti}")
         for p in range(max(n, 1)):
             rep = functorial_invariance_check(c, p, ls)
-            co = counter_functorial_check(c, p, ls)
+            co = rep.contravariant()
             print(
                 f"  degree {p}: limit {rep.limit_dim}, chain colimit {rep.module_dim},"
                 f" iso {'yes' if rep.iso_exists else 'NO'};"

@@ -453,6 +453,16 @@ class InvarianceReport:
     def ok(self) -> bool:
         return self.iso_exists and self.limit_dim == self.module_dim
 
+    def contravariant(self) -> "InvarianceReport":
+        """The contravariant twin: the limit of the dualized chain against the
+        cohomology of the fundamental limit, intertwined through the transposed
+        structure maps.
+
+        Transposing h @ induced_k = cocone_k gives induced_k.T @ h.T = cone_k,
+        the same linear system, so the intertwiner is this one transposed and
+        every dimension, flag and witness carries over."""
+        return replace(self, iso=None if self.iso is None else _transpose(self.iso, self.module_dim))
+
     def render(self) -> str:
         status = "pass" if self.ok else "FAIL"
         lines = [
@@ -504,12 +514,6 @@ def functorial_invariance_check(
 def counter_functorial_check(
     c: Cis, p: int, limit: LimitSpace | None = None
 ) -> InvarianceReport:
-    """The contravariant twin: the limit of the dualized chain against the
-    cohomology of the fundamental limit, intertwined through the transposed
-    structure maps.
-
-    Transposing h @ induced_k = cocone_k gives induced_k.T @ h.T = cone_k,
-    the same linear system, so the intertwiner is the covariant one
-    transposed and every dimension, flag and witness carries over."""
-    rep = functorial_invariance_check(c, p, limit)
-    return replace(rep, iso=None if rep.iso is None else _transpose(rep.iso, rep.module_dim))
+    """The contravariant twin of `functorial_invariance_check`; see
+    `InvarianceReport.contravariant`."""
+    return functorial_invariance_check(c, p, limit).contravariant()

@@ -2,6 +2,10 @@
 limit-space axioms, the canonical bijection between limits, and the
 cover / perfect-map analysis.
 
+The attaching space names each limit point by the forward-orbit end of the
+stage points it glues, and carries the final topology of its structure
+maps, which is what makes it the fundamental limit.
+
 Overlap bookkeeping convention: for stages i < j, the images of stage i
 and stage j in a limit meet exactly along the composite transit map
 f_{i,j-1}: Y_{i,j-1} -> X_j.  Adjacent stages are always linked, through
@@ -20,31 +24,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .cis import Cis, transits, validate_cis
-from .finspace import (
-    CtsMap,
-    FinSpace,
-    TopologyError,
-    classify_map,
-    compose,
-    coproduct,
-    final_space,
-    quotient,
-)
+from .finspace import CtsMap, FinSpace, TopologyError, classify_map, final_space
 
 
 @dataclass(frozen=True)
 class LimitSpace:
-    """A candidate limit: a space plus one structure map per stage.
-
-    For constructed limits `rho` carries the projection from the stage
-    coproduct onto the quotient; hand-built candidates leave it absent.
-    """
+    """A candidate limit: a space plus one structure map per stage."""
 
     x: FinSpace
     phis: tuple[CtsMap, ...]
-    rho: CtsMap | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "phis", tuple(self.phis))
@@ -54,26 +45,31 @@ class LimitSpace:
 
 
 def attaching_space(spaces, attachments) -> LimitSpace:
-    """Quotient of the coproduct identifying each point with its image, with
-    the projection of each space and of the coproduct onto it.
+    """The stages glued along their attachments, with the final topology of
+    the maps that send each stage into the glued points.
 
     `attachments[n]` maps a subset of spaces[n] into spaces[n+1].  Each point
     has at most one image, one stage on, so the identifications form in-trees:
     two points are identified exactly when their forward orbits end at the
-    same point.  One backward pass names every point by that end; the maps
-    need not be injective.
+    same point.  One backward pass finds the end of every point `i:p`, and
+    each class is named by its least tag; the maps need not be injective.
     """
-    total, injections = coproduct(list(spaces))
-    end = {p: p for p in total.points}
+    ends = [{p: f"{i}:{p}" for p in sp.points} for i, sp in enumerate(spaces)]
     for n in range(len(attachments) - 1, -1, -1):
-        here, there = injections[n], injections[n + 1]
+        here, there = ends[n], ends[n + 1]
         for y, z in attachments[n].items():
-            end[here(y)] = end[there(z)]
-    classes: dict[str, set[str]] = {}
-    for p, e in end.items():
-        classes.setdefault(e, set()).add(p)
-    space, rho = quotient(total, classes.values())
-    return LimitSpace(space, tuple(compose(rho, inj) for inj in injections), rho)
+            if y not in here:
+                raise KeyError(y)
+            here[y] = there[z]
+    least: dict[str, str] = {}  # orbit end -> least tag of its class
+    for i, end in enumerate(ends):
+        for p, e in end.items():
+            least[e] = min(least.get(e, e), f"{i}:{p}")
+    names = [{p: least[e] for p, e in end.items()} for end in ends]
+    space = final_space(
+        least.values(), [SimpleNamespace(source=sp, assignment=a) for sp, a in zip(spaces, names)]
+    )
+    return LimitSpace(space, tuple(CtsMap(sp, space, a) for sp, a in zip(spaces, names)))
 
 
 class InvalidSystemError(TopologyError):
@@ -86,7 +82,7 @@ class InvalidSystemError(TopologyError):
 
 def build_fundamental(c: Cis) -> LimitSpace:
     """The fundamental limit: attach every represented stage along its
-    gluing map and take the quotient topology.
+    gluing map, with the final topology of the structure maps.
 
     The output is checked on the spot against the limit axioms and the
     weak-topology criterion; a failure here means a library bug, not bad

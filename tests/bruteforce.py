@@ -7,7 +7,7 @@ Only usable for spaces with a handful of points.
 
 from itertools import chain, combinations, permutations
 
-from cislim.finspace import CtsMap, FinSpace
+from cislim.finspace import CtsMap, FinSpace, compose, coproduct, quotient
 from cislim.limit import CoverProfile, LimitSpace, images_closed
 
 
@@ -123,6 +123,31 @@ class UnionFind:
         for x in self.parent:
             out.setdefault(self.find(x), set()).add(x)
         return {frozenset(v) for v in out.values()}
+
+
+def coproduct_attaching_space(spaces, attachments) -> tuple[LimitSpace, CtsMap]:
+    """`limit.attaching_space` the long way, kept as its oracle: the quotient
+    of the stage coproduct that identifies each point with its image, the
+    projection rho onto it, and rho after each injection as structure maps."""
+    total, injections = coproduct(list(spaces))
+    end = {p: p for p in total.points}
+    for n in range(len(attachments) - 1, -1, -1):
+        here, there = injections[n], injections[n + 1]
+        for y, z in attachments[n].items():
+            end[here(y)] = end[there(z)]
+    classes: dict[str, set[str]] = {}
+    for p, e in end.items():
+        classes.setdefault(e, set()).add(p)
+    space, rho = quotient(total, classes.values())
+    return LimitSpace(space, tuple(compose(rho, inj) for inj in injections)), rho
+
+
+def projection(ls: LimitSpace) -> CtsMap:
+    """rho: the coproduct of the stage spaces onto the limit, i:p -> phi_i(p)."""
+    total, _ = coproduct([phi.source for phi in ls.phis])
+    return CtsMap(total, ls.x, {
+        f"{i}:{p}": q for i, phi in enumerate(ls.phis) for p, q in phi.assignment.items()
+    })
 
 
 def scan_cover_profile(ls: LimitSpace) -> CoverProfile:

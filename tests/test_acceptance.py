@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from bruteforce import projection
 from homology_oracles import complex_betti, cross_polytope_boundary, staircase_torus_complex
 from cislim.cat import (
     CisDiagram,
@@ -224,9 +225,9 @@ def test_criterion_08_covers_and_perfect_maps():
                 assert has_weak_topology(cc, cand)
         # projections are perfect: finitely semicomponible and stationary cases
         for system in (interval_chain(2), interval_chain(4)):
-            assert is_perfect_map(build_fundamental(system).rho)
+            assert is_perfect_map(projection(build_fundamental(system)))
         for system in (stationary_sphere(2), build_example("identity", "sierpinski", 2, stationary=True)):
-            assert is_perfect_map(build_fundamental(system).rho)
+            assert is_perfect_map(projection(build_fundamental(system)))
         # discrete property transfers to the limit
         for k in range(50):
             cd = gen.cis(discrete=True)

@@ -164,6 +164,102 @@ class TestExitCodes:
         )
 
 
+class TestPinnedErrorPaths:
+    """Error branches a document or an argument can reach, each pinned by its
+    exact output."""
+
+    @staticmethod
+    def write(tmp_path, name, doc):
+        p = tmp_path / name
+        p.write_text(dumps(doc))
+        return p
+
+    def test_attachment_leaving_its_target_is_two(self, tmp_path):
+        doc = cis_to_doc(identity_system(sierpinski_space(), 2))
+        doc["stages"][0]["f"] = {"a": "z", "b": "b"}
+        p = self.write(tmp_path, "c.json", doc)
+        assert run("validate", str(p)) == (
+            2, f"input error: {p}.stages[0]: assignment leaves the target at ['z']\n"
+        )
+
+    def test_structure_map_leaving_the_limit_is_two(self, tmp_path):
+        c = self.write(tmp_path, "c.json", cis_to_doc(identity_system(sierpinski_space(), 2)))
+        lim = tmp_path / "l.json"
+        assert run("limit", str(c), "-o", str(lim))[0] == 0
+        doc = json.loads(lim.read_text())
+        doc["phis"][0]["a"] = "z"
+        lim.write_text(dumps(doc))
+        assert run("verify", str(c), str(lim)) == (
+            2, f"input error: {lim}.phis[0]: assignment leaves the target at ['z']\n"
+        )
+
+    def test_morphism_from_a_cutoff_into_a_stationary_tail_is_two(self, tmp_path):
+        s = sierpinski_space()
+        doc = {
+            "source": cis_to_doc(identity_system(s, 2)),
+            "target": cis_to_doc(identity_system(s, 2, stationary=True)),
+            "h": [{"a": "a", "b": "b"}, {"a": "a", "b": "b"}],
+        }
+        p = self.write(tmp_path, "m.json", doc)
+        assert run("morphism", str(p)) == (
+            2, f"input error: {p}: morphism between systems with incompatible tails\n"
+        )
+
+    def test_missing_file_is_two(self, tmp_path):
+        p = tmp_path / "missing.json"
+        assert run("validate", str(p)) == (
+            2, f"input error: {p}: cannot read file: [Errno 2] No such file or directory: "
+               f"{str(p)!r}\n"
+        )
+
+    def test_invariance_on_a_non_inductive_system_is_two(self, tmp_path):
+        p = tmp_path / "c.json"
+        assert run("gallery", "interval_chain", "2", "-o", str(p))[0] == 0
+        assert run("invariance", str(p)) == (
+            2, "system is not inductive; invariance theorems do not apply\n"
+        )
+
+    def test_negative_pmax_prints_only_the_error(self, sphere_doc):
+        assert run("homology", str(sphere_doc), "--pmax", "-1") == (
+            2, "input error: pmax must be >= 0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "stage, text",
+        [
+            (
+                {"f": {"a": "b", "b": "a"}},
+                "stage 0: attachment continuous: minimal opens are not respected\n"
+                "stage 0: attachment closed: some point-closure image is not closed\n",
+            ),
+            (
+                {"space": {"points": [], "min_open": {}}, "y": [], "f": {}},
+                "stage 0: space nonempty: stage space has no points\n"
+                "note: stage 0 has an empty gluing set; it attaches to nothing\n",
+            ),
+        ],
+        ids=["sierpinski swap", "empty stage"],
+    )
+    def test_validate_on_an_invalid_stage_is_one(self, tmp_path, stage, text):
+        doc = cis_to_doc(identity_system(sierpinski_space(), 2))
+        doc["stages"][0].update(stage)
+        p = self.write(tmp_path, "c.json", doc)
+        assert run("validate", str(p)) == (1, text)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("identity", "torus"), "unknown base space 'torus'; pick from"
+                                    " ['circle', 'point', 'sierpinski']"),
+            (("identity", "sierpinski", "9"), "identity system length must be within 1..6"),
+            (("interval_chain", "9"), "interval chain length must be within 1..6"),
+        ],
+        ids=["unknown base", "identity too long", "interval chain too long"],
+    )
+    def test_gallery_parameter_out_of_range_is_two(self, argv, message):
+        assert run("gallery", *argv) == (2, f"input error: {message}\n")
+
+
 class TestPipelines:
     def test_limit_verify_round_trip(self, sphere_doc, tmp_path):
         lim = tmp_path / "limit.json"
@@ -306,6 +402,18 @@ class TestDeterminism:
         assert s1 == s2 == 0
         assert t1 == t2
         assert "verdict: all theorem checks passed" in t1
+
+    def test_fuzz_solves_each_invariance_degree_once(self, monkeypatch):
+        from cislim import cli
+
+        degrees = []
+        check = cli.functorial_invariance_check
+        monkeypatch.setattr(cli, "functorial_invariance_check",
+                            lambda c, p, ls: degrees.append(p) or check(c, p, ls))
+        monkeypatch.delattr(cli, "counter_functorial_check")
+        status, text = run("fuzz", "--count", "10", "--seed", "7")
+        assert status == 0, text
+        assert degrees == [0, 1, 2, 0, 1, 2]  # systems 0 and 5
 
     def test_different_seeds_differ(self):
         _, t1 = run("fuzz", "--count", "10", "--seed", "1")

@@ -805,6 +805,14 @@ class TestInvariance:
             assert np.array_equal(to_array(co.iso, co.limit_dim), to_array(rep.iso, rep.module_dim).T)
         assert co.render() == rep.render()
 
+    def test_one_solve_gives_both_reports(self):
+        for seed in range(20):
+            c = FuzzGen(seed).cis(inductive=True, max_stages=4, max_points=6)
+            ls = build_fundamental(c)
+            for p in range(3):
+                twin = functorial_invariance_check(c, p, ls).contravariant()
+                assert vars(twin) == vars(counter_functorial_check(c, p, ls))
+
     def test_invariance_reports_are_pinned(self):
         # both checks on fuzzed systems, their built limits and one mutant each;
         # a check that raises is pinned by its exception

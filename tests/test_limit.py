@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import UnionFind, scan_cover_profile
+from bruteforce import UnionFind, coproduct_attaching_space, projection, scan_cover_profile
 from cislim import limit
 from cislim.cis import Cis, Cutoff, make_stage
 from cislim.finspace import (
@@ -53,22 +53,51 @@ def layered_maps(draw, max_layers: int = 5, max_points: int = 4):
     return spaces, attachments
 
 
+def assert_matches_the_coproduct_oracle(spaces, attachments):
+    ls = limit.attaching_space(spaces, attachments)
+    want, rho = coproduct_attaching_space(spaces, attachments)
+    assert ls.x.points == want.x.points
+    assert ls.x.min_open == want.x.min_open
+    assert [phi.assignment for phi in ls.phis] == [phi.assignment for phi in want.phis]
+    assert projection(ls) == rho
+
+
 class TestAttachingSpace:
+    @given(layered_maps())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_coproduct_quotient_oracle(self, drawn):
+        assert_matches_the_coproduct_oracle(*drawn)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_oracle_on_fuzzed_systems_and_columns(self, seed):
+        gen = FuzzGen(seed)
+        c = gen.cis()
+        assert_matches_the_coproduct_oracle(
+            [st.space for st in c.stages], [st.f.assignment for st in c.stages[:-1]]
+        )
+        d = gen.diagram(c, 3)  # arrow stage maps need not be injective
+        for i in range(c.stage_count):
+            assert_matches_the_coproduct_oracle(
+                [o.stages[i].space for o in d.objects], [arr.h[i].assignment for arr in d.arrows]
+            )
+
     @given(layered_maps())
     @settings(max_examples=200, deadline=None)
     def test_partition_matches_the_union_find_oracle(self, drawn):
         spaces, attachments = drawn
         ls = limit.attaching_space(spaces, attachments)
-        uf = UnionFind(ls.rho.source.points)
+        rho = projection(ls)
+        uf = UnionFind(rho.source.points)
         for n, att in enumerate(attachments):
             for y, z in att.items():
                 uf.union(f"{n}:{y}", f"{n + 1}:{z}")
         blocks = {}
-        for p, q in ls.rho.assignment.items():
+        for p, q in rho.assignment.items():
             blocks.setdefault(q, set()).add(p)
         assert {frozenset(b) for b in blocks.values()} == uf.classes()
         for n, phi in enumerate(ls.phis):
-            assert all(phi(y) == ls.rho(f"{n}:{y}") for y in phi.source.points)
+            assert all(phi(y) == rho(f"{n}:{y}") for y in phi.source.points)
 
     def test_merging_orbits_share_one_point(self, sierpinski):
         # a, b -> a -> b: both stage-0 points end at stage 2's b
@@ -123,8 +152,7 @@ class TestBuildFundamental:
 
     def test_carries_the_coproduct_projection(self):
         ls = build_fundamental(interval_chain(2))
-        assert ls.rho is not None
-        assert classify_map(ls.rho).quotient_map
+        assert classify_map(projection(ls)).quotient_map
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
@@ -441,13 +469,22 @@ class TestCoverAndPerfect:
         assert (prof.max_point_multiplicity, prof.max_neighbourhood_multiplicity) == (1, 2)
         assert not prof.closed_cover
 
+    def test_empty_images_have_multiplicity_zero(self):
+        # one empty stage over a point: no image holds or meets anything
+        pt = FinSpace(frozenset("p"), {"p": frozenset("p")})
+        cand = LimitSpace(pt, (CtsMap(FinSpace(frozenset(), {}), pt, {}),))
+        prof = cover_profile(cand)
+        assert prof == scan_cover_profile(cand)
+        assert (prof.max_point_multiplicity, prof.max_neighbourhood_multiplicity) == (0, 0)
+        assert prof.closed_cover
+
     def test_rho_perfect_for_finitely_semicomponible(self):
         ls = build_fundamental(interval_chain(4))
-        assert is_perfect_map(ls.rho)
+        assert is_perfect_map(projection(ls))
 
     def test_rho_perfect_for_stationary(self):
         ls = build_fundamental(stationary_sphere(2))
-        assert is_perfect_map(ls.rho)
+        assert is_perfect_map(projection(ls))
 
     def test_non_surjective_inclusion_not_perfect(self, circle4):
         from cislim.finspace import subspace
