@@ -122,7 +122,6 @@ class TestPinnedDocuments:
             "54fc0129b60aaacc04a11723340a32b576f4bad6306b535fe97cdf734b84f69a"
         )
 
-
     def test_built_limit_documents_are_pinned(self):
         # every built limit document, byte for byte: gallery systems, fuzzed
         # systems of each kind, and the glued columns of fuzzed direct limits

@@ -74,7 +74,7 @@ class TestAttachingSpace:
         gen = FuzzGen(seed)
         c = gen.cis()
         assert_matches_the_coproduct_oracle(
-            [st.space for st in c.stages], [st.f.assignment for st in c.stages[:-1]]
+            [stage.space for stage in c.stages], [stage.f.assignment for stage in c.stages[:-1]]
         )
         d = gen.diagram(c, 3)  # arrow stage maps need not be injective
         for i in range(c.stage_count):
