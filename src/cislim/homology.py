@@ -10,7 +10,10 @@ carries the same dimensions.
 A simplex is a vertex mask over the complex's sorted vertices, earlier
 labels in higher bits.  Chains are enumerated as masks, and faces are
 checked, boundary columns built and maps pushed forward on them; label
-sets (`simplices`, `of_dim`) are a view derived on read.
+sets (`simplices`, `of_dim`) are a view derived on read.  A complex's
+chain data (its simplices per dimension, their index and every boundary
+column) is built by its constructor, in the one pass that checks its
+faces: a face with no index is a missing face.
 
 A matrix is a list of Python ints, one per column, with row r in bit r;
 its row count is whatever the context fixes (a matrix with trailing zero
@@ -21,10 +24,11 @@ columns by leading bit.  It reduces boundary columns from the top
 dimension down, skipping those that are pivots of the dimension above
 ("clearing": Chen & Kerber, Persistent homology computation with a twist,
 2011), and keeps the canonical cycles: of the RREF nullspace basis, the
-earliest independent modulo boundaries.  Linear systems are solved by one
-index-tagged reduction, `_solve`.  A space keeps one homology record
-(its order complex, each point's vertex bit and its cycles per degree), a
-complex its chain data, and a map its H_p(m) per degree, next to the flags
+earliest independent modulo boundaries; clearing and the cycles read the
+same kept columns.  Linear systems are solved by one index-tagged
+reduction, `_solve`.  A space keeps one homology record (its order
+complex, each point's vertex bit and its cycles per degree), a complex
+its chain data, and a map its H_p(m) per degree, next to the flags
 `finspace` keeps on it, so a second check on the same maps reads their
 matrices back; each is kept from first use and lives as long as its owner.
 """
@@ -138,6 +142,8 @@ class SimplicialComplex:
     n - 1 - i: earlier labels go in higher bits, so descending masks list
     the simplices of a dimension in the order of their sorted labels.
     `simplices` and `of_dim` are label views of the masks, derived on read.
+    The constructor builds the chain data (`_Chains`) in the pass that checks
+    every face, so it lives exactly as long as the complex.
     """
 
     vertices: tuple[str, ...]
@@ -147,22 +153,15 @@ class SimplicialComplex:
         vertices, masks = tuple(sorted(set(self.vertices))), frozenset(self.masks)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "masks", masks)
-        n = len(vertices)
         if 0 in masks:
             raise TopologyError("empty simplex")
-        for s in masks:
-            if s >> n:
-                unknown = [b for b in range(n, s.bit_length()) if s >> b & 1]
-                raise TopologyError(
-                    f"simplex {self._labels(s)} uses unknown vertices at bits {unknown}"
-                )
-            t = s
-            while t:
-                b = t & -t
-                if s != b and s ^ b not in masks:
-                    face, simplex = self._labels(s ^ b), self._labels(s)
-                    raise TopologyError(f"face {face} of {simplex} is missing")
-                t ^= b
+        n, top = len(vertices), max(masks, default=0)
+        if top >> n:
+            unknown = [b for b in range(n, top.bit_length()) if top >> b & 1]
+            raise TopologyError(
+                f"simplex {self._labels(top)} uses unknown vertices at bits {unknown}"
+            )
+        object.__setattr__(self, "_chains", _Chains(self))
         for v, b in self._bit.items():
             if b not in masks:
                 raise TopologyError(f"vertex {v} has no singleton simplex")
@@ -179,10 +178,6 @@ class SimplicialComplex:
     def simplices(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(self._labels(s)) for s in self.masks)
 
-    @cached_property
-    def _chains(self) -> _Chains:
-        return _Chains(self)
-
     def of_dim(self, p: int) -> list[frozenset[str]]:
         return [frozenset(self._labels(s)) for s in self._chains.cells(p)]
 
@@ -191,33 +186,51 @@ class SimplicialComplex:
         return max((s.bit_count() for s in self.masks), default=0) - 1
 
 
-class _Chains:
-    """A complex's simplices per dimension, boundary columns and reductions.
-    Descending masks list a dimension's simplices as their sorted labels do."""
-
-    def __init__(self, k: SimplicialComplex):
-        self.by_dim: dict[int, list[int]] = {}
-        for s in sorted(k.masks, reverse=True):
-            self.by_dim.setdefault(s.bit_count() - 1, []).append(s)
-        self.index = {s: i for ms in self.by_dim.values() for i, s in enumerate(ms)}
-        self._boundaries: dict[int, dict[int, int]] = {}
-
-    def cells(self, p: int) -> list[int]:
-        return self.by_dim.get(p, [])
-
-    def columns(self, p: int) -> list[int]:
-        """The boundary of each p-simplex as a bitset over the (p-1)-simplices."""
-        if p <= 0:
-            return [0] * len(self.cells(p))
-        index, cols = self.index, []
-        for s in self.cells(p):
+def _boundary_columns(k: SimplicialComplex, p: int, cells: list[int], index: dict[int, int]):
+    """The boundary of each p-simplex in `cells` as a bitset over the (p-1)-simplices,
+    read from `index`; a face with no index is missing from k."""
+    if p == 0:
+        return [0] * len(cells)
+    cols = []
+    try:
+        for s in cells:
             c, t = 0, s
             while t:
                 b = t & -t
                 c |= 1 << index[s ^ b]
                 t ^= b
             cols.append(c)
-        return cols
+    except KeyError as e:
+        raise TopologyError(f"face {k._labels(e.args[0])} of {k._labels(s)} is missing") from None
+    return cols
+
+
+class _Chains:
+    """A complex's simplices per dimension, each one's index in its dimension,
+    every boundary column and the reductions.  Descending masks list a
+    dimension's simplices as their sorted labels do.  Dimensions are indexed
+    upwards, so each simplex's faces are indexed before its column is built:
+    building the columns is the face check."""
+
+    def __init__(self, k: SimplicialComplex):
+        self.by_dim: dict[int, list[int]] = {}
+        for s in sorted(k.masks, reverse=True):
+            self.by_dim.setdefault(s.bit_count() - 1, []).append(s)
+        self.index: dict[int, int] = {}
+        self._columns: dict[int, list[int]] = {}
+        for p in sorted(self.by_dim):
+            cells = self.by_dim[p]
+            self.index.update(zip(cells, range(len(cells))))
+            self._columns[p] = _boundary_columns(k, p, cells, self.index)
+        self._boundaries: dict[int, dict[int, int]] = {}
+
+    def cells(self, p: int) -> list[int]:
+        return self.by_dim.get(p, [])
+
+    def columns(self, p: int) -> list[int]:
+        """The boundary of each p-simplex as a bitset over the (p-1)-simplices:
+        the kept list, which callers must not mutate."""
+        return self._columns.get(p, [])
 
     def boundaries(self, p: int) -> dict[int, int]:
         """An echelon basis of the image of the boundary from dimension p,
@@ -273,8 +286,9 @@ def _record(space: FinSpace) -> _Homology:
 
 
 def boundary_matrix(k: SimplicialComplex, p: int) -> list[int]:
-    """The mod-2 boundary from p-simplices to (p-1)-simplices."""
-    return k._chains.columns(p)
+    """The mod-2 boundary from p-simplices to (p-1)-simplices: a copy of the
+    columns the complex keeps."""
+    return list(k._chains.columns(p))
 
 
 def betti_mod2(k: SimplicialComplex, pmax: int) -> list[int]:

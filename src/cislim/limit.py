@@ -4,7 +4,10 @@ cover / perfect-map analysis.
 
 The attaching space names each limit point by the forward-orbit end of the
 stage points it glues, and carries the final topology of its structure
-maps, which is what makes it the fundamental limit.
+maps, which is what makes it the fundamental limit.  `has_weak_topology`
+finds that final topology another way, as a least fixpoint of int bitmasks
+over the stage opens, so `build_fundamental`'s self-check tests the graph
+search in `final_space` instead of repeating it.
 
 Overlap bookkeeping convention: for stages i < j, the images of stage i
 and stage j in a limit meet exactly along the composite transit map
@@ -296,10 +299,32 @@ def verify_gluing_laws(c: Cis, ls: LimitSpace) -> AxiomReport:
 
 def has_weak_topology(c: Cis, ls: LimitSpace) -> bool:
     """Whether the candidate topology is the final topology of its structure
-    maps, i.e. whether the limit is fundamental."""
+    maps, i.e. whether the limit is fundamental.
+
+    The final U_x is the least family of sets with x in U_x, phi(U_p) inside
+    U_x whenever phi(p) = x, and U_y inside U_x for y in U_x.  It is found as
+    a least fixpoint on int bitmasks, independently of how `attaching_space`
+    built the candidate: each point is seeded with the images phi(U_p) it
+    receives, then ORs in its successors' masks until no mask changes."""
     _require_aligned(c, ls)
-    finest = final_space(ls.x.points, ls.phis)
-    return finest.min_open == ls.x.min_open
+    x = ls.x
+    succ: dict[str, set[str]] = {q: {q} for q in x.points}
+    for phi in ls.phis:
+        f = phi.assignment
+        for p, u in phi.source.min_open.items():
+            succ[f[p]].update(map(f.__getitem__, u))
+    bit = {q: 1 << i for i, q in enumerate(succ)}
+    mask = {q: sum(map(bit.__getitem__, s)) for q, s in succ.items()}
+    changed = True
+    while changed:
+        changed = False
+        for q, s in succ.items():
+            m = mask[q]
+            for y in s:
+                m |= mask[y]
+            if m != mask[q]:
+                mask[q], changed = m, True
+    return all(mask[q] == sum(map(bit.__getitem__, u)) for q, u in x.min_open.items())
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ Only usable for spaces with a handful of points.
 
 from itertools import chain, combinations, permutations
 
-from cislim.finspace import CtsMap, FinSpace, compose, coproduct, quotient
+from cislim.finspace import CtsMap, FinSpace, compose, coproduct, final_space, quotient
 from cislim.limit import CoverProfile, LimitSpace, images_closed
 
 
@@ -148,6 +148,13 @@ def projection(ls: LimitSpace) -> CtsMap:
     return CtsMap(total, ls.x, {
         f"{i}:{p}": q for i, phi in enumerate(ls.phis) for p, q in phi.assignment.items()
     })
+
+
+def final_space_weak_topology(ls: LimitSpace) -> bool:
+    """`limit.has_weak_topology` by graph search, kept as its oracle: the
+    final topology of the structure maps from `final_space`, against the
+    candidate's."""
+    return final_space(ls.x.points, ls.phis).min_open == ls.x.min_open
 
 
 def scan_cover_profile(ls: LimitSpace) -> CoverProfile:

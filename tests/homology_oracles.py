@@ -109,6 +109,20 @@ def label_order_complex(space):
     return frozenset(reps), frozenset(map(frozenset, chains))
 
 
+def label_boundary(simplices, p):
+    """The mod-2 boundary from p-simplices to (p-1)-simplices of label sets:
+    each dimension in sorted-label order, one int column per p-simplex with
+    bit i set for the i-th (p-1)-simplex among its faces."""
+
+    def cells(d):
+        return sorted((s for s in simplices if len(s) == d + 1), key=lambda s: tuple(sorted(s)))
+
+    if p <= 0:
+        return [0] * len(cells(p))
+    index = {s: i for i, s in enumerate(cells(p - 1))}
+    return [sum(1 << index[s - {v}] for v in s) for s in cells(p)]
+
+
 def label_chain_map(m, p):
     """chain_map_matrix(m, p) on label order complexes: each p-simplex of the
     source, in sorted-label order, goes to the set of its vertices' image

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import re
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from homology_oracles import (
     bitmask_rank,
     complex_betti,
     cross_polytope_boundary,
+    label_boundary,
     label_chain_map,
     label_order_complex,
     staircase_torus_complex,
 )
+from cislim import homology
 from cislim.finspace import (
     CtsMap,
     FinSpace,
@@ -38,6 +41,7 @@ from cislim.gallery import (
 from cislim.homology import (
     GF2ModuleSeq,
     SimplicialComplex,
+    _homology,
     betti_mod2,
     boundary_matrix,
     chain_map_matrix,
@@ -330,6 +334,13 @@ class TestOrderComplex:
         with pytest.raises(TopologyError, match=re.escape("face ['b'] of ['a', 'b'] is missing")):
             label_complex("ab", [{"a", "b"}, {"a"}])
 
+    def test_rejects_a_missing_middle_face(self):
+        # every vertex and the edges ab, bc are there; only ac, a face of abc, is not
+        with pytest.raises(
+            TopologyError, match=re.escape("face ['a', 'c'] of ['a', 'b', 'c'] is missing")
+        ):
+            label_complex("abc", [{"a"}, {"b"}, {"c"}, {"a", "b"}, {"b", "c"}, {"a", "b", "c"}])
+
     def test_rejects_the_empty_simplex(self):
         with pytest.raises(TopologyError, match="^empty simplex$"):
             SimplicialComplex(("a",), frozenset({0, 1}))
@@ -340,6 +351,17 @@ class TestOrderComplex:
             TopologyError, match=re.escape("simplex ['a'] uses unknown vertices at bits [1]")
         ):
             SimplicialComplex(("a",), frozenset({0b1, 0b11}))
+
+    def test_unknown_vertices_name_only_the_bits_set(self):
+        with pytest.raises(
+            TopologyError, match=re.escape("simplex ['a'] uses unknown vertices at bits [2]")
+        ):
+            SimplicialComplex(("a",), frozenset({0b1, 0b101}))
+
+    def test_the_empty_complex(self):
+        k = SimplicialComplex((), frozenset())
+        assert k.dim == -1 and k.of_dim(0) == [] and boundary_matrix(k, 0) == []
+        assert betti_mod2(k, 1) == [0, 0]
 
     def test_rejects_a_vertex_without_its_singleton(self):
         with pytest.raises(TopologyError, match="^vertex b has no singleton simplex$"):
@@ -361,6 +383,7 @@ class TestOrderComplex:
         for p in range(-1, k.dim + 2):
             dim_p = [s for s in simplices if len(s) == p + 1]
             assert k.of_dim(p) == sorted(dim_p, key=lambda s: tuple(sorted(s)))
+            assert boundary_matrix(k, p) == label_boundary(simplices, p)
 
     @given(finspaces())
     def test_chains_match_the_label_reference(self, space):
@@ -444,6 +467,41 @@ class TestChainData:
                 m = CtsMap(a, b, {x: x for x in a.points})
                 assert induced_matrix(m, p) == ia
             assert a == b and hash(a) == hash(b)
+
+    def test_mutating_a_boundary_matrix_leaves_the_kept_columns(self):
+        touched, fresh = sphere_space(3), sphere_space(3)
+        k, ref = order_complex(touched), order_complex(fresh)
+        for p in range(k.dim + 2):
+            cols = boundary_matrix(k, p)
+            cols[:] = [c ^ 1 for c in cols] + [1]
+        assert betti_mod2(k, 4) == betti_mod2(ref, 4) == [1, 0, 0, 1, 0]
+        for p in range(5):
+            assert _homology(touched, p)[1:] == _homology(fresh, p)[1:]
+            assert boundary_matrix(k, p) == boundary_matrix(ref, p)
+
+    def test_each_dimension_is_built_once_per_complex(self, monkeypatch):
+        # a sphere_tower pass on fresh inputs: every complex it builds, stage
+        # and limit, builds each dimension's columns once, and betti numbers,
+        # cycles and invariance checks all read them back
+        builds, complexes = Counter(), {}
+        build = homology._boundary_columns
+
+        def counted(k, p, cells, index):
+            builds[id(k), p] += 1
+            complexes[id(k)] = k
+            return build(k, p, cells, index)
+
+        monkeypatch.setattr(homology, "_boundary_columns", counted)
+        for n in range(6):
+            c = sphere_chain(n)
+            ls = build_fundamental(c)
+            pmax = max(n, 1)
+            betti_mod2(order_complex(ls.x), pmax)
+            for p in range(pmax):
+                functorial_invariance_check(c, p, ls)
+                counter_functorial_check(c, p, ls)
+        assert len(complexes) > 6 and set(builds.values()) == {1}
+        assert set(builds) == {(i, p) for i, k in complexes.items() for p in range(k.dim + 1)}
 
     def test_chain_data_lives_as_long_as_the_space(self):
         space = sphere_space(3)

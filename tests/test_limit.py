@@ -1,12 +1,19 @@
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import UnionFind, coproduct_attaching_space, projection, scan_cover_profile
+from bruteforce import (
+    UnionFind,
+    coproduct_attaching_space,
+    final_space_weak_topology,
+    projection,
+    scan_cover_profile,
+)
 from cislim import limit
-from cislim.cis import Cis, Cutoff, make_stage
+from cislim.cis import Cis, Cutoff, make_cis, make_stage
 from cislim.finspace import (
     CtsMap,
     FinSpace,
@@ -163,6 +170,60 @@ class TestBuildFundamental:
         assert verify_gluing_laws(c, ls).passed
         assert has_weak_topology(c, ls)
         assert images_closed(ls).value
+
+
+def retopologized(ls: LimitSpace, min_open) -> LimitSpace:
+    """The candidate with the same structure maps into the same points carrying `min_open`."""
+    x = FinSpace(ls.x.points, min_open)
+    return LimitSpace(x, tuple(CtsMap(phi.source, x, phi.assignment) for phi in ls.phis))
+
+
+def discrete_and_indiscrete(ls: LimitSpace) -> list[LimitSpace]:
+    """The candidate retopologized discrete, where a structure map on a
+    non-discrete stage is not continuous, and indiscrete."""
+    pts = ls.x.points
+    return [
+        retopologized(ls, {p: frozenset([p]) for p in pts}),
+        retopologized(ls, {p: pts for p in pts}),
+    ]
+
+
+class TestWeakTopology:
+    """The fixpoint in `has_weak_topology` against the `final_space` oracle."""
+
+    @given(layered_maps())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_oracle_on_attaching_spaces(self, drawn):
+        # partial maps, neither injective nor continuous: here the final opens can
+        # need successors of successors, which the seeds alone miss
+        spaces, attachments = drawn
+        c = make_cis(spaces, [*map(frozenset, attachments), frozenset()], attachments)
+        ls = limit.attaching_space(spaces, attachments)
+        assert has_weak_topology(c, ls)
+        for cand in discrete_and_indiscrete(ls):
+            assert has_weak_topology(c, cand) == final_space_weak_topology(cand)
+
+    def test_needs_the_successor_step(self, sierpinski):
+        # stage 0's b is glued onto stage 1's a; U_b = {a, b} in both stages, so
+        # the final U of stage 1's b reaches stage 0's a only through the glued point
+        c = make_cis([sierpinski, sierpinski], [frozenset("b"), frozenset()], [{"b": "a"}])
+        ls = limit.attaching_space([sierpinski, sierpinski], [{"b": "a"}])
+        assert ls.x.min_open[ls.phis[1]("b")] == ls.x.points
+        assert has_weak_topology(c, ls)
+
+    def test_matches_the_oracle_on_built_limits_and_mutants(self):
+        seen = Counter()
+        for seed in range(60):
+            gen = FuzzGen(seed)
+            c = gen.cis(inductive=seed % 2 == 1)
+            ls = build_fundamental(c)
+            mutants = [gen.mutate_candidate(ls)[1] for _ in range(4)]
+            for cand in [ls, *discrete_and_indiscrete(ls), *mutants]:
+                weak = has_weak_topology(c, cand)
+                assert weak == final_space_weak_topology(cand), seed
+                seen[weak, all(classify_map(phi).continuous for phi in cand.phis)] += 1
+        # fundamental, coarser than final, and not even continuous all occur
+        assert seen[True, True] and seen[False, True] and seen[False, False]
 
 
 class TestVerify:
