@@ -3,7 +3,7 @@
 
 Usage:
     python scripts/mutation_probe.py MODULE FUNC [FUNC ...] --tests TEST_FILE
-        [--allow SITE ...] [--workdir DIR]
+        [--allow SITE ...]
 
 MODULE is a source path such as src/cislim/homology.py, and each FUNC a
 top-level function or a `Class.method` in it.  Every site in those functions
@@ -15,10 +15,10 @@ gets exactly one mutant, one operator swapped:
 
 A site is named FUNC:LINE:COL:OLD->NEW, with LINE counted from the `def`
 (quote it in a shell, for the `>`).  The probe copies src/, tests/ and
-pyproject.toml to a new temporary directory (made inside --workdir when
-given, and removed at the end), checks that the test file passes on the
-unmutated copy, then writes each mutant into the copy and runs `pytest -x`
-on the test file there.  A mutant is killed when the run fails or outlasts
+pyproject.toml to a new temporary directory (under $TMPDIR when set,
+removed at the end), checks that the test file passes on the unmutated
+copy, then writes each mutant into the copy and runs `pytest -x` on the
+test file there.  A mutant is killed when the run fails or outlasts
 five times the clean run (at least 60 s), since a swap can loop forever.
 It prints every mutant's fate and exits 1 when a mutant survives whose
 site is not passed as --allow, 2 when the probe cannot run, else 0.
@@ -145,8 +145,6 @@ def main(argv=None) -> int:
     ap.add_argument("--tests", required=True, help="the test file to run on each mutant")
     ap.add_argument("--allow", action="append", default=[], metavar="SITE",
                     help="a site whose mutant may survive (argued equivalent)")
-    ap.add_argument("--workdir", help="directory to make the scratch copy in (default: the "
-                    "system's temporary directory)")
     args = ap.parse_args(argv)
 
     module = Path(args.module).resolve()
@@ -154,7 +152,7 @@ def main(argv=None) -> int:
     source = module.read_text()
     all_mutants = list(mutants(source, args.functions))
 
-    work = Path(tempfile.mkdtemp(prefix="mutation-probe-", dir=args.workdir)).resolve()
+    work = Path(tempfile.mkdtemp(prefix="mutation-probe-")).resolve()
     if ROOT in work.parents:
         shutil.rmtree(work)
         raise SystemExit("mutation_probe: the scratch copy must lie outside the repository")

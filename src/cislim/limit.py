@@ -309,8 +309,11 @@ def has_weak_topology(c: Cis, ls: LimitSpace) -> bool:
     _require_aligned(c, ls)
     x = ls.x
     succ: dict[str, set[str]] = {q: {q} for q in x.points}
-    for phi in ls.phis:
+    for k, phi in enumerate(ls.phis):
         f = phi.assignment
+        if not x.points.issuperset(f.values()):
+            stray = sorted(set(f.values()) - x.points)
+            raise TopologyError(f"structure map {k} leaves the limit space at {stray}")
         for p, u in phi.source.min_open.items():
             succ[f[p]].update(map(f.__getitem__, u))
     bit = {q: 1 << i for i, q in enumerate(succ)}

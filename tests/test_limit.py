@@ -60,6 +60,22 @@ def layered_maps(draw, max_layers: int = 5, max_points: int = 4):
     return spaces, attachments
 
 
+def retopologized(ls: LimitSpace, min_open) -> LimitSpace:
+    """The candidate with the same structure maps into the same points carrying `min_open`."""
+    x = FinSpace(ls.x.points, min_open)
+    return LimitSpace(x, tuple(CtsMap(phi.source, x, phi.assignment) for phi in ls.phis))
+
+
+def discrete_and_indiscrete(ls: LimitSpace) -> list[LimitSpace]:
+    """The candidate retopologized discrete, where a structure map on a
+    non-discrete stage is not continuous, and indiscrete."""
+    pts = ls.x.points
+    return [
+        retopologized(ls, {p: frozenset([p]) for p in pts}),
+        retopologized(ls, {p: pts for p in pts}),
+    ]
+
+
 def assert_matches_the_coproduct_oracle(spaces, attachments):
     ls = limit.attaching_space(spaces, attachments)
     want, rho = coproduct_attaching_space(spaces, attachments)
@@ -67,6 +83,13 @@ def assert_matches_the_coproduct_oracle(spaces, attachments):
     assert ls.x.min_open == want.x.min_open
     assert [phi.assignment for phi in ls.phis] == [phi.assignment for phi in want.phis]
     assert projection(ls) == rho
+    # the weak-topology fixpoint against its oracle: with partial maps that are
+    # neither injective nor continuous, a final open can need successors of
+    # successors, which the seeds alone miss
+    c = make_cis(spaces, [*map(frozenset, attachments), frozenset()], attachments)
+    assert has_weak_topology(c, ls)
+    for cand in discrete_and_indiscrete(ls):
+        assert has_weak_topology(c, cand) == final_space_weak_topology(cand)
 
 
 class TestAttachingSpace:
@@ -172,36 +195,9 @@ class TestBuildFundamental:
         assert images_closed(ls).value
 
 
-def retopologized(ls: LimitSpace, min_open) -> LimitSpace:
-    """The candidate with the same structure maps into the same points carrying `min_open`."""
-    x = FinSpace(ls.x.points, min_open)
-    return LimitSpace(x, tuple(CtsMap(phi.source, x, phi.assignment) for phi in ls.phis))
-
-
-def discrete_and_indiscrete(ls: LimitSpace) -> list[LimitSpace]:
-    """The candidate retopologized discrete, where a structure map on a
-    non-discrete stage is not continuous, and indiscrete."""
-    pts = ls.x.points
-    return [
-        retopologized(ls, {p: frozenset([p]) for p in pts}),
-        retopologized(ls, {p: pts for p in pts}),
-    ]
-
-
 class TestWeakTopology:
-    """The fixpoint in `has_weak_topology` against the `final_space` oracle."""
-
-    @given(layered_maps())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_the_oracle_on_attaching_spaces(self, drawn):
-        # partial maps, neither injective nor continuous: here the final opens can
-        # need successors of successors, which the seeds alone miss
-        spaces, attachments = drawn
-        c = make_cis(spaces, [*map(frozenset, attachments), frozenset()], attachments)
-        ls = limit.attaching_space(spaces, attachments)
-        assert has_weak_topology(c, ls)
-        for cand in discrete_and_indiscrete(ls):
-            assert has_weak_topology(c, cand) == final_space_weak_topology(cand)
+    """The fixpoint in `has_weak_topology` against the `final_space` oracle;
+    `assert_matches_the_coproduct_oracle` checks it on attaching spaces."""
 
     def test_needs_the_successor_step(self, sierpinski):
         # stage 0's b is glued onto stage 1's a; U_b = {a, b} in both stages, so
@@ -224,6 +220,15 @@ class TestWeakTopology:
                 seen[weak, all(classify_map(phi).continuous for phi in cand.phis)] += 1
         # fundamental, coarser than final, and not even continuous all occur
         assert seen[True, True] and seen[False, True] and seen[False, False]
+
+    def test_a_structure_map_off_the_limit_points_raises(self, sierpinski):
+        c = identity_system(sierpinski, 2)
+        ls = build_fundamental(c)
+        ls.phis[1].assignment["a"] = "elsewhere"  # an edit in place, past CtsMap's own check
+        with pytest.raises(
+            TopologyError, match=r"^structure map 1 leaves the limit space at \['elsewhere'\]$"
+        ):
+            has_weak_topology(c, ls)
 
 
 class TestVerify:
