@@ -183,6 +183,8 @@ def cmd_search(args, out) -> int:
 
 
 def cmd_fuzz(args, out) -> int:
+    if args.count < 0:
+        raise TopologyError(f"count must be >= 0, got {args.count}")
     gen = FuzzGen(args.seed)
     counters = {
         "systems built": 0,

@@ -7,8 +7,18 @@ Only usable for spaces with a handful of points.
 
 from itertools import chain, combinations, permutations
 
+from cislim.cis import transits
 from cislim.finspace import CtsMap, FinSpace, compose, coproduct, final_space, quotient
-from cislim.limit import CoverProfile, LimitSpace, images_closed
+from cislim.limit import (
+    AxiomReport,
+    CheckResult,
+    CoverProfile,
+    LimitSpace,
+    _cover_check,
+    _embedding_check,
+    _require_aligned,
+    images_closed,
+)
 
 
 def all_subsets(points):
@@ -155,6 +165,54 @@ def final_space_weak_topology(ls: LimitSpace) -> bool:
     final topology of the structure maps from `final_space`, against the
     candidate's."""
     return final_space(ls.x.points, ls.phis).min_open == ls.x.min_open
+
+
+def full_stage_pairs(c):
+    """(i, j, linked, transit) for every stage pair i < j, each transit
+    stepped on to the last stage even once it is empty: the walk that
+    `limit._stage_pairs` cuts short, kept as its oracle."""
+    for i in range(c.stage_count - 1):
+        for k, transit in transits(c, i, c.stage_count - 2):
+            yield i, k + 1, k == i or bool(transit), transit
+
+
+def pairwise_gluing_laws(c, ls: LimitSpace) -> AxiomReport:
+    """`limit.verify_gluing_laws` as first written, kept as its oracle: every
+    transit walked in full, agreement checked in sorted order, and the
+    off-locus sets built for every linked pair."""
+    _require_aligned(c, ls)
+    checks = [_cover_check(c, ls), _embedding_check(c, ls)]
+
+    agree_bad = []
+    offlocus_bad = []
+    disjoint_bad = []
+    images = [phi.image() for phi in ls.phis]
+    asg = [phi.assignment for phi in ls.phis]
+    for i, j, linked, transit in full_stage_pairs(c):
+        phi_i, phi_j = asg[i], asg[j]
+        if not linked:
+            meet = images[i] & images[j]
+            if meet:
+                disjoint_bad.append(f"stages {i},{j} cannot interact but share {sorted(meet)}")
+            continue
+        for y in sorted(transit):
+            if phi_j[transit[y]] != phi_i[y]:
+                agree_bad.append(
+                    f"stages {i},{j}: gluing sends {y} to {phi_j[transit[y]]} "
+                    f"but stage {i} places it at {phi_i[y]}"
+                )
+        landed = set(transit.values())
+        off_i = {p for x, p in phi_i.items() if x not in transit}
+        off_j = {p for z, p in phi_j.items() if z not in landed}
+        meet = off_i & off_j
+        if meet:
+            offlocus_bad.append(
+                f"stages {i},{j}: points {sorted(meet)} collide away from the gluing locus"
+            )
+    checks.append(CheckResult("gluing agreement", not agree_bad, tuple(agree_bad)))
+    checks.append(CheckResult("off-locus disjointness", not offlocus_bad, tuple(offlocus_bad)))
+    checks.append(CheckResult("disjointness", not disjoint_bad, tuple(disjoint_bad)))
+    return AxiomReport(tuple(checks))
 
 
 def scan_cover_profile(ls: LimitSpace) -> CoverProfile:

@@ -70,6 +70,11 @@ class TestExitCodes:
         assert status == 2
         assert text == "input error: homology degree must be >= 0, got -1\n"
 
+    def test_negative_fuzz_count_is_two(self):
+        assert run("fuzz", "--count", "-3", "--seed", "1") == (
+            2, "input error: count must be >= 0, got -3\n"
+        )
+
     def test_morphism_target_with_fewer_stages_is_two(self, tmp_path):
         _, m = point_system(sphere_chain(1))
         doc = morphism_to_doc(m)

@@ -9,6 +9,8 @@ from bruteforce import (
     UnionFind,
     coproduct_attaching_space,
     final_space_weak_topology,
+    full_stage_pairs,
+    pairwise_gluing_laws,
     projection,
     scan_cover_profile,
 )
@@ -427,6 +429,91 @@ class TestPerPointVerdict:
         assert walked
         assert not rep.check("overlap").passed
         assert any(w.startswith("stages 1,2: ") for w in rep.check("overlap").witnesses)
+
+
+class TestGluingLaws:
+    """`verify_gluing_laws` against `pairwise_gluing_laws`, which walks every
+    transit to the last stage (`full_stage_pairs`), sorts every transit and
+    builds the off-locus sets for every linked pair."""
+
+    def test_matches_the_pairwise_oracle(self):
+        draws = {
+            "default": {}, "inductive": {"inductive": True}, "stationary": {"stationary": True}
+        }
+        failed = Counter()
+        for seed in range(40):
+            for kind, options in draws.items():
+                gen = FuzzGen(seed)
+                c = gen.cis(**options)
+                assert list(limit._stage_pairs(c)) == list(full_stage_pairs(c)), (kind, seed)
+                ls = build_fundamental(c)
+                for cand in [ls] + [gen.mutate_candidate(ls)[1] for _ in range(4)]:
+                    rep = verify_gluing_laws(c, cand)
+                    assert rep.render() == pairwise_gluing_laws(c, cand).render(), (kind, seed)
+                    failed.update(ch.name for ch in rep.checks if not ch.passed)
+        # every pairwise check fails somewhere, so each one's witnesses are compared
+        assert failed["gluing agreement"] and failed["off-locus disjointness"]
+        assert failed["disjointness"]
+
+    def test_agreement_witnesses_are_sorted(self):
+        # the transit runs in the gluing set's iteration order; the witnesses
+        # of a mismatch are listed in sorted order all the same
+        names = [f"p{n}" for n in range(8)]
+        x0 = _discrete(*names)
+        x1 = _discrete(*(f"q{n}" for n in range(8)))
+        c = make_cis([x0, x1], [x0.points, frozenset()], [{f"p{n}": f"q{n}" for n in range(8)}])
+        lim = _discrete(*names)
+        rot = {f"q{n}": f"p{(n + 1) % 8}" for n in range(8)}
+        cand = LimitSpace(lim, (CtsMap(x0, lim, {p: p for p in names}), CtsMap(x1, lim, rot)))
+        assert verify_gluing_laws(c, cand).render() == "\n".join(
+            ["cover: pass", "embeddings: pass", "gluing agreement: FAIL"]
+            + [
+                f"  witness: stages 0,1: gluing sends p{n} to p{(n + 1) % 8} "
+                f"but stage 0 places it at p{n}"
+                for n in range(8)
+            ]
+            + ["off-locus disjointness: pass", "disjointness: pass"]
+        )
+
+    def test_the_walk_stops_at_a_dead_transit(self, monkeypatch):
+        # nothing is glued, so each stage's walk ends at its first transit:
+        # 39 steps for 40 stages, where a walk to the last stage takes 780
+        spaces = [_discrete(f"s{n}") for n in range(40)]
+        c = make_cis(spaces, [frozenset()] * 40, [{}] * 39)
+        ls = build_fundamental(c)
+        walk, steps = limit.transits, Counter()
+
+        def counted(c, i, top):
+            for k, transit in walk(c, i, top):
+                steps[i] += 1
+                yield k, transit
+
+        monkeypatch.setattr(limit, "transits", counted)
+        rep = verify_gluing_laws(c, ls)
+        assert sum(steps.values()) == 39
+        assert rep.render() == pairwise_gluing_laws(c, ls).render()
+        assert rep.passed
+
+    def test_pairs_past_a_dead_transit_are_unlinked(self):
+        # the transit out of stage 0 dies at stage 1 and Y_1 is empty, so the
+        # pairs (0,3) and (1,3) come after the walk has stopped; stage 3
+        # sharing a point with either is a disjointness failure
+        xs = [_discrete(p) for p in "abcd"]
+        c = make_cis(xs, [{"a"}, frozenset(), frozenset(), frozenset()], [{"a": "b"}, {}, {}])
+        lim = _discrete("p", "q")
+        at = ["p", "p", "q", "p"]
+        cand = LimitSpace(lim, tuple(CtsMap(x, lim, {p: q}) for x, p, q in zip(xs, "abcd", at)))
+        assert list(limit._stage_pairs(c)) == [
+            (0, 1, True, {"a": "b"}), (0, 2, False, {}), (0, 3, False, {}),
+            (1, 2, True, {}), (1, 3, False, {}),
+            (2, 3, True, {}),
+        ]
+        rep = verify_gluing_laws(c, cand)
+        assert rep.render() == pairwise_gluing_laws(c, cand).render()
+        assert rep.check("disjointness").witnesses == (
+            "stages 0,3 cannot interact but share ['p']",
+            "stages 1,3 cannot interact but share ['p']",
+        )
 
 
 class TestCanonicalBijection:
