@@ -135,11 +135,11 @@ class CtsMap:
     def __post_init__(self):
         asg = dict(self.assignment)
         object.__setattr__(self, "assignment", asg)
-        if set(asg) != set(self.source.points):
-            bad = sorted(set(asg) ^ set(self.source.points))
+        if asg.keys() != self.source.points:
+            bad = sorted(self.source.points.symmetric_difference(asg))
             raise TopologyError(f"assignment is not total on the source; mismatch at {bad}")
-        stray = sorted(set(asg.values()) - set(self.target.points))
-        if stray:
+        if not self.target.points.issuperset(asg.values()):
+            stray = sorted(set(asg.values()) - self.target.points)
             raise TopologyError(f"assignment leaves the target at {stray}")
 
     def __hash__(self):

@@ -256,8 +256,11 @@ def search_non_fundamental(c: Cis, cap: int = 4) -> NonFundamentalSearch:
     Enumerates every topology on the fundamental limit's point set, keeps
     the candidates that satisfy the limit-space axioms with the same stage
     assignments, and returns those without the weak topology.  Limits of
-    more than min(cap, MAX_SEARCH_POINTS) points are left undecided.
+    more than min(cap, MAX_SEARCH_POINTS) points are left undecided.  A
+    negative cap is refused.
     """
+    if cap < 0:
+        raise TopologyError(f"cap must be >= 0, got {cap}")
     try:
         base = build_fundamental(c)
     except InvalidSystemError as e:

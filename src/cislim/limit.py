@@ -18,10 +18,13 @@ pairs that are not.  `verify_limit_axioms` decides those two axioms per
 point: they hold when every limit point's preimages form one forward orbit
 x_s -> f_s(x_s) -> ... through consecutive stages, and for injective
 structure maps only then (`_orbits_agree`).  Stage pairs are walked only to
-name witnesses once that verdict fails, and by the gluing-law twin, which
-stays pairwise as an oracle; both take every transit out of stage i from one
-forward walk (`cis.transits`), which stops at the first empty transit because
-domains only shrink.
+name witnesses once that verdict fails, taking every transit out of stage i
+from one forward walk (`cis.transits`), which stops at the first empty
+transit because domains only shrink.  The gluing-law twin stays pairwise as
+an oracle, but walks the pairs one later stage j at a time: pairs with equal
+transits and placements share one step of their composite and one check, so
+a system whose stages embed alike takes about one step per stage, not one
+per pair.
 """
 
 from __future__ import annotations
@@ -269,54 +272,101 @@ def verify_limit_axioms(c: Cis, ls: LimitSpace) -> AxiomReport:
     return AxiomReport(tuple(checks))
 
 
+def _step(transit: tuple, f: dict[str, str]) -> tuple:
+    """f_{i,k} from f_{i,k-1}.  A transit lists, for each point of X_i in a
+    fixed order, the point of X_k it reaches, or None off its domain; a
+    point that f_k does not carry on leaves the domain."""
+    return tuple(map(f.get, transit))
+
+
 def verify_gluing_laws(c: Cis, ls: LimitSpace) -> AxiomReport:
     """The equivalent test replacing exact overlaps by gluing agreement plus
     off-locus disjointness; verdicts must match `verify_limit_axioms`.
 
-    It stays pairwise, each stage pair decided on its own transit and never
-    by `_orbits_agree`, so it is an independent check of that per-point
-    verdict.  Agreement is checked in one pass over the transit, which is
-    sorted only to list the witnesses of a mismatch; a transit defined on
-    all of X_i leaves nothing off the locus on stage i's side, so the
-    off-locus sets are built only for partial transits."""
+    It stays pairwise, each stage pair (i, j) decided on its own composite
+    transit f_{i,j-1}, built by composing stage maps, and never by
+    `_orbits_agree`, so it is an independent check of that per-point
+    verdict.  The pairs are walked one column j at a time.  Pairs whose
+    transit and placement are equal entry for entry, over a fixed order of
+    X_i, share one class: each class takes one `_step` through f_{j-1}, one
+    agreement check against phi_j and, when its transit is partial, one
+    off-locus check, and its verdict is that of every pair in it.  A class
+    whose transit is empty never transits again, and from then on its pairs
+    are unlinked: they are tested for disjoint images, once per image and
+    later stage.  Each pair writes its witnesses in its own point names, and
+    they are sorted by (i, j).  The tables live only as long as the call."""
     _require_aligned(c, ls)
     checks = [_cover_check(c, ls), _embedding_check(c, ls)]
 
-    agree_bad = []
-    offlocus_bad = []
+    agree_bad = []  # (i, j, point of X_i, witness)
+    offlocus_bad = []  # (i, j, witness), as is disjoint_bad
     disjoint_bad = []
-    images = [phi.image() for phi in ls.phis]
-    asg = [phi.assignment for phi in ls.phis]
-    for i, j, linked, transit in _stage_pairs(c):
-        phi_i, phi_j = asg[i], asg[j]
-        if not linked:
-            meet = images[i] & images[j]
+    names = []  # each X_k in a fixed order, by phi_k, so that equal placements align
+    place = []  # phi_k in that order
+    for phi in ls.phis:
+        at = phi.assignment.__getitem__
+        names.append(tuple(sorted(phi.assignment, key=at)))
+        place.append(tuple(map(at, names[-1])))
+    classes: dict[tuple, list[int]] = {}  # (f_{i,j-1}, phi_i) -> the stages i
+    dead: dict[frozenset, list[int]] = {}  # image of phi_i -> stages i past an empty transit
+    for j in range(1, c.stage_count):
+        k = j - 1
+        # the pair (k, j) joins with f_{k,k-1}, the identity on X_k
+        classes.setdefault((names[k], place[k]), []).append(k)
+        f = c.stages[k].f.assignment
+        stepped: dict[tuple, list[int]] = {}
+        for (t, p), members in classes.items():
+            key = (_step(t, f), p)
+            if key in stepped:
+                stepped[key].extend(members)
+            else:
+                stepped[key] = members
+        classes = {}
+        phi_j = ls.phis[j].assignment
+        for (t, p), members in stepped.items():
+            if t.count(None) == len(t):
+                dead.setdefault(frozenset(p), []).extend(members)
+                continue
+            classes[t, p] = members
+            bad = [a for a, z in enumerate(t) if z is not None and phi_j[z] != p[a]]
+            if bad:
+                for i in members:
+                    xs = names[i]
+                    agree_bad.extend(
+                        (i, j, xs[a], f"stages {i},{j}: gluing sends {xs[a]} to {phi_j[t[a]]} "
+                         f"but stage {i} places it at {p[a]}")
+                        for a in bad
+                    )
+            if None not in t:  # total on X_i: nothing of stage i is off the locus
+                continue
+            landed = set(t)
+            off_i = {pa for z, pa in zip(t, p) if z is None}
+            meet = off_i.intersection([pz for z, pz in phi_j.items() if z not in landed])
             if meet:
-                disjoint_bad.append(f"stages {i},{j} cannot interact but share {sorted(meet)}")
-            continue
-        for y, z in transit.items():
-            if phi_j[z] != phi_i[y]:  # a mismatch: list them all, in sorted order
-                agree_bad.extend(
-                    f"stages {i},{j}: gluing sends {x} to {phi_j[transit[x]]} "
-                    f"but stage {i} places it at {phi_i[x]}"
-                    for x in sorted(transit)
-                    if phi_j[transit[x]] != phi_i[x]
-                )
-                break
-        if len(transit) == len(phi_i):  # total on X_i: nothing of stage i is off the locus
-            continue
-        landed = set(transit.values())
-        off_i = {p for x, p in phi_i.items() if x not in transit}
-        off_j = {p for z, p in phi_j.items() if z not in landed}
-        meet = off_i & off_j
-        if meet:
-            offlocus_bad.append(
-                f"stages {i},{j}: points {sorted(meet)} collide away from the gluing locus"
-            )
-    checks.append(CheckResult("gluing agreement", not agree_bad, tuple(agree_bad)))
-    checks.append(CheckResult("off-locus disjointness", not offlocus_bad, tuple(offlocus_bad)))
-    checks.append(CheckResult("disjointness", not disjoint_bad, tuple(disjoint_bad)))
+                offlocus_bad.extend((i, j, _off_locus(i, j, meet)) for i in members)
+        image = frozenset(place[j]) if dead else None
+        for img, members in dead.items():
+            meet = img & image
+            if not meet:
+                continue
+            for i in members:
+                if i == k:  # adjacent stages stay linked, so this meet is off the locus
+                    offlocus_bad.append((i, j, _off_locus(i, j, meet)))
+                else:
+                    disjoint_bad.append(
+                        (i, j, f"stages {i},{j} cannot interact but share {sorted(meet)}")
+                    )
+    for name, bad in (
+        ("gluing agreement", agree_bad),
+        ("off-locus disjointness", offlocus_bad),
+        ("disjointness", disjoint_bad),
+    ):
+        checks.append(CheckResult(name, not bad, tuple(w[-1] for w in sorted(bad)) if bad else ()))
     return AxiomReport(tuple(checks))
+
+
+def _off_locus(i: int, j: int, meet) -> str:
+    return f"stages {i},{j}: points {sorted(meet)} collide away from the gluing locus"
 
 
 def has_weak_topology(c: Cis, ls: LimitSpace) -> bool:

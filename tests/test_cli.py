@@ -75,6 +75,14 @@ class TestExitCodes:
             2, "input error: count must be >= 0, got -3\n"
         )
 
+    def test_negative_search_cap_is_two(self, sphere_doc):
+        assert run("search", str(sphere_doc), "--cap", "-1") == (
+            2, "input error: cap must be >= 0, got -1\n"
+        )
+        assert run("search", str(sphere_doc), "--cap", "0") == (
+            0, "undecided: limit exceeds the cap of 0 points\n"
+        )
+
     def test_morphism_target_with_fewer_stages_is_two(self, tmp_path):
         _, m = point_system(sphere_chain(1))
         doc = morphism_to_doc(m)

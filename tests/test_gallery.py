@@ -210,6 +210,10 @@ class TestSearchNonFundamental:
         assert res.found == ()
         assert res.cap == 3
 
+    def test_a_negative_cap_is_refused(self):
+        with pytest.raises(TopologyError, match=r"^cap must be >= 0, got -1$"):
+            search_non_fundamental(non_semicomponible(), cap=-1)
+
     @pytest.mark.parametrize("cap", [MAX_SEARCH_POINTS + 1, 100])
     def test_caps_above_the_search_limit_are_lowered_to_it(self, cap):
         # sphere_chain(2) has a 6-point limit: 2^30 relations under a cap of 6

@@ -15,7 +15,7 @@ from bruteforce import (
     scan_cover_profile,
 )
 from cislim import limit
-from cislim.cis import Cis, Cutoff, make_cis, make_stage
+from cislim.cis import Cis, Cutoff, Stage, make_cis, make_stage
 from cislim.finspace import (
     CtsMap,
     FinSpace,
@@ -331,6 +331,13 @@ class TestVerify:
         )
 
 
+def _window(c: Cis, start: int, length: int) -> Cis:
+    """Stages start .. start+length-1 of c as a cutoff system."""
+    stages = list(c.stages[start:start + length])
+    stages[-1] = Stage(stages[-1].space, stages[-1].y, None)
+    return Cis(tuple(stages), Cutoff())
+
+
 def _discrete(*points):
     return FinSpace(frozenset(points), {p: frozenset({p}) for p in points})
 
@@ -455,6 +462,46 @@ class TestGluingLaws:
         assert failed["gluing agreement"] and failed["off-locus disjointness"]
         assert failed["disjointness"]
 
+    def test_matches_the_pairwise_oracle_on_long_systems(self, monkeypatch):
+        # long systems, where many pairs ending at one stage share a class:
+        # identity systems and windows of 20-80 stages of inductive and loose
+        # draws.  Each also gets four mutants and one in which a single stage
+        # sharing its image with another stage swaps two points, which moves
+        # it out of the class it would share.
+        systems = [identity_system(sphere_space(1), 20), identity_system(sphere_space(2), 80)]
+        for seed in range(6):
+            gen = FuzzGen(seed)
+            length = (20, 40, 80)[seed % 3]
+            for inductive in (True, False):
+                c = gen.cis(max_stages=3 * length, stationary=False, inductive=inductive)
+                while c.stage_count < length:
+                    c = gen.cis(max_stages=3 * length, stationary=False, inductive=inductive)
+                systems.append(_window(c, gen.rng.randrange(c.stage_count - length + 1), length))
+        steps = self._count_steps(monkeypatch)
+        pairs = 0
+        failed = Counter()
+        for n, c in enumerate(systems):
+            gen = FuzzGen(1000 + n)
+            ls = build_fundamental(c)
+            images = [phi.image() for phi in ls.phis]
+            k = gen.rng.choice(
+                [i for i, img in enumerate(images) if len(img) > 1 and images.count(img) > 1]
+            )
+            a, b = gen.rng.sample(sorted(ls.phis[k].source.points), 2)
+            phi = ls.phis[k]
+            moved = CtsMap(phi.source, ls.x, {**phi.assignment, a: phi(b), b: phi(a)})
+            cands = [ls, LimitSpace(ls.x, ls.phis[:k] + (moved,) + ls.phis[k + 1:])]
+            cands += [gen.mutate_candidate(ls)[1] for _ in range(4)]
+            for cand in cands:
+                rep = verify_gluing_laws(c, cand)
+                assert rep.render() == pairwise_gluing_laws(c, cand).render(), n
+                failed.update(ch.name for ch in rep.checks if not ch.passed)
+            assert not verify_gluing_laws(c, cands[1]).check("gluing agreement").passed, n
+            pairs += len(cands) * c.stage_count * (c.stage_count - 1) // 2
+        assert len(steps) * 5 < pairs  # most pairs share their class's step
+        assert failed["gluing agreement"] and failed["off-locus disjointness"]
+        assert failed["disjointness"]
+
     def test_agreement_witnesses_are_sorted(self):
         # the transit runs in the gluing set's iteration order; the witnesses
         # of a mismatch are listed in sorted order all the same
@@ -475,24 +522,61 @@ class TestGluingLaws:
             + ["off-locus disjointness: pass", "disjointness: pass"]
         )
 
+    @staticmethod
+    def _count_steps(monkeypatch):
+        step, steps = limit._step, []
+        monkeypatch.setattr(limit, "_step", lambda t, f: steps.append(t) or step(t, f))
+        return steps
+
     def test_the_walk_stops_at_a_dead_transit(self, monkeypatch):
-        # nothing is glued, so each stage's walk ends at its first transit:
+        # nothing is glued, so each stage's class dies at its first step:
         # 39 steps for 40 stages, where a walk to the last stage takes 780
         spaces = [_discrete(f"s{n}") for n in range(40)]
         c = make_cis(spaces, [frozenset()] * 40, [{}] * 39)
         ls = build_fundamental(c)
-        walk, steps = limit.transits, Counter()
-
-        def counted(c, i, top):
-            for k, transit in walk(c, i, top):
-                steps[i] += 1
-                yield k, transit
-
-        monkeypatch.setattr(limit, "transits", counted)
+        steps = self._count_steps(monkeypatch)
         rep = verify_gluing_laws(c, ls)
-        assert sum(steps.values()) == 39
+        assert len(steps) == 39
         assert rep.render() == pairwise_gluing_laws(c, ls).render()
         assert rep.passed
+
+    def test_an_identity_system_takes_one_step_per_column(self, monkeypatch):
+        # every pair ending at stage j has the identity transit and the same
+        # placement, so each column holds one class: 79 steps for 80 stages,
+        # where stepping every pair's transit takes 3,160
+        c = identity_system(sphere_space(2), 80)
+        ls = build_fundamental(c)
+        assert len(list(full_stage_pairs(c))) == 3160
+        steps = self._count_steps(monkeypatch)
+        rep = verify_gluing_laws(c, ls)
+        assert len(steps) == 79
+        assert rep.render() == pairwise_gluing_laws(c, ls).render()
+        assert rep.passed
+
+    def test_classes_that_meet_after_a_step_share_later_checks(self, monkeypatch):
+        # stages 0 and 1 place their points alike; b0 leaves the transit at
+        # f_0 and b1 at f_1, so the pairs (0,2) and (1,2) meet in one class
+        # after the step through f_1, and each writes its own witness there
+        x0, x1, x2 = _discrete("a0", "b0"), _discrete("a1", "b1"), _discrete("a2")
+        c = make_cis([x0, x1, x2], [{"a0"}, {"a1"}, frozenset()], [{"a0": "a1"}, {"a1": "a2"}])
+        lim = _discrete("p", "q", "r")
+        cand = LimitSpace(lim, (
+            CtsMap(x0, lim, {"a0": "p", "b0": "q"}),
+            CtsMap(x1, lim, {"a1": "p", "b1": "q"}),
+            CtsMap(x2, lim, {"a2": "r"}),
+        ))
+        steps = self._count_steps(monkeypatch)
+        rep = verify_gluing_laws(c, cand)
+        assert len(steps) == 3  # one in column 1, then two that meet in column 2
+        assert rep.render() == pairwise_gluing_laws(c, cand).render()
+        assert rep.render().splitlines()[2:] == [
+            "gluing agreement: FAIL",
+            "  witness: stages 0,2: gluing sends a0 to r but stage 0 places it at p",
+            "  witness: stages 1,2: gluing sends a1 to r but stage 1 places it at p",
+            "off-locus disjointness: FAIL",
+            "  witness: stages 0,1: points ['q'] collide away from the gluing locus",
+            "disjointness: pass",
+        ]
 
     def test_pairs_past_a_dead_transit_are_unlinked(self):
         # the transit out of stage 0 dies at stage 1 and Y_1 is empty, so the
