@@ -57,7 +57,13 @@ class MorphismValidation:
 
 
 def validate_morphism(m: CisMorphism) -> MorphismValidation:
-    failures = []
+    """Every system axiom on the source and the target, then every stage
+    map: closed, continuous, gluing sets kept, attachments commuting."""
+    failures = [
+        (i, f"{side} system: {clause}", detail)
+        for side, c in (("source", m.source), ("target", m.target))
+        for i, clause, detail in validate_cis(c).failures
+    ]
     for i, (st, tt, hi) in enumerate(zip(m.source.stages, m.target.stages, m.h)):
         prof = classify_map(hi)
         if not prof.continuous:
@@ -212,11 +218,18 @@ def cis_direct_limit(d: CisDiagram) -> DirectLimitResult:
     """The direct limit system: stagewise columns are glued along the arrow
     maps, and every object is pushed forward into them along its cocone leg.
 
-    Arrows are input and are validated first.  Their stage maps need not be
-    injective, so columns are glued by the plain attaching construction
-    rather than via system validation; the assembled result is itself
-    validated, and the cocone identities are checked on the spot.
+    Objects and arrows are input and are validated first.  The arrows'
+    stage maps need not be injective, so columns are glued by the plain
+    attaching construction rather than via system validation; the assembled
+    result is itself validated, and the cocone identities are checked on
+    the spot.
     """
+    for n, o in enumerate(d.objects):
+        orep = validate_cis(o)
+        if not orep.ok:
+            raise TopologyError(
+                f"object {n} is not a valid closed injective system:\n" + orep.render()
+            )
     for n, arr in enumerate(d.arrows):
         arep = validate_morphism(arr)
         if not arep.ok:

@@ -281,7 +281,8 @@ def is_stationary(c: Cis) -> int | None:
 
 
 def make_stage(space: FinSpace, y, next_space: FinSpace | None, assignment: dict | None) -> Stage:
-    """Convenience constructor building the attachment on the subspace of y."""
+    """Convenience constructor building the attachment on the subspace of y,
+    which is the stage space itself when y is all of it."""
     y = space.check_points(y)
     if next_space is None:
         return Stage(space, y, None)

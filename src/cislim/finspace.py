@@ -288,8 +288,13 @@ def classify_map(m: CtsMap) -> MapProfile:
 
 
 def subspace(space: FinSpace, a) -> tuple[FinSpace, CtsMap]:
-    """The subspace on a, with its inclusion. U'_x = U_x intersect a."""
+    """The subspace on a, with its inclusion. U'_x = U_x intersect a.
+
+    On all of the space that topology is the space's own, so the subspace
+    is the space itself, with the identity: no copy is built."""
     a = space.check_points(a)
+    if a == space.points:
+        return space, identity_map(space)
     sub = FinSpace(a, {p: space.min_open[p] & a for p in a})
     return sub, CtsMap(sub, space, {p: p for p in a})
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from operator import xor
 
-from .cis import Cis, is_inductive, stage_map
+from .cis import Cis, is_inductive
 from .finspace import CtsMap, FinSpace, TopologyError, _kept, classify_map, components
 from .limit import LimitSpace, _require_aligned, build_fundamental
 
@@ -363,12 +363,12 @@ def chain_map_matrix(m: CtsMap, p: int) -> list[int]:
     return _push(m, p, _record(m.source), _record(m.target))
 
 
-def _induced(m: CtsMap, p: int, source: FinSpace, target: FinSpace) -> list[int]:
-    """H_p(m), from the homology records of `source` and `target`, spaces equal
-    to m.source and m.target (a stage map passes the stage space for its
-    subspace copy, so that one record serves both): pushed forward and reduced
-    against the target's classes, the source's cycles leave their coordinates
-    (unique: cycles are independent modulo boundaries).
+def _induced(m: CtsMap, p: int) -> list[int]:
+    """H_p(m), from the homology records of m.source and m.target: pushed
+    forward and reduced against the target's classes, the source's cycles
+    leave their coordinates (unique: cycles are independent modulo
+    boundaries).  An inductive stage's attachment is defined on its stage
+    space itself, so the stage's one record serves both.
 
     A record is a function of its space's points and minimal opens, so H_p(m)
     depends on m and p alone: it is kept on m, one matrix per degree, for as
@@ -376,7 +376,7 @@ def _induced(m: CtsMap, p: int, source: FinSpace, target: FinSpace) -> list[int]
     kept = _kept(m, "_induced", lambda _: {})
     if p in kept:
         return kept[p]
-    (rs, hs, _), (rt, ht, classes) = _homology(source, p), _homology(target, p)
+    (rs, hs, _), (rt, ht, classes) = _homology(m.source, p), _homology(m.target, p)
     if not classify_map(m).continuous:
         raise TopologyError("homology is only functorial on continuous maps")
     if not hs or not ht:
@@ -394,7 +394,7 @@ def _induced(m: CtsMap, p: int, source: FinSpace, target: FinSpace) -> list[int]
 def induced_matrix(m: CtsMap, p: int) -> list[int]:
     """The matrix of the degree-p homology functor applied to m, computed
     once per map object and degree; each call returns its own copy."""
-    return list(_induced(m, p, m.source, m.target))
+    return list(_induced(m, p))
 
 
 # ---------------------------------------------------------------------------
@@ -419,34 +419,23 @@ class GF2ModuleSeq:
                 raise TopologyError(f"map {n} does not have shape {(rows, cols)}")
 
 
-def _cocone(maps: list[list[int]], dim: int) -> list[list[int]]:
-    """The composites from each module of a chain to the last, of dimension dim."""
-    cocone = [[1 << i for i in range(dim)]]
-    for m in reversed(maps):
-        cocone.insert(0, gf2_matmul(cocone[0], m))
-    return cocone
-
-
 def module_colimit(s: GF2ModuleSeq) -> tuple[int, list[list[int]]]:
     """Colimit of a finite chain: the last module, with the composites to it
     as the cocone.  Returned as matrices so invariance can be checked
     map-by-map rather than by dimension counting."""
-    return s.dims[-1], _cocone(s.maps, s.dims[-1])
-
-
-def _stage_homologies(c: Cis, p: int) -> tuple[list[int], list[list[int]]]:
-    """The dimension of each stage's H_p, and the maps H_p(f_i) between them."""
-    spaces = [st.space for st in c.stages]
-    maps = [_induced(stage_map(c, i), p, spaces[i], spaces[i + 1]) for i in range(len(spaces) - 1)]
-    return [len(_homology(x, p)[1]) for x in spaces], maps
+    dim = s.dims[-1]
+    cocone = [[1 << i for i in range(dim)]]
+    for m in reversed(s.maps):
+        cocone.insert(0, gf2_matmul(cocone[0], m))
+    return dim, cocone
 
 
 def stage_homology_sequence(c: Cis, p: int) -> GF2ModuleSeq:
     """The chain {H_p(X_i), H_p(f_i)} of an inductive system."""
     if not is_inductive(c):
         raise TopologyError("stage homology sequences need an inductive system")
-    dims, maps = _stage_homologies(c, p)
-    return GF2ModuleSeq(tuple(dims), tuple(maps))
+    dims = tuple(len(_homology(st.space, p)[1]) for st in c.stages)
+    return GF2ModuleSeq(dims, tuple(_induced(st.f, p) for st in c.stages[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +491,9 @@ def functorial_invariance_check(
         raise TopologyError("invariance holds for inductive systems; this one glues less")
     ls = limit if limit is not None else build_fundamental(c)
     _require_aligned(c, ls)
-    dims, maps = _stage_homologies(c, p)
-    module_dim = dims[-1]
-    cocone = _cocone(maps, module_dim)
+    module_dim, cocone = module_colimit(stage_homology_sequence(c, p))
     limit_dim = len(_homology(ls.x, p)[1])
-    structure = [_induced(phi, p, c.stages[i].space, ls.x) for i, phi in enumerate(ls.phis)]
+    structure = [_induced(phi, p) for phi in ls.phis]
     a, b = [v for s in structure for v in s], [v for s in cocone for v in s]
     null, rows = _solve(_transpose(a, limit_dim), _transpose(b, module_dim))
     h = _transpose(rows, limit_dim)

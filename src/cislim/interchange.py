@@ -254,13 +254,13 @@ def dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def to_dot(space: FinSpace, name: str = "specialization") -> str:
+def to_dot(space: FinSpace) -> str:
     """The specialization preorder as a DOT digraph, transitively reduced:
     an edge y -> x whenever y sits in U_x and no U_z lies strictly between
     U_y and U_x.  Points sharing a minimal open set get edges both ways, so
     the edges close to the preorder on spaces that are not T0 too."""
     mo = space.min_open
-    lines = [f"digraph {json.dumps(name)} {{"]
+    lines = ['digraph "specialization" {']
     for p in sorted(space.points):
         lines.append(f"  {json.dumps(p)};")
     for x in sorted(space.points):

@@ -33,6 +33,16 @@ from cislim.limit import build_fundamental
 from cislim.randgen import FuzzGen, point_system
 
 
+def open_gluing_system(sierpinski):
+    """Two stages on the Sierpinski space gluing along {a}, which is not
+    closed: cl{a} = {a, b}."""
+    return Cis(
+        (make_stage(sierpinski, {"a"}, sierpinski, {"a": "a"}),
+         make_stage(sierpinski, sierpinski.points, None, None)),
+        Cutoff(),
+    )
+
+
 class TestValidateMorphism:
     def test_identity_morphism_valid(self):
         c = sphere_chain(2)
@@ -60,6 +70,18 @@ class TestValidateMorphism:
         rep = validate_morphism(CisMorphism(c, tgt, h))
         assert not rep.ok
         assert any(clause == "gluing sets preserved" for _, clause, _ in rep.failures)
+
+    def test_invalid_systems_are_reported(self, sierpinski):
+        bad = open_gluing_system(sierpinski)
+        good = identity_system(sierpinski, 2)
+        h = (CtsMap(sierpinski, sierpinski, {"a": "a", "b": "b"}),) * 2
+        rep = validate_morphism(CisMorphism(bad, good, h))
+        assert not rep.ok
+        assert (0, "source system: gluing set closed", "closure adds ['b']") in rep.failures
+        assert not any(clause.startswith("target system") for _, clause, _ in rep.failures)
+        rep = validate_morphism(CisMorphism(good, bad, h))
+        assert rep.failures[0] == (0, "target system: gluing set closed", "closure adds ['b']")
+        assert "stage 0: target system: gluing set closed: closure adds ['b']" in rep.render()
 
     def test_stage_count_mismatch_is_hard_error(self, sierpinski):
         c2 = identity_system(sierpinski, 2)
@@ -292,6 +314,14 @@ class TestDirectLimit:
         assert h.hexdigest() == (
             "406da9bb641fd9c83a896669438e84301109cd40d57017c160420a6ae7786217"
         )
+
+    def test_invalid_objects_are_input_errors(self, sierpinski):
+        bad = open_gluing_system(sierpinski)
+        good = identity_system(sierpinski, 2)
+        arrow = CisMorphism(good, bad, identity_morphism(good).h)
+        for d, n in [(CisDiagram((bad,), ()), 0), (CisDiagram((good, bad), (arrow,)), 1)]:
+            with pytest.raises(TopologyError, match=f"^object {n} is not a valid closed injective"):
+                cis_direct_limit(d)
 
     def test_constant_diagram_reproduces_object(self):
         c = sphere_chain(1)

@@ -26,9 +26,11 @@ from cislim.gallery import (
     interval_chain,
     non_semicomponible,
     sphere_chain,
+    sphere_space,
     stationary_sphere,
 )
-from cislim.randgen import FuzzGen
+from cislim.interchange import cis_from_doc, cis_to_doc
+from cislim.randgen import FuzzGen, relabel_cis
 
 
 def one_shot_domain(c, i, j):
@@ -151,6 +153,47 @@ class TestMakeCis:
             make_cis([sierpinski] * 3, [{"b"}] * 3, [{"b": "b"}])
         with pytest.raises(TopologyError, match="1 stage spaces need 0 attachments, got 1"):
             make_cis([sierpinski], [{"b"}], [{"b": "b"}])
+
+
+class TestAttachmentSources:
+    """A stage that glues along all of itself carries an attachment defined on
+    the stage space itself; a proper gluing set keeps its subspace copy."""
+
+    @staticmethod
+    def shared(c):
+        """Whether each attached stage's map is defined on the stage object,
+        checking that this happens exactly where Y_i = X_i."""
+        out = []
+        for st in c.stages[:-1]:
+            same = st.f.source is st.space
+            assert same == (st.y == st.space.points)
+            out.append(same)
+        return out
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: sphere_chain(3),
+            lambda: identity_system(sphere_space(1), 3, stationary=True),
+            lambda: cis_from_doc(cis_to_doc(sphere_chain(2))),
+            lambda: relabel_cis(sphere_chain(2), [{p: p.upper() for p in sphere_space(k).points}
+                                                  for k in range(3)]),
+            lambda: FuzzGen(3).cis(inductive=True, max_stages=5),
+        ],
+        ids=["make_cis", "identity", "cis_from_doc", "push_forward", "fuzzed"],
+    )
+    def test_inductive_stages_share_their_space(self, build):
+        c = build()
+        assert is_inductive(c) and c.stage_count > 1
+        assert all(self.shared(c))
+
+    def test_fuzzed_systems_share_exactly_where_they_glue_everything(self):
+        seen = set()
+        for seed in range(40):
+            gen = FuzzGen(seed)
+            for c in (gen.cis(), gen.relabelled(gen.cis())):
+                seen.update(self.shared(c))
+        assert seen == {True, False}
 
 
 class TestSemicomponible:

@@ -122,6 +122,42 @@ class TestExitCodes:
         assert status == 2
         assert text.startswith("input error: arrow 0 is not a cis-morphism:\n")
 
+    @pytest.mark.parametrize(
+        "y0, f0, objects, detail",
+        [
+            (["a"], {"a": "a"}, 1, "stage 0: gluing set closed: closure adds ['b']"),
+            (["a"], {"a": "a"}, 2, "stage 0: gluing set closed: closure adds ['b']"),
+            (["a", "b"], {"a": "a", "b": "a"}, 1,
+             "stage 0: attachment injective: two points share an image"),
+        ],
+        ids=["open gluing set", "two objects", "non-injective"],
+    )
+    def test_diagram_of_invalid_systems_is_two(self, tmp_path, y0, f0, objects, detail):
+        # on the Sierpinski space cl{a} = {a, b}, so {a} is no gluing set
+        c = cis_to_doc(identity_system(sierpinski_space(), 2))
+        c["stages"][0]["y"], c["stages"][0]["f"] = y0, f0
+        ident = [{"a": "a", "b": "b"}] * 2
+        p = tmp_path / "d.json"
+        arrows = [{"h": ident}] * (objects - 1)
+        p.write_text(json.dumps({"objects": [c] * objects, "arrows": arrows}))
+        status, text = run("diagram-limit", str(p))
+        assert status == 2
+        assert text.startswith("input error: object 0 is not a valid closed injective system:\n")
+        assert detail in text.splitlines() and "Traceback" not in text
+
+    @pytest.mark.parametrize("flags", [(), ("--induced",)])
+    def test_morphism_between_invalid_systems_is_one(self, tmp_path, flags):
+        c = cis_to_doc(identity_system(sierpinski_space(), 2))
+        c["stages"][0]["y"], c["stages"][0]["f"] = ["a"], {"a": "a"}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"source": c, "target": c, "h": [{"a": "a", "b": "b"}] * 2}))
+        status, text = run("morphism", str(p), *flags)
+        assert status == 1
+        lines = text.splitlines()
+        for side in ("source", "target"):
+            assert f"stage 0: {side} system: gluing set closed: closure adds ['b']" in lines
+        assert "valid cis-morphism" not in text and "input error" not in text
+
     def test_boolean_stationary_index_is_two(self, tmp_path):
         doc = cis_to_doc(sphere_chain(1))
         doc["tail"] = {"kind": "stationary", "n0": True}

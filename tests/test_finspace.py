@@ -229,8 +229,10 @@ class TestKeptFlags:
 
 class TestSubspace:
     def test_full_subset_is_same_space(self, circle4):
-        sub, incl = subspace(circle4, circle4.points)
-        assert sub == circle4
+        # the subspace topology on all of a space is its own: no copy is built
+        sub, incl = subspace(circle4, set(circle4.points))
+        assert sub is circle4
+        assert incl.source is incl.target is circle4
         assert incl.assignment == identity_map(circle4).assignment
 
     def test_singleton(self, sierpinski):

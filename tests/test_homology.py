@@ -786,6 +786,18 @@ class TestInvariance:
         assert functorial_invariance_check(c, 0, twin).render() == first[0]
         assert [id(m) for m, _ in pushes] == [id(phi) for phi in twin.phis]
 
+    def test_one_record_per_distinct_space(self, monkeypatch):
+        # each stage's attachment is defined on the stage itself, so stage and
+        # attachment share one record, and the limit has its own
+        built = []
+        record = homology._Homology
+        monkeypatch.setattr(homology, "_Homology", lambda x: built.append(x) or record(x))
+        c = sphere_chain(3)
+        ls = build_fundamental(c)
+        assert functorial_invariance_check(c, 1, ls).ok
+        spaces = [st_.space for st_ in c.stages] + [ls.x]
+        assert sorted(map(id, built)) == sorted(map(id, spaces))
+
     def test_sphere_chain_every_degree(self):
         c = sphere_chain(4)
         ls = build_fundamental(c)
