@@ -21,11 +21,9 @@ from .finspace import (
     TopologyError,
     classify_map,
     components,
-    coproduct,
     final_space,
     find_homeomorphism,
     product,
-    quotient,
     separation_profile,
     subspace,
 )

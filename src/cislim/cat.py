@@ -78,8 +78,6 @@ def validate_morphism(m: CisMorphism) -> MorphismValidation:
     for i in range(m.source.stage_count - 1):
         st = m.source.stages[i]
         tt = m.target.stages[i]
-        if st.f is None or tt.f is None:
-            continue
         for y in sorted(st.y):
             hy = m.h[i](y)
             if hy not in tt.y:

@@ -174,34 +174,11 @@ class CompositeInjection:
     map: CtsMap
 
 
-def transits(c: Cis, i: int, top: int):
-    """Yield (k, f_{i,k}) for k = i..top, each composite a plain dict on its
-    domain.
-
-    Every step extends the previous one: keep the entries whose image lies
-    in Y_k, then apply f_k.  Domains only shrink, so a pair that stops
-    transiting never transits again.  Stages that carry an attachment are
-    read directly; only steps past them resolve through the tail policy.
-    """
-    attached = c.stage_count - 1
-
-    def step(k: int) -> tuple[PointSet, dict[str, str]]:
-        if 0 <= k < attached:
-            st = c.stages[k]
-            return st.y, st.f.assignment
-        return stage_y(c, k), stage_map(c, k).assignment
-
-    y_i, f_i = step(i)
-    asg = {y: f_i[y] for y in y_i}
-    yield i, asg
-    for k in range(i + 1, top + 1):
-        yk, f_k = step(k)
-        asg = {y: f_k[z] for y, z in asg.items() if z in yk}
-        yield k, asg
-
-
 def composite(c: Cis, i: int, j: int) -> CompositeInjection:
-    """f_{i,j} as a map on the subspace of its domain."""
+    """f_{i,j} as a map on the subspace of its domain.
+
+    From the identity on X_i, each step keeps the points whose image lies
+    in Y_k, then applies f_k, so domains only shrink."""
     if j < i:
         raise IndexError("composite needs i <= j")
     resolve_index(c, i)
@@ -210,8 +187,10 @@ def composite(c: Cis, i: int, j: int) -> CompositeInjection:
     if isinstance(c.tail, Stationary):
         # beyond the parking index every step is the identity on the full stage
         top = min(j, max(i, c.tail.n0))
-    for _, asg in transits(c, i, top):
-        pass
+    asg = {x: x for x in stage_space(c, i).points}
+    for k in range(i, top + 1):
+        yk, f_k = stage_y(c, k), stage_map(c, k).assignment
+        asg = {y: f_k[z] for y, z in asg.items() if z in yk}
     domain = frozenset(asg)
     sub, _ = subspace(stage_space(c, i), domain)
     cmap = CtsMap(sub, stage_space(c, j + 1), asg)

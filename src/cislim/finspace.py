@@ -272,12 +272,6 @@ def compose(late: CtsMap, early: CtsMap) -> CtsMap:
                   {p: late.assignment[q] for p, q in early.assignment.items()})
 
 
-def restrict_map(m: CtsMap, a) -> CtsMap:
-    """Restriction of m to the subspace on a."""
-    sub, _ = subspace(m.source, a)
-    return CtsMap(sub, m.target, {p: m.assignment[p] for p in sub.points})
-
-
 def classify_map(m: CtsMap) -> MapProfile:
     """Continuity, closedness, injectivity, embedding, surjectivity, quotient.
 

@@ -40,7 +40,7 @@ from functools import cached_property, reduce
 from operator import xor
 
 from .cis import Cis, is_inductive
-from .finspace import CtsMap, FinSpace, TopologyError, _kept, classify_map, components
+from .finspace import CtsMap, FinSpace, TopologyError, _kept, classify_map
 from .limit import LimitSpace, _require_aligned, build_fundamental
 
 # ---------------------------------------------------------------------------
@@ -298,15 +298,6 @@ def betti_mod2(k: SimplicialComplex, pmax: int) -> list[int]:
     ch = k._chains
     ranks = [len(ch.boundaries(p)) for p in range(pmax + 2)]
     return [len(ch.cells(p)) - ranks[p] - ranks[p + 1] for p in range(pmax + 1)]
-
-
-def euler_characteristic(k: SimplicialComplex) -> int:
-    return sum((-1) ** (s.bit_count() - 1) for s in k.masks)
-
-
-def h0_rank(space: FinSpace) -> int:
-    """Rank of the free module on connected components."""
-    return len(components(space))
 
 
 # ---------------------------------------------------------------------------

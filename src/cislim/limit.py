@@ -17,14 +17,11 @@ transit has a nonempty domain, and the disjointness axiom applies to the
 pairs that are not.  `verify_limit_axioms` decides those two axioms per
 point: they hold when every limit point's preimages form one forward orbit
 x_s -> f_s(x_s) -> ... through consecutive stages, and for injective
-structure maps only then (`_orbits_agree`).  Stage pairs are walked only to
-name witnesses once that verdict fails, taking every transit out of stage i
-from one forward walk (`cis.transits`), which stops at the first empty
-transit because domains only shrink.  The gluing-law twin stays pairwise as
-an oracle, but walks the pairs one later stage j at a time: pairs with equal
-transits and placements share one step of their composite and one check, so
-a system whose stages embed alike takes about one step per stage, not one
-per pair.
+structure maps only then (`_orbits_agree`).  The transits themselves are
+stepped in one place, `_pair_classes`, one later stage at a time and once
+per class of pairs with equal transit and placement.  The gluing-law twin
+decides every pair from that walk, as an oracle for the per-point verdict;
+the axiom verifier reads it only to name witnesses once its verdict fails.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .cis import Cis, transits, validate_cis
+from .cis import Cis, validate_cis
 from .finspace import CtsMap, FinSpace, TopologyError, classify_map, final_space
 
 
@@ -150,23 +147,6 @@ def _require_aligned(c: Cis, ls: LimitSpace) -> None:
             raise TopologyError(f"structure map {i} is not defined on stage {i}")
 
 
-def _stage_pairs(c: Cis):
-    """(i, j, linked, transit) for every stage pair i < j, where `transit`
-    is f_{i,j-1} as a dict on its domain.
-
-    Domains only shrink, so the walk out of stage i stops at the first empty
-    transit: every farther pair is unlinked, and is yielded with that empty
-    transit without stepping on."""
-    top = c.stage_count - 2
-    for i in range(top + 1):
-        for k, transit in transits(c, i, top):
-            yield i, k + 1, k == i or bool(transit), transit
-            if not transit:
-                for j in range(k + 2, top + 2):
-                    yield i, j, False, transit
-                break
-
-
 def _cover_check(c, ls):
     covered = set()
     for phi in ls.phis:
@@ -224,8 +204,10 @@ def verify_limit_axioms(c: Cis, ls: LimitSpace) -> AxiomReport:
     """The limit-space axioms: cover, embeddings, exact overlaps (with the
     pointwise clause), and disjointness for unlinked stage pairs.
 
-    Overlaps and disjointness are decided per point by `_orbits_agree`;
-    stage pairs are walked only when that fails, to name the witnesses."""
+    Overlaps and disjointness are decided per point by `_orbits_agree`.
+    Only when that fails are the stage pairs walked, by `_pair_classes`, to
+    name the witnesses: each linked pair reads its transit back in its own
+    point names, and the pairs write their lines in (i, j) order."""
     _require_aligned(c, ls)
     checks = [_cover_check(c, ls), _embedding_check(c, ls)]
     if _orbits_agree(c, ls):
@@ -233,22 +215,35 @@ def verify_limit_axioms(c: Cis, ls: LimitSpace) -> AxiomReport:
         checks.append(CheckResult("disjointness", True))
         return AxiomReport(tuple(checks))
 
+    names, place = _placed(ls)
+    images = [frozenset(p) for p in place]
+    linked = {}  # (i, j) -> f_{i,j-1} as a dict on its domain
+    disjoint_bad = []  # (i, j, witness)
+    for j, live, dead in _pair_classes(c, names, place):
+        for (t, _), members in live.items():
+            for i in members:
+                linked[i, j] = {x: z for x, z in zip(names[i], t) if z is not None}
+        for img, members in dead.items():
+            meet = img & images[j]
+            if not meet:  # with an empty transit, an empty meet is no witness
+                continue
+            for i in members:
+                if i == j - 1:  # adjacent stages stay linked, through f_i
+                    linked[i, j] = {}
+                else:
+                    disjoint_bad.append(
+                        (i, j, f"stages {i},{j} cannot interact but share {sorted(meet)}")
+                    )
     overlap_bad = []
-    disjoint_bad = []
-    images = [phi.image() for phi in ls.phis]
     fibres = []  # each stage's points grouped by image, each group sorted
     for phi in ls.phis:
         fibre: dict[str, list[str]] = {}
         for x in sorted(phi.source.points):
             fibre.setdefault(phi(x), []).append(x)
         fibres.append(fibre)
-    for i, j, linked, transit in _stage_pairs(c):
+    for (i, j), transit in sorted(linked.items()):
         phi_i, phi_j = ls.phis[i], ls.phis[j]
         meet = images[i] & images[j]
-        if not linked:
-            if meet:
-                disjoint_bad.append(f"stages {i},{j} cannot interact but share {sorted(meet)}")
-            continue
         glued = frozenset(phi_j(z) for z in transit.values())
         if meet != glued:
             overlap_bad.append(
@@ -267,67 +262,85 @@ def verify_limit_axioms(c: Cis, ls: LimitSpace) -> AxiomReport:
                         f"stages {i},{j}: {xi} and {xj} collide at {phi_i(xi)} "
                         f"but the transit sends {xi} to {transit[xi]}"
                     )
+    disjoint_bad.sort()
     checks.append(CheckResult("overlap", not overlap_bad, tuple(overlap_bad)))
-    checks.append(CheckResult("disjointness", not disjoint_bad, tuple(disjoint_bad)))
+    checks.append(CheckResult("disjointness", not disjoint_bad, tuple(w[-1] for w in disjoint_bad)))
     return AxiomReport(tuple(checks))
 
 
+def _placed(ls: LimitSpace) -> tuple[list[tuple], list[tuple]]:
+    """Each X_k in a fixed order, by phi_k, so that equal placements align,
+    and phi_k in that order."""
+    names, place = [], []
+    for phi in ls.phis:
+        at = phi.assignment.__getitem__
+        names.append(tuple(sorted(phi.assignment, key=at)))
+        place.append(tuple(map(at, names[-1])))
+    return names, place
+
+
 def _step(transit: tuple, f: dict[str, str]) -> tuple:
-    """f_{i,k} from f_{i,k-1}.  A transit lists, for each point of X_i in a
-    fixed order, the point of X_k it reaches, or None off its domain; a
-    point that f_k does not carry on leaves the domain."""
+    """f_{i,k} from f_{i,k-1}: a point that f_k does not carry on leaves the
+    domain."""
     return tuple(map(f.get, transit))
+
+
+def _pair_classes(c: Cis, names: list[tuple], place: list[tuple]):
+    """Yield (j, live, dead) for each later stage j, with every stage pair
+    (i, j) in exactly one of the two tables, from one walk of the composite
+    transits f_{i,j-1}.
+
+    A transit lists, for each point of names[i], the point of X_j it
+    reaches, or None off its domain.  Pairs whose transit and placement
+    place[i] are equal entry for entry share one class, and `live` maps each
+    (transit, placement) to its stages i.  Each class takes one `_step`
+    through f_{j-1}, so a system whose stages embed alike takes about one
+    step per stage, not one per pair.  Domains only shrink, so a class whose
+    transit empties never transits again: its stages join `dead`, keyed by
+    the image of phi_i, and stay there for every later j.  Of the dead
+    pairs, (j-1, j) is still linked, through f_{j-1}; every other one is
+    unlinked.  Both tables belong to the walk and hold until its next step."""
+    live: dict[tuple, list[int]] = {}
+    dead: dict[frozenset, list[int]] = {}
+    for j in range(1, c.stage_count):
+        k = j - 1
+        # the pair (k, j) joins with f_{k,k-1}, the identity on X_k
+        live.setdefault((names[k], place[k]), []).append(k)
+        f = c.stages[k].f.assignment
+        stepped: dict[tuple, list[int]] = {}
+        for (t, p), members in live.items():
+            key = (_step(t, f), p)
+            if key in stepped:
+                stepped[key].extend(members)
+            elif key[0].count(None) == len(t):
+                dead.setdefault(frozenset(p), []).extend(members)
+            else:
+                stepped[key] = members
+        live = stepped
+        yield j, live, dead
 
 
 def verify_gluing_laws(c: Cis, ls: LimitSpace) -> AxiomReport:
     """The equivalent test replacing exact overlaps by gluing agreement plus
     off-locus disjointness; verdicts must match `verify_limit_axioms`.
 
-    It stays pairwise, each stage pair (i, j) decided on its own composite
-    transit f_{i,j-1}, built by composing stage maps, and never by
-    `_orbits_agree`, so it is an independent check of that per-point
-    verdict.  The pairs are walked one column j at a time.  Pairs whose
-    transit and placement are equal entry for entry, over a fixed order of
-    X_i, share one class: each class takes one `_step` through f_{j-1}, one
-    agreement check against phi_j and, when its transit is partial, one
-    off-locus check, and its verdict is that of every pair in it.  A class
-    whose transit is empty never transits again, and from then on its pairs
-    are unlinked: they are tested for disjoint images, once per image and
-    later stage.  Each pair writes its witnesses in its own point names, and
-    they are sorted by (i, j).  The tables live only as long as the call."""
+    Each stage pair (i, j) is decided on its own composite transit
+    f_{i,j-1} from `_pair_classes`, and never by `_orbits_agree`, so this
+    is an independent check of that per-point verdict.  A live class takes
+    one agreement check against phi_j and, when its transit is partial, one
+    off-locus check, and its verdict is that of every pair in it; dead pairs
+    are tested for disjoint images, once per image and later stage.  Each
+    pair writes its witnesses in its own point names, sorted by (i, j)."""
     _require_aligned(c, ls)
     checks = [_cover_check(c, ls), _embedding_check(c, ls)]
 
     agree_bad = []  # (i, j, point of X_i, witness)
     offlocus_bad = []  # (i, j, witness), as is disjoint_bad
     disjoint_bad = []
-    names = []  # each X_k in a fixed order, by phi_k, so that equal placements align
-    place = []  # phi_k in that order
-    for phi in ls.phis:
-        at = phi.assignment.__getitem__
-        names.append(tuple(sorted(phi.assignment, key=at)))
-        place.append(tuple(map(at, names[-1])))
-    classes: dict[tuple, list[int]] = {}  # (f_{i,j-1}, phi_i) -> the stages i
-    dead: dict[frozenset, list[int]] = {}  # image of phi_i -> stages i past an empty transit
-    for j in range(1, c.stage_count):
-        k = j - 1
-        # the pair (k, j) joins with f_{k,k-1}, the identity on X_k
-        classes.setdefault((names[k], place[k]), []).append(k)
-        f = c.stages[k].f.assignment
-        stepped: dict[tuple, list[int]] = {}
-        for (t, p), members in classes.items():
-            key = (_step(t, f), p)
-            if key in stepped:
-                stepped[key].extend(members)
-            else:
-                stepped[key] = members
-        classes = {}
+    names, place = _placed(ls)
+    for j, live, dead in _pair_classes(c, names, place):
         phi_j = ls.phis[j].assignment
-        for (t, p), members in stepped.items():
-            if t.count(None) == len(t):
-                dead.setdefault(frozenset(p), []).extend(members)
-                continue
-            classes[t, p] = members
+        for (t, p), members in live.items():
             bad = [a for a, z in enumerate(t) if z is not None and phi_j[z] != p[a]]
             if bad:
                 for i in members:
@@ -350,7 +363,7 @@ def verify_gluing_laws(c: Cis, ls: LimitSpace) -> AxiomReport:
             if not meet:
                 continue
             for i in members:
-                if i == k:  # adjacent stages stay linked, so this meet is off the locus
+                if i == j - 1:  # adjacent stages stay linked, so this meet is off the locus
                     offlocus_bad.append((i, j, _off_locus(i, j, meet)))
                 else:
                     disjoint_bad.append(

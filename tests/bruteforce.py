@@ -7,7 +7,6 @@ Only usable for spaces with a handful of points.
 
 from itertools import chain, combinations, permutations
 
-from cislim.cis import transits
 from cislim.finspace import CtsMap, FinSpace, compose, coproduct, final_space, quotient
 from cislim.limit import (
     AxiomReport,
@@ -167,13 +166,70 @@ def final_space_weak_topology(ls: LimitSpace) -> bool:
     return final_space(ls.x.points, ls.phis).min_open == ls.x.min_open
 
 
+def transits(c, i: int, top: int):
+    """Yield (k, f_{i,k}) for k = i..top, below the last stage, each
+    composite a plain dict on its domain: every step keeps the entries whose
+    image lies in Y_k, then applies f_k."""
+    asg = {x: x for x in c.stages[i].space.points}
+    for k in range(i, top + 1):
+        st = c.stages[k]
+        asg = {y: st.f.assignment[z] for y, z in asg.items() if z in st.y}
+        yield k, asg
+
+
 def full_stage_pairs(c):
     """(i, j, linked, transit) for every stage pair i < j, each transit
-    stepped on to the last stage even once it is empty: the walk that
-    `limit._stage_pairs` cuts short, kept as its oracle."""
+    stepped on to the last stage even once it is empty, where
+    `limit._pair_classes` steps each class of pairs once and stops at an
+    empty transit: kept as the oracle of that walk."""
     for i in range(c.stage_count - 1):
         for k, transit in transits(c, i, c.stage_count - 2):
             yield i, k + 1, k == i or bool(transit), transit
+
+
+def pairwise_limit_axioms(c, ls: LimitSpace) -> AxiomReport:
+    """`limit.verify_limit_axioms` with no per-point verdict, kept as its
+    oracle: every stage pair decided on its own transit, in pair order."""
+    _require_aligned(c, ls)
+    checks = [_cover_check(c, ls), _embedding_check(c, ls)]
+
+    overlap_bad = []
+    disjoint_bad = []
+    images = [phi.image() for phi in ls.phis]
+    fibres = []  # each stage's points grouped by image, each group sorted
+    for phi in ls.phis:
+        fibre = {}
+        for x in sorted(phi.source.points):
+            fibre.setdefault(phi(x), []).append(x)
+        fibres.append(fibre)
+    for i, j, linked, transit in full_stage_pairs(c):
+        phi_i, phi_j = ls.phis[i], ls.phis[j]
+        meet = images[i] & images[j]
+        if not linked:
+            if meet:
+                disjoint_bad.append(f"stages {i},{j} cannot interact but share {sorted(meet)}")
+            continue
+        glued = frozenset(phi_j(z) for z in transit.values())
+        if meet != glued:
+            overlap_bad.append(
+                f"stages {i},{j}: images meet in {sorted(meet)} "
+                f"but the transit lands on {sorted(glued)}"
+            )
+        for xi in sorted(phi_i.source.points):
+            for xj in fibres[j].get(phi_i(xi), ()):
+                if xi not in transit:
+                    overlap_bad.append(
+                        f"stages {i},{j}: {xi} and {xj} collide at {phi_i(xi)} "
+                        f"but {xi} is outside the transit domain"
+                    )
+                elif transit[xi] != xj:
+                    overlap_bad.append(
+                        f"stages {i},{j}: {xi} and {xj} collide at {phi_i(xi)} "
+                        f"but the transit sends {xi} to {transit[xi]}"
+                    )
+    checks.append(CheckResult("overlap", not overlap_bad, tuple(overlap_bad)))
+    checks.append(CheckResult("disjointness", not disjoint_bad, tuple(disjoint_bad)))
+    return AxiomReport(tuple(checks))
 
 
 def pairwise_gluing_laws(c, ls: LimitSpace) -> AxiomReport:

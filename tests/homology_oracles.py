@@ -141,3 +141,8 @@ def label_chain_map(m, p):
         image = frozenset(cls[m.assignment[v]] for v in s)
         out.append(1 << index[image] if len(image) == p + 1 else 0)
     return out
+
+
+def euler_characteristic(k):
+    """The alternating count of a complex's simplices by dimension."""
+    return sum((-1) ** (s.bit_count() - 1) for s in k.masks)

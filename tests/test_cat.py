@@ -24,7 +24,6 @@ from cislim.finspace import (
     classify_map,
     compose,
     find_homeomorphism,
-    restrict_map,
     subspace,
 )
 from cislim.gallery import identity_system, sphere_chain, sphere_space
@@ -41,6 +40,15 @@ def open_gluing_system(sierpinski):
          make_stage(sierpinski, sierpinski.points, None, None)),
         Cutoff(),
     )
+
+
+def swap_last(stages: int) -> CisMorphism:
+    """The identity system on discrete {a, b}, mapped to itself by identities
+    and, at the last stage, the swap: only the last attachment square fails."""
+    ab = FinSpace(frozenset("ab"), {"a": frozenset("a"), "b": frozenset("b")})
+    c = identity_system(ab, stages)
+    swap = CtsMap(ab, ab, {"a": "b", "b": "a"})
+    return CisMorphism(c, c, (CtsMap(ab, ab, {"a": "a", "b": "b"}),) * (stages - 1) + (swap,))
 
 
 class TestValidateMorphism:
@@ -82,6 +90,20 @@ class TestValidateMorphism:
         rep = validate_morphism(CisMorphism(good, bad, h))
         assert rep.failures[0] == (0, "target system: gluing set closed", "closure adds ['b']")
         assert "stage 0: target system: gluing set closed: closure adds ['b']" in rep.render()
+
+    def test_attachment_squares_are_checked(self):
+        # every stage map is a homeomorphism keeping the gluing sets, so only
+        # the commuting clause can fail
+        assert validate_morphism(swap_last(2)).render() == (
+            "stage 0: commutes with attachments: a: forward-then-map gives b, map-then-forward gives a\n"
+            "stage 0: commutes with attachments: b: forward-then-map gives a, map-then-forward gives b"
+        )
+
+    def test_the_last_attachment_square_is_checked(self):
+        rep = validate_morphism(swap_last(3))
+        assert [(i, clause) for i, clause, _ in rep.failures] == [
+            (1, "commutes with attachments"), (1, "commutes with attachments")
+        ]
 
     def test_stage_count_mismatch_is_hard_error(self, sierpinski):
         c2 = identity_system(sierpinski, 2)
@@ -139,9 +161,9 @@ def reclassifying_is_cis_isomorphism(m):
             return False
         if frozenset(hi(y) for y in st.y) != tt.y:
             return False
-        restricted = restrict_map(hi, st.y)
+        ysub, _ = subspace(st.space, st.y)
         wsub, _ = subspace(tt.space, tt.y)
-        onto_w = CtsMap(restricted.source, wsub, restricted.assignment)
+        onto_w = CtsMap(ysub, wsub, {y: hi.assignment[y] for y in ysub.points})
         wprof = classify_map(onto_w)
         if not (wprof.embedding and wprof.surjective):
             return False

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruteforce import transits
 from cislim.cis import (
     Cis,
     Cutoff,
@@ -17,7 +18,6 @@ from cislim.cis import (
     stage_map,
     stage_space,
     stage_y,
-    transits,
     validate_cis,
 )
 from cislim.finspace import CtsMap, FinSpace, TopologyError, classify_map
@@ -306,9 +306,11 @@ class TestComposite:
         c = FuzzGen(seed).cis(max_stages=6)
         n = c.stage_count
         for i in range(n - 1):
-            walk = list(transits(c, i, n - 2))
-            assert [k for k, _ in walk] == list(range(i, n - 1))
-            for k, asg in walk:
+            walk = dict(transits(c, i, n - 2))
+            assert list(walk) == list(range(i, n - 1))
+            for k in walk:
+                asg = composite(c, i, k).map.assignment
+                assert asg == walk[k]
                 assert frozenset(asg) == one_shot_domain(c, i, k)
                 for y, z in asg.items():
                     p = y

@@ -6,6 +6,7 @@ import pytest
 
 from cislim.cli import main
 from cislim.cat import CisDiagram, cis_direct_limit
+from cislim.finspace import FinSpace
 from cislim.interchange import (
     cis_from_doc,
     cis_to_doc,
@@ -157,6 +158,20 @@ class TestExitCodes:
         for side in ("source", "target"):
             assert f"stage 0: {side} system: gluing set closed: closure adds ['b']" in lines
         assert "valid cis-morphism" not in text and "input error" not in text
+
+    def test_morphism_that_does_not_commute_is_one(self, tmp_path):
+        # the identity system on discrete {a, b}, mapped to itself by the
+        # identity at stage 0 and the swap at stage 1
+        ab = FinSpace(frozenset("ab"), {"a": frozenset("a"), "b": frozenset("b")})
+        c = cis_to_doc(identity_system(ab, 2))
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(
+            {"source": c, "target": c, "h": [{"a": "a", "b": "b"}, {"a": "b", "b": "a"}]}
+        ))
+        assert run("morphism", str(p)) == (1, (
+            "stage 0: commutes with attachments: a: forward-then-map gives b, map-then-forward gives a\n"
+            "stage 0: commutes with attachments: b: forward-then-map gives a, map-then-forward gives b\n"
+        ))
 
     def test_boolean_stationary_index_is_two(self, tmp_path):
         doc = cis_to_doc(sphere_chain(1))

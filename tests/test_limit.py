@@ -11,6 +11,7 @@ from bruteforce import (
     final_space_weak_topology,
     full_stage_pairs,
     pairwise_gluing_laws,
+    pairwise_limit_axioms,
     projection,
     scan_cover_profile,
 )
@@ -342,6 +343,19 @@ def _discrete(*points):
     return FinSpace(frozenset(points), {p: frozenset({p}) for p in points})
 
 
+def walked_pairs(c: Cis, ls: LimitSpace):
+    """The stage pairs of `limit._pair_classes` as (i, j, linked, transit),
+    each transit read back in stage i's point names, in pair order."""
+    names, place = limit._placed(ls)
+    pairs = []
+    for j, live, dead in limit._pair_classes(c, names, place):
+        for (t, _), members in live.items():
+            pairs += [(i, j, True, {x: z for x, z in zip(names[i], t) if z is not None})
+                      for i in members]
+        pairs += [(i, j, i == j - 1, {}) for members in dead.values() for i in members]
+    return sorted(pairs, key=lambda w: w[:2])
+
+
 class TestPerPointVerdict:
     """`verify_limit_axioms` decides overlaps and disjointness per point and
     walks stage pairs only to name witnesses; the pairwise walk is the
@@ -414,18 +428,20 @@ class TestPerPointVerdict:
         )
 
     def test_passing_candidates_walk_no_stage_pairs(self, monkeypatch):
-        def no_pairs(c):
+        def no_pairs(c, names, place):
             raise AssertionError("stage pairs walked for a passing candidate")
 
-        monkeypatch.setattr(limit, "_stage_pairs", no_pairs)
+        monkeypatch.setattr(limit, "_pair_classes", no_pairs)
         c = identity_system(sphere_space(2), 320)
         ls = build_fundamental(c)
         assert verify_limit_axioms(c, ls).passed
 
     def test_failing_candidates_still_name_pair_witnesses(self, monkeypatch):
         walked = []
-        pairs = limit._stage_pairs
-        monkeypatch.setattr(limit, "_stage_pairs", lambda c: walked.append(c) or pairs(c))
+        pairs = limit._pair_classes
+        monkeypatch.setattr(
+            limit, "_pair_classes", lambda c, *order: walked.append(c) or pairs(c, *order)
+        )
         c = identity_system(sphere_space(2), 4)
         ls = build_fundamental(c)
         assert not walked
@@ -441,7 +457,9 @@ class TestPerPointVerdict:
 class TestGluingLaws:
     """`verify_gluing_laws` against `pairwise_gluing_laws`, which walks every
     transit to the last stage (`full_stage_pairs`), sorts every transit and
-    builds the off-locus sets for every linked pair."""
+    builds the off-locus sets for every linked pair; and the witnesses that
+    `verify_limit_axioms` names from the same class walk against
+    `pairwise_limit_axioms`, which names them pair by pair."""
 
     def test_matches_the_pairwise_oracle(self):
         draws = {
@@ -452,15 +470,19 @@ class TestGluingLaws:
             for kind, options in draws.items():
                 gen = FuzzGen(seed)
                 c = gen.cis(**options)
-                assert list(limit._stage_pairs(c)) == list(full_stage_pairs(c)), (kind, seed)
                 ls = build_fundamental(c)
+                assert walked_pairs(c, ls) == list(full_stage_pairs(c)), (kind, seed)
                 for cand in [ls] + [gen.mutate_candidate(ls)[1] for _ in range(4)]:
                     rep = verify_gluing_laws(c, cand)
                     assert rep.render() == pairwise_gluing_laws(c, cand).render(), (kind, seed)
                     failed.update(ch.name for ch in rep.checks if not ch.passed)
+                    rep = verify_limit_axioms(c, cand)
+                    assert rep.render() == pairwise_limit_axioms(c, cand).render(), (kind, seed)
+                    failed.update(f"axioms {ch.name}" for ch in rep.checks if not ch.passed)
         # every pairwise check fails somewhere, so each one's witnesses are compared
         assert failed["gluing agreement"] and failed["off-locus disjointness"]
         assert failed["disjointness"]
+        assert failed["axioms overlap"] and failed["axioms disjointness"]
 
     def test_matches_the_pairwise_oracle_on_long_systems(self, monkeypatch):
         # long systems, where many pairs ending at one stage share a class:
@@ -480,6 +502,7 @@ class TestGluingLaws:
         steps = self._count_steps(monkeypatch)
         pairs = 0
         failed = Counter()
+        drawn = []
         for n, c in enumerate(systems):
             gen = FuzzGen(1000 + n)
             ls = build_fundamental(c)
@@ -496,11 +519,19 @@ class TestGluingLaws:
                 rep = verify_gluing_laws(c, cand)
                 assert rep.render() == pairwise_gluing_laws(c, cand).render(), n
                 failed.update(ch.name for ch in rep.checks if not ch.passed)
+                drawn.append((n, c, cand))
             assert not verify_gluing_laws(c, cands[1]).check("gluing agreement").passed, n
             pairs += len(cands) * c.stage_count * (c.stage_count - 1) // 2
         assert len(steps) * 5 < pairs  # most pairs share their class's step
         assert failed["gluing agreement"] and failed["off-locus disjointness"]
         assert failed["disjointness"]
+        # the axiom verifier's failure path steps the same classes, so it
+        # runs after the twin's steps are counted
+        for n, c, cand in drawn:
+            rep = verify_limit_axioms(c, cand)
+            assert rep.render() == pairwise_limit_axioms(c, cand).render(), n
+            failed.update(f"axioms {ch.name}" for ch in rep.checks if not ch.passed)
+        assert failed["axioms overlap"] and failed["axioms disjointness"]
 
     def test_agreement_witnesses_are_sorted(self):
         # the transit runs in the gluing set's iteration order; the witnesses
@@ -587,11 +618,14 @@ class TestGluingLaws:
         lim = _discrete("p", "q")
         at = ["p", "p", "q", "p"]
         cand = LimitSpace(lim, tuple(CtsMap(x, lim, {p: q}) for x, p, q in zip(xs, "abcd", at)))
-        assert list(limit._stage_pairs(c)) == [
+        pairs = [
             (0, 1, True, {"a": "b"}), (0, 2, False, {}), (0, 3, False, {}),
             (1, 2, True, {}), (1, 3, False, {}),
             (2, 3, True, {}),
         ]
+        assert list(full_stage_pairs(c)) == pairs
+        assert walked_pairs(c, cand) == pairs
+        assert verify_limit_axioms(c, cand).render() == pairwise_limit_axioms(c, cand).render()
         rep = verify_gluing_laws(c, cand)
         assert rep.render() == pairwise_gluing_laws(c, cand).render()
         assert rep.check("disjointness").witnesses == (
