@@ -1,6 +1,10 @@
 """Closed injective systems: stages X_i, closed gluing sets Y_i, and closed
 injective continuous attachments f_i: Y_i -> X_{i+1}, with a tail policy
 saying how the finite representation stands in for the infinite sequence.
+
+A system is immutable, so its `validate_cis` report is a function of it:
+the report is built on the first call and kept on the system, as a space
+keeps its closure table, and every later call on that object reads it.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from .finspace import (
     FinSpace,
     PointSet,
     TopologyError,
+    _kept,
     classify_map,
     identity_map,
     subspace,
@@ -131,7 +136,12 @@ class CisValidation:
 
 
 def validate_cis(c: Cis) -> CisValidation:
-    """Check every stage against the system axioms and the tail invariant."""
+    """Check every stage against the system axioms and the tail invariant;
+    the report is kept on c."""
+    return _kept(c, "_validation", _validation)
+
+
+def _validation(c: Cis) -> CisValidation:
     failures = []
     warnings = []
     for i, st in enumerate(c.stages):

@@ -13,8 +13,10 @@ size of the relation rather than a scan of the space.  A map's flags
 (continuous, closed, injective, embedding, surjective, quotient) are each
 computed on first read and kept on the map itself, so they live as long
 as the map and every `classify_map` profile of it, a view onto them, shares
-them.  Final topologies are reachability: the minimal open of a point is
-everything a graph search reaches from it.
+them.  So is the map's image of its whole source, `image()`, which the
+embedding and surjectivity flags and the limit checks read.  Final
+topologies are reachability: the minimal open of a point is everything a
+graph search reaches from it.
 
 Every finite space is compact; compactness is therefore never computed.
 """
@@ -149,13 +151,18 @@ class CtsMap:
         return self.assignment[p]
 
     def image(self, a=None) -> PointSet:
+        """f(a); f of the whole source, with no argument, is kept on the map."""
         if a is None:
-            a = self.source.points
+            return _kept(self, "_image", _whole_image)
         return frozenset(self.assignment[p] for p in self.source.check_points(a))
 
     def preimage(self, b) -> PointSet:
         b = self.target.check_points(b)
         return frozenset(p for p, q in self.assignment.items() if q in b)
+
+
+def _whole_image(m: CtsMap) -> PointSet:
+    return frozenset(m.assignment.values())
 
 
 class _flag:
@@ -191,9 +198,10 @@ class MapProfile:
     @_flag
     def continuous(m: CtsMap) -> bool:
         """m(U_p) lies inside U_m(p) for every point p."""
-        src, tgt, f = m.source, m.target, m.assignment
+        tgt, f = m.target, m.assignment
         return all(
-            {f[q] for q in src.min_open[p]} <= tgt.min_open[f[p]] for p in src.points
+            tgt.min_open[f[p]].issuperset(map(f.__getitem__, u))
+            for p, u in m.source.min_open.items()
         )
 
     @_flag
@@ -228,12 +236,12 @@ class MapProfile:
         if not (prof.injective and prof.continuous):
             return False
         tgt, f = m.target, m.assignment
-        img = frozenset(f.values())
+        img = m.image()
         return all(len(tgt.min_open[f[q]] & img) == len(u) for q, u in m.source.min_open.items())
 
     @_flag
     def surjective(m: CtsMap) -> bool:
-        return set(m.assignment.values()) == set(m.target.points)
+        return m.image() == m.target.points
 
     @_flag
     def quotient_map(m: CtsMap) -> bool:

@@ -22,6 +22,12 @@ stepped in one place, `_pair_classes`, one later stage at a time and once
 per class of pairs with equal transit and placement.  The gluing-law twin
 decides every pair from that walk, as an oracle for the per-point verdict;
 the axiom verifier reads it only to name witnesses once its verdict fails.
+
+A candidate is immutable, so the facts that depend on it alone are decided
+once and kept on it: the cover and embedding checks that both verifiers
+report, and the verdict of the weak-topology fixpoint.  Its structure maps
+keep their images (`CtsMap.image`).  Verdicts that also read the system
+(the overlap, disjointness and gluing checks) are decided on every call.
 """
 
 from __future__ import annotations
@@ -31,12 +37,15 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .cis import Cis, validate_cis
-from .finspace import CtsMap, FinSpace, TopologyError, classify_map, final_space
+from .finspace import CtsMap, FinSpace, TopologyError, _kept, classify_map, final_space
 
 
 @dataclass(frozen=True)
 class LimitSpace:
-    """A candidate limit: a space plus one structure map per stage."""
+    """A candidate limit: a space plus one structure map per stage.
+
+    The cover and embedding checks and the weak-topology verdict are kept
+    on it after their first call."""
 
     x: FinSpace
     phis: tuple[CtsMap, ...]
@@ -147,7 +156,13 @@ def _require_aligned(c: Cis, ls: LimitSpace) -> None:
             raise TopologyError(f"structure map {i} is not defined on stage {i}")
 
 
-def _cover_check(c, ls):
+def _candidate_checks(ls: LimitSpace) -> list[CheckResult]:
+    """The cover and embedding checks, which depend on the candidate alone
+    and are kept on it."""
+    return [_kept(ls, "_cover", _cover_check), _kept(ls, "_embeddings", _embedding_check)]
+
+
+def _cover_check(ls: LimitSpace) -> CheckResult:
     covered = set()
     for phi in ls.phis:
         covered |= phi.image()
@@ -157,7 +172,7 @@ def _cover_check(c, ls):
     )
 
 
-def _embedding_check(c, ls):
+def _embedding_check(ls: LimitSpace) -> CheckResult:
     bad = []
     for i, phi in enumerate(ls.phis):
         prof = classify_map(phi)
@@ -209,24 +224,22 @@ def verify_limit_axioms(c: Cis, ls: LimitSpace) -> AxiomReport:
     name the witnesses: each linked pair reads its transit back in its own
     point names, and the pairs write their lines in (i, j) order."""
     _require_aligned(c, ls)
-    checks = [_cover_check(c, ls), _embedding_check(c, ls)]
+    checks = _candidate_checks(ls)
     if _orbits_agree(c, ls):
         checks.append(CheckResult("overlap", True))
         checks.append(CheckResult("disjointness", True))
         return AxiomReport(tuple(checks))
 
     names, place = _placed(ls)
-    images = [frozenset(p) for p in place]
+    images = [phi.image() for phi in ls.phis]
     linked = {}  # (i, j) -> f_{i,j-1} as a dict on its domain
     disjoint_bad = []  # (i, j, witness)
-    for j, live, dead in _pair_classes(c, names, place):
+    for j, live, dead, held in _pair_classes(c, names, place):
         for (t, _), members in live.items():
             for i in members:
                 linked[i, j] = {x: z for x, z in zip(names[i], t) if z is not None}
-        for img, members in dead.items():
-            meet = img & images[j]
-            if not meet:  # with an empty transit, an empty meet is no witness
-                continue
+        # an adjacent pair whose transit and meet are both empty has no witness
+        for members, meet in _dead_meets(dead, held, images[j]):
             for i in members:
                 if i == j - 1:  # adjacent stages stay linked, through f_i
                     linked[i, j] = {}
@@ -286,9 +299,9 @@ def _step(transit: tuple, f: dict[str, str]) -> tuple:
 
 
 def _pair_classes(c: Cis, names: list[tuple], place: list[tuple]):
-    """Yield (j, live, dead) for each later stage j, with every stage pair
-    (i, j) in exactly one of the two tables, from one walk of the composite
-    transits f_{i,j-1}.
+    """Yield (j, live, dead, held) for each later stage j, with every stage
+    pair (i, j) in exactly one of the tables live and dead, from one walk of
+    the composite transits f_{i,j-1}.
 
     A transit lists, for each point of names[i], the point of X_j it
     reaches, or None off its domain.  Pairs whose transit and placement
@@ -299,9 +312,12 @@ def _pair_classes(c: Cis, names: list[tuple], place: list[tuple]):
     transit empties never transits again: its stages join `dead`, keyed by
     the image of phi_i, and stay there for every later j.  Of the dead
     pairs, (j-1, j) is still linked, through f_{j-1}; every other one is
-    unlinked.  Both tables belong to the walk and hold until its next step."""
+    unlinked.  `held` indexes the dead images by the limit points in them,
+    for `_dead_meets`.  The tables belong to the walk and hold until its
+    next step."""
     live: dict[tuple, list[int]] = {}
     dead: dict[frozenset, list[int]] = {}
+    held: dict[str, list[frozenset]] = {}
     for j in range(1, c.stage_count):
         k = j - 1
         # the pair (k, j) joins with f_{k,k-1}, the identity on X_k
@@ -313,11 +329,27 @@ def _pair_classes(c: Cis, names: list[tuple], place: list[tuple]):
             if key in stepped:
                 stepped[key].extend(members)
             elif key[0].count(None) == len(t):
-                dead.setdefault(frozenset(p), []).extend(members)
+                img = frozenset(p)
+                if img not in dead:
+                    dead[img] = []
+                    for q in img:
+                        held.setdefault(q, []).append(img)
+                dead[img].extend(members)
             else:
                 stepped[key] = members
         live = stepped
-        yield j, live, dead
+        yield j, live, dead, held
+
+
+def _dead_meets(dead: dict, held: dict, image) -> list[tuple[list[int], set]]:
+    """(stages, meet) for each dead group whose image meets `image`, found
+    from the points of `image` through the index `held`, so the cost
+    follows the meets found, not the number of dead groups."""
+    meets: dict[frozenset, set[str]] = {}
+    for q in image:
+        for img in held.get(q, ()):
+            meets.setdefault(img, set()).add(q)
+    return [(dead[img], meet) for img, meet in meets.items()]
 
 
 def verify_gluing_laws(c: Cis, ls: LimitSpace) -> AxiomReport:
@@ -329,16 +361,17 @@ def verify_gluing_laws(c: Cis, ls: LimitSpace) -> AxiomReport:
     is an independent check of that per-point verdict.  A live class takes
     one agreement check against phi_j and, when its transit is partial, one
     off-locus check, and its verdict is that of every pair in it; dead pairs
-    are tested for disjoint images, once per image and later stage.  Each
-    pair writes its witnesses in its own point names, sorted by (i, j)."""
+    are tested for disjoint images through `_dead_meets`, which reads only
+    the groups that meet each later image.  Each pair writes its witnesses
+    in its own point names, sorted by (i, j)."""
     _require_aligned(c, ls)
-    checks = [_cover_check(c, ls), _embedding_check(c, ls)]
+    checks = _candidate_checks(ls)
 
     agree_bad = []  # (i, j, point of X_i, witness)
     offlocus_bad = []  # (i, j, witness), as is disjoint_bad
     disjoint_bad = []
     names, place = _placed(ls)
-    for j, live, dead in _pair_classes(c, names, place):
+    for j, live, dead, held in _pair_classes(c, names, place):
         phi_j = ls.phis[j].assignment
         for (t, p), members in live.items():
             bad = [a for a, z in enumerate(t) if z is not None and phi_j[z] != p[a]]
@@ -357,11 +390,7 @@ def verify_gluing_laws(c: Cis, ls: LimitSpace) -> AxiomReport:
             meet = off_i.intersection([pz for z, pz in phi_j.items() if z not in landed])
             if meet:
                 offlocus_bad.extend((i, j, _off_locus(i, j, meet)) for i in members)
-        image = frozenset(place[j]) if dead else None
-        for img, members in dead.items():
-            meet = img & image
-            if not meet:
-                continue
+        for members, meet in _dead_meets(dead, held, ls.phis[j].image()):
             for i in members:
                 if i == j - 1:  # adjacent stages stay linked, so this meet is off the locus
                     offlocus_bad.append((i, j, _off_locus(i, j, meet)))
@@ -390,15 +419,25 @@ def has_weak_topology(c: Cis, ls: LimitSpace) -> bool:
     U_x whenever phi(p) = x, and U_y inside U_x for y in U_x.  It is found as
     a least fixpoint on int bitmasks, independently of how `attaching_space`
     built the candidate: each point is seeded with the images phi(U_p) it
-    receives, then ORs in its successors' masks until no mask changes."""
+    receives, then ORs in its successors' masks until no mask changes.
+
+    The verdict depends on the candidate alone and is kept on it; the maps
+    are checked to land in the limit space on every call."""
     _require_aligned(c, ls)
-    x = ls.x
-    succ: dict[str, set[str]] = {q: {q} for q in x.points}
     for k, phi in enumerate(ls.phis):
         f = phi.assignment
-        if not x.points.issuperset(f.values()):
-            stray = sorted(set(f.values()) - x.points)
+        if not ls.x.points.issuperset(f.values()):
+            stray = sorted(set(f.values()) - ls.x.points)
             raise TopologyError(f"structure map {k} leaves the limit space at {stray}")
+    return _kept(ls, "_weak", _weak)
+
+
+def _weak(ls: LimitSpace) -> bool:
+    """The fixpoint of `has_weak_topology`."""
+    x = ls.x
+    succ: dict[str, set[str]] = {q: {q} for q in x.points}
+    for phi in ls.phis:
+        f = phi.assignment
         for p, u in phi.source.min_open.items():
             succ[f[p]].update(map(f.__getitem__, u))
     bit = {q: 1 << i for i, q in enumerate(succ)}

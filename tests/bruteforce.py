@@ -191,7 +191,7 @@ def pairwise_limit_axioms(c, ls: LimitSpace) -> AxiomReport:
     """`limit.verify_limit_axioms` with no per-point verdict, kept as its
     oracle: every stage pair decided on its own transit, in pair order."""
     _require_aligned(c, ls)
-    checks = [_cover_check(c, ls), _embedding_check(c, ls)]
+    checks = [_cover_check(ls), _embedding_check(ls)]
 
     overlap_bad = []
     disjoint_bad = []
@@ -237,7 +237,7 @@ def pairwise_gluing_laws(c, ls: LimitSpace) -> AxiomReport:
     transit walked in full, agreement checked in sorted order, and the
     off-locus sets built for every linked pair."""
     _require_aligned(c, ls)
-    checks = [_cover_check(c, ls), _embedding_check(c, ls)]
+    checks = [_cover_check(ls), _embedding_check(ls)]
 
     agree_bad = []
     offlocus_bad = []

@@ -7,7 +7,9 @@ from hypothesis import assume
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from cislim.cis import Cis, make_cis
 from cislim.finspace import CtsMap, FinSpace
+from cislim.limit import LimitSpace
 
 
 @pytest.fixture
@@ -26,6 +28,27 @@ def circle4():
             "p": frozenset("p"),
             "q": frozenset("q"),
         },
+    )
+
+
+def rebuilt_space(x: FinSpace) -> FinSpace:
+    """An equal space that shares no object, and so no kept table, with x."""
+    return FinSpace(frozenset(x.points), dict(x.min_open))
+
+
+def rebuilt_cis(c: Cis) -> Cis:
+    """An equal system on equal new spaces: nothing kept on c or its parts
+    is shared with it."""
+    spaces = [rebuilt_space(st.space) for st in c.stages]
+    attachments = [dict(st.f.assignment) for st in c.stages[:-1]]
+    return make_cis(spaces, [st.y for st in c.stages], attachments, c.tail)
+
+
+def rebuilt_candidate(ls: LimitSpace) -> LimitSpace:
+    """An equal candidate on equal new spaces, with new structure maps."""
+    x = rebuilt_space(ls.x)
+    return LimitSpace(
+        x, tuple(CtsMap(rebuilt_space(phi.source), x, dict(phi.assignment)) for phi in ls.phis)
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cislim import cis
 from cislim.cat import (
     CisDiagram,
     CisMorphism,
@@ -410,6 +411,18 @@ class TestCompatibility:
         target, m = point_system(c)
         rep = check_limit_compatibility(CisDiagram((c, target), (m,)))
         assert rep.ok, rep.witnesses
+
+    def test_each_system_is_validated_once(self, monkeypatch):
+        # the objects, the direct limit and every arrow, leg and mediating
+        # map between them: 32 validate_cis calls, on 4 distinct systems
+        built = []
+        body = cis._validation
+        monkeypatch.setattr(cis, "_validation", lambda c: built.append(c) or body(c))
+        gen = FuzzGen(3)
+        d = gen.diagram(gen.cis(), 3)
+        assert check_limit_compatibility(d).ok
+        assert len(built) == 4
+        assert len({id(c) for c in built}) == 4 and set(map(id, d.objects)) <= set(map(id, built))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

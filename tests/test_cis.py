@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import transits
+from conftest import rebuilt_cis
+from cislim import cis
 from cislim.cis import (
     Cis,
     Cutoff,
@@ -124,6 +126,53 @@ class TestValidation:
     @settings(max_examples=50)
     def test_generator_output_always_valid(self, seed):
         assert validate_cis(FuzzGen(seed).cis()).ok
+
+
+def scrambled(gen: FuzzGen, c: Cis) -> Cis:
+    """c with one attachment sent to points of the next stage drawn at
+    random, and with one gluing set redrawn as any subset: often an invalid
+    system, which is not injective, continuous or closed somewhere."""
+    spaces = [st.space for st in c.stages]
+    ys = [st.y for st in c.stages]
+    attachments = [dict(st.f.assignment) for st in c.stages[:-1]]
+    k = gen.rng.randrange(c.stage_count)
+    pts = sorted(spaces[k].points)
+    ys[k] = frozenset(p for p in pts if gen.rng.random() < 0.5)
+    if k < len(attachments):
+        there = sorted(spaces[k + 1].points)
+        attachments[k] = {y: gen.rng.choice(there) for y in sorted(ys[k])}
+    elif k:
+        attachments[k - 1] = {y: gen.rng.choice(pts) for y in sorted(ys[k - 1])}
+    return make_cis(spaces, ys, attachments, c.tail)
+
+
+class TestKeptValidation:
+    """`validate_cis` keeps its report on the system: every later call on
+    that object reads it, and an equal system built anew gets its own."""
+
+    def test_the_report_is_built_once_per_system(self, monkeypatch):
+        built = []
+        body = cis._validation
+        monkeypatch.setattr(cis, "_validation", lambda c: built.append(c) or body(c))
+        c = sphere_chain(2)
+        first = validate_cis(c)
+        assert validate_cis(c) is first and built == [c]
+        twin = rebuilt_cis(c)
+        assert validate_cis(twin) == first and validate_cis(twin) is not first
+        assert len(built) == 2 and built[1] is twin
+
+    def test_kept_reports_equal_fresh_ones(self):
+        seen = set()
+        for seed in range(120):
+            gen = FuzzGen(seed)
+            kind = ({}, {"inductive": True}, {"stationary": True})[seed % 3]
+            for c in (gen.cis(**kind), scrambled(gen, gen.cis(**kind))):
+                kept = validate_cis(c)
+                assert validate_cis(c) is kept
+                fresh = validate_cis(rebuilt_cis(c))
+                assert fresh == kept and fresh.render() == kept.render(), seed
+                seen.add(kept.ok)
+        assert seen == {True, False}  # valid and invalid systems both occur
 
 
 class TestMakeCis:

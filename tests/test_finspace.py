@@ -204,6 +204,11 @@ def assert_kept_equals_fresh(m):
             assert prof == classify_map(m)  # reads all six flags on both maps
     assert set(runs) <= {(id(mm), name) for mm in (m, fresh) for name in MapProfile._FLAGS}
     assert len(runs) == 2 * len(MapProfile._FLAGS) and set(runs.values()) == {1}
+    # the image of the whole source is kept on the map too
+    image = m.image()
+    assert m.image() is image and vars(m)["_image"] is image
+    assert image == fresh.image() == m.image(m.source.points)
+    assert image == frozenset(m(p) for p in m.source.points)
 
 
 class TestKeptFlags:

@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +48,7 @@ from cislim.limit import (
     verify_limit_axioms,
 )
 from cislim.randgen import FuzzGen, relabel_cis
-from conftest import finspaces
+from conftest import finspaces, rebuilt_candidate, rebuilt_cis
 
 
 @st.composite
@@ -343,12 +344,32 @@ def _discrete(*points):
     return FinSpace(frozenset(points), {p: frozenset({p}) for p in points})
 
 
+class _Reads(Mapping):
+    """A read-through view of a table of the stage-pair walk that logs
+    every key read from it."""
+
+    def __init__(self, table, log):
+        self.table, self.log = table, log
+
+    def __getitem__(self, key):
+        self.log.append(key)
+        return self.table[key]
+
+    def __iter__(self):
+        for key in self.table:
+            self.log.append(key)
+            yield key
+
+    def __len__(self):
+        return len(self.table)
+
+
 def walked_pairs(c: Cis, ls: LimitSpace):
     """The stage pairs of `limit._pair_classes` as (i, j, linked, transit),
     each transit read back in stage i's point names, in pair order."""
     names, place = limit._placed(ls)
     pairs = []
-    for j, live, dead in limit._pair_classes(c, names, place):
+    for j, live, dead, _ in limit._pair_classes(c, names, place):
         for (t, _), members in live.items():
             pairs += [(i, j, True, {x: z for x, z in zip(names[i], t) if z is not None})
                       for i in members]
@@ -609,6 +630,31 @@ class TestGluingLaws:
             "disjointness: pass",
         ]
 
+    def test_dead_groups_are_met_through_the_point_index(self, monkeypatch):
+        # a loose window of 640 stages: most transits die within a few steps,
+        # so hundreds of dead groups are open by the last stage.  Testing
+        # each against every later image reads about 290,000 entries of the
+        # walk's tables; the index reads one per point of each later image,
+        # and on a valid system finds no meet
+        gen = FuzzGen(1)
+        c = gen.cis(max_stages=1920, stationary=False, inductive=False)
+        while c.stage_count < 640:
+            c = gen.cis(max_stages=1920, stationary=False, inductive=False)
+        c = _window(c, 0, 640)
+        ls = build_fundamental(c)
+        reads, groups = [], []
+        walk = limit._pair_classes
+
+        def counted(c, names, place):
+            for j, live, dead, *rest in walk(c, names, place):
+                groups.append(len(dead))
+                yield (j, live, *(_Reads(table, reads) for table in (dead, *rest)))
+
+        monkeypatch.setattr(limit, "_pair_classes", counted)
+        assert verify_gluing_laws(c, ls).passed
+        assert groups[-1] > 300
+        assert len(reads) < sum(len(st.space.points) for st in c.stages)
+
     def test_pairs_past_a_dead_transit_are_unlinked(self):
         # the transit out of stage 0 dies at stage 1 and Y_1 is empty, so the
         # pairs (0,3) and (1,3) come after the walk has stopped; stage 3
@@ -631,6 +677,73 @@ class TestGluingLaws:
         assert rep.check("disjointness").witnesses == (
             "stages 0,3 cannot interact but share ['p']",
             "stages 1,3 cannot interact but share ['p']",
+        )
+
+
+class TestKeptFacts:
+    """The cover and embedding checks and the weak-topology fixpoint depend
+    on the candidate alone, so each is decided once per candidate object and
+    kept on it; an equal candidate built anew decides them again."""
+
+    @staticmethod
+    def _counted(monkeypatch, name):
+        runs = []
+        body = getattr(limit, name)
+        monkeypatch.setattr(limit, name, lambda ls: runs.append(ls) or body(ls))
+        return runs
+
+    def test_the_fixpoint_runs_once_per_candidate(self, monkeypatch):
+        runs = self._counted(monkeypatch, "_weak")
+        c = sphere_chain(2)
+        ls = build_fundamental(c)
+        assert runs == [ls]
+        assert has_weak_topology(c, ls) and has_weak_topology(c, ls)
+        assert runs == [ls]
+        twin = LimitSpace(ls.x, ls.phis)
+        assert twin == ls and has_weak_topology(c, twin)
+        assert len(runs) == 2 and runs[1] is twin
+
+    def test_cover_and_embeddings_are_checked_once_per_candidate(self, monkeypatch):
+        covers = self._counted(monkeypatch, "_cover_check")
+        embeddings = self._counted(monkeypatch, "_embedding_check")
+        c = interval_chain(3)
+        ls = build_fundamental(c)
+        for _ in range(2):
+            assert verify_limit_axioms(c, ls).passed and verify_gluing_laws(c, ls).passed
+        assert covers == embeddings == [ls]
+        cand = FuzzGen(5).mutate_candidate(ls)[1]
+        verify_gluing_laws(c, cand)
+        verify_limit_axioms(c, cand)
+        assert covers == embeddings == [ls, cand]
+
+    def test_kept_verdicts_equal_fresh_ones(self):
+        # every fact read twice from one candidate equals the fact decided
+        # on an equal candidate and system built anew, which keep nothing
+        seen = Counter()
+        draws = ({}, {"inductive": True}, {"stationary": True})
+        for seed in range(90):
+            gen = FuzzGen(seed)
+            c = gen.cis(**draws[seed % 3])
+            ls = build_fundamental(c)
+            cands = [ls, *discrete_and_indiscrete(ls)]
+            cands += [gen.mutate_candidate(ls)[1] for _ in range(4)]
+            for cand in cands:
+                kept = [self._facts(c, cand) for _ in range(2)]
+                fresh = self._facts(rebuilt_cis(c), rebuilt_candidate(cand))
+                assert kept[0] == kept[1] == fresh, seed
+                for name in ("_cover", "_embeddings", "_weak"):
+                    assert name in vars(cand)
+                seen[fresh[0].check("cover").passed, fresh[0].check("embeddings").passed,
+                     fresh[2]] += 1
+        # each fact is seen both ways
+        for k in range(3):
+            assert {key[k] for key in seen} == {True, False}
+
+    @staticmethod
+    def _facts(c, ls):
+        return (
+            verify_limit_axioms(c, ls), verify_gluing_laws(c, ls), has_weak_topology(c, ls),
+            images_closed(ls), cover_profile(ls), [phi.image() for phi in ls.phis],
         )
 
 
