@@ -13,8 +13,11 @@ size of the relation rather than a scan of the space.  A map's flags
 (continuous, closed, injective, embedding, surjective, quotient) are each
 computed on first read and kept on the map itself, so they live as long
 as the map and every `classify_map` profile of it, a view onto them, shares
-them.  So is the map's image of its whole source, `image()`, which the
-embedding and surjectivity flags and the limit checks read.  Final
+them.  The embedding flag decides continuity in the same loop over the
+minimal opens and keeps it too, so a map read for both pushes each U_p
+once.  The map's image of its whole source, `image()`, which the
+embedding and surjectivity flags and the limit checks read, is kept as
+well.  Final
 topologies are reachability: the minimal open of a point is everything a
 graph search reaches from it.
 
@@ -34,12 +37,14 @@ class TopologyError(ValueError):
 
 
 def _kept(obj, name: str, build):
-    """obj's attribute `name`, set to build(obj) on first use: it lives as long as obj."""
-    val = vars(obj).get(name)
-    if val is None:
-        val = build(obj)
-        object.__setattr__(obj, name, val)
-    return val
+    """obj's attribute `name`, set to build(obj) on first use: it lives as long as obj.
+
+    It is written straight into obj's `__dict__`, which a frozen dataclass
+    leaves open, so a later read costs one membership test and one lookup."""
+    kept = obj.__dict__
+    if name not in kept:
+        kept[name] = build(obj)
+    return kept[name]
 
 
 def _closure_table(space: "FinSpace") -> dict[str, tuple[str, ...]]:
@@ -229,15 +234,26 @@ class MapProfile:
     def embedding(m: CtsMap) -> bool:
         """Injective and continuous, and each U_q maps onto U_f(q) within the image.
 
-        Continuity puts f(U_q) inside U_f(q) ∩ f(X), and injectivity gives
-        f(U_q) the size of U_q, so comparing sizes settles equality.
+        One loop over the minimal opens decides both clauses: for each q,
+        t = U_f(q) must hold f(U_q), which is continuity, and t ∩ f(X) must
+        have the size of U_q.  Continuity puts f(U_q) inside t ∩ f(X), and
+        injectivity gives f(U_q) the size of U_q, so comparing sizes settles
+        equality.  Once the map is injective the loop settles continuity
+        too, and keeps it on the map as the `continuous` flag.
         """
-        prof = MapProfile(m)
-        if not (prof.injective and prof.continuous):
+        if not MapProfile(m).injective:
             return False
-        tgt, f = m.target, m.assignment
-        img = m.image()
-        return all(len(tgt.min_open[f[q]] & img) == len(u) for q, u in m.source.min_open.items())
+        tgt, f, img = m.target.min_open, m.assignment, m.image()
+        sized = True
+        for q, u in m.source.min_open.items():
+            t = tgt[f[q]]
+            if not t.issuperset(map(f.__getitem__, u)):
+                m.__dict__["_continuous"] = False
+                return False
+            if sized and len(t & img) != len(u):
+                sized = False
+        m.__dict__["_continuous"] = True
+        return sized
 
     @_flag
     def surjective(m: CtsMap) -> bool:
@@ -385,8 +401,9 @@ def final_space(points, maps) -> FinSpace:
     edges: dict[str, set[str]] = {x: set() for x in pts}
     for m in maps:
         f = m.assignment
+        push = f.__getitem__
         for p, q in f.items():
-            edges[q].update(f[r] for r in m.source.min_open[p])
+            edges[q].update(map(push, m.source.min_open[p]))
     min_open = {}
     for x in pts:
         u = {x}

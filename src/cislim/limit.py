@@ -25,9 +25,12 @@ the axiom verifier reads it only to name witnesses once its verdict fails.
 
 A candidate is immutable, so the facts that depend on it alone are decided
 once and kept on it: the cover and embedding checks that both verifiers
-report, and the verdict of the weak-topology fixpoint.  Its structure maps
-keep their images (`CtsMap.image`).  Verdicts that also read the system
-(the overlap, disjointness and gluing checks) are decided on every call.
+report, the verdict of the weak-topology fixpoint, and the closure of each
+structure map's image, which `images_closed` and `cover_profile` both read.
+Its structure maps keep their images (`CtsMap.image`) and, from the one
+loop of the embedding flag, their continuity.  Verdicts that also read the
+system (the overlap, disjointness and gluing checks) are decided on every
+call.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from .finspace import CtsMap, FinSpace, TopologyError, _kept, classify_map, fina
 class LimitSpace:
     """A candidate limit: a space plus one structure map per stage.
 
-    The cover and embedding checks and the weak-topology verdict are kept
-    on it after their first call."""
+    The cover and embedding checks, the weak-topology verdict and the image
+    closures are kept on it after their first call."""
 
     x: FinSpace
     phis: tuple[CtsMap, ...]
@@ -53,7 +56,7 @@ class LimitSpace:
     def __post_init__(self):
         object.__setattr__(self, "phis", tuple(self.phis))
         for k, phi in enumerate(self.phis):
-            if phi.target != self.x:
+            if phi.target is not self.x and phi.target != self.x:
                 raise TopologyError(f"structure map {k} does not land in the limit space")
 
 
@@ -66,8 +69,11 @@ def attaching_space(spaces, attachments) -> LimitSpace:
     two points are identified exactly when their forward orbits end at the
     same point.  One backward pass finds the end of every point `i:p`, and
     each class is named by its least tag; the maps need not be injective.
+    Each tag is formatted once, and no two are equal, since the first `:`
+    ends the stage index.
     """
-    ends = [{p: f"{i}:{p}" for p in sp.points} for i, sp in enumerate(spaces)]
+    tags = [{p: f"{i}:{p}" for p in sp.points} for i, sp in enumerate(spaces)]
+    ends = [dict(tag) for tag in tags]
     for n in range(len(attachments) - 1, -1, -1):
         here, there = ends[n], ends[n + 1]
         for y, z in attachments[n].items():
@@ -75,9 +81,11 @@ def attaching_space(spaces, attachments) -> LimitSpace:
                 raise KeyError(y)
             here[y] = there[z]
     least: dict[str, str] = {}  # orbit end -> least tag of its class
-    for i, end in enumerate(ends):
+    for tag, end in zip(tags, ends):
         for p, e in end.items():
-            least[e] = min(least.get(e, e), f"{i}:{p}")
+            t = tag[p]
+            if e not in least or t < least[e]:
+                least[e] = t
     names = [{p: least[e] for p, e in end.items()} for end in ends]
     space = final_space(
         least.values(), [SimpleNamespace(source=sp, assignment=a) for sp, a in zip(spaces, names)]
@@ -152,7 +160,8 @@ def _require_aligned(c: Cis, ls: LimitSpace) -> None:
             f"candidate has {len(ls.phis)} structure maps for {c.stage_count} stages"
         )
     for i, phi in enumerate(ls.phis):
-        if phi.source != c.stages[i].space:
+        space = c.stages[i].space
+        if phi.source is not space and phi.source != space:
             raise TopologyError(f"structure map {i} is not defined on stage {i}")
 
 
@@ -221,8 +230,11 @@ def verify_limit_axioms(c: Cis, ls: LimitSpace) -> AxiomReport:
 
     Overlaps and disjointness are decided per point by `_orbits_agree`.
     Only when that fails are the stage pairs walked, by `_pair_classes`, to
-    name the witnesses: each linked pair reads its transit back in its own
-    point names, and the pairs write their lines in (i, j) order."""
+    name the witnesses.  The meet and the collisions of a linked pair depend
+    only on its class's transit and placement, so each class finds them
+    once, over the points of one stage; each pair of a failing class then
+    names them in its own points, in the order of X_i, and the pairs write
+    their lines in (i, j) order."""
     _require_aligned(c, ls)
     checks = _candidate_checks(ls)
     if _orbits_agree(c, ls):
@@ -232,49 +244,50 @@ def verify_limit_axioms(c: Cis, ls: LimitSpace) -> AxiomReport:
 
     names, place = _placed(ls)
     images = [phi.image() for phi in ls.phis]
-    linked = {}  # (i, j) -> f_{i,j-1} as a dict on its domain
-    disjoint_bad = []  # (i, j, witness)
-    for j, live, dead, held in _pair_classes(c, names, place):
-        for (t, _), members in live.items():
-            for i in members:
-                linked[i, j] = {x: z for x, z in zip(names[i], t) if z is not None}
-        # an adjacent pair whose transit and meet are both empty has no witness
-        for members, meet in _dead_meets(dead, held, images[j]):
-            for i in members:
-                if i == j - 1:  # adjacent stages stay linked, through f_i
-                    linked[i, j] = {}
-                else:
-                    disjoint_bad.append(
-                        (i, j, f"stages {i},{j} cannot interact but share {sorted(meet)}")
-                    )
-    overlap_bad = []
     fibres = []  # each stage's points grouped by image, each group sorted
     for phi in ls.phis:
         fibre: dict[str, list[str]] = {}
         for x in sorted(phi.source.points):
             fibre.setdefault(phi(x), []).append(x)
         fibres.append(fibre)
-    for (i, j), transit in sorted(linked.items()):
-        phi_i, phi_j = ls.phis[i], ls.phis[j]
-        meet = images[i] & images[j]
-        glued = frozenset(phi_j(z) for z in transit.values())
-        if meet != glued:
-            overlap_bad.append(
-                f"stages {i},{j}: images meet in {sorted(meet)} "
-                f"but the transit lands on {sorted(glued)}"
-            )
-        for xi in sorted(phi_i.source.points):
-            for xj in fibres[j].get(phi_i(xi), ()):
-                if xi not in transit:
-                    overlap_bad.append(
-                        f"stages {i},{j}: {xi} and {xj} collide at {phi_i(xi)} "
-                        f"but {xi} is outside the transit domain"
+    pair_lines = {}  # (i, j) -> the overlap witnesses of a linked pair
+    disjoint_bad = []  # (i, j, witness)
+    for j, live, dead, held in _pair_classes(c, names, place):
+        phi_j, fibre = ls.phis[j].assignment, fibres[j]
+        classes = list(live.items())
+        # an adjacent pair whose transit and meet are both empty has no witness
+        for members, meet in _dead_meets(dead, held, images[j]):
+            for i in members:
+                if i == j - 1:  # adjacent stages stay linked, through f_i, on an empty transit
+                    classes.append((((None,) * len(names[i]), place[i]), [i]))
+                else:
+                    disjoint_bad.append(
+                        (i, j, f"stages {i},{j} cannot interact but share {sorted(meet)}")
                     )
-                elif transit[xi] != xj:
-                    overlap_bad.append(
-                        f"stages {i},{j}: {xi} and {xj} collide at {phi_i(xi)} "
-                        f"but the transit sends {xi} to {transit[xi]}"
+        for (t, p), members in classes:
+            meet = images[j].intersection(p)
+            glued = {phi_j[z] for z in t if z is not None}
+            # (a, xj, z): names[i][a] shares its image with xj of X_j, but transits to z
+            collide = [
+                (a, xj, z) for a, (z, pa) in enumerate(zip(t, p))
+                for xj in fibre.get(pa, ()) if z != xj
+            ]
+            if meet != glued:
+                heads = [f"images meet in {sorted(meet)} but the transit lands on {sorted(glued)}"]
+            elif collide:
+                heads = []
+            else:
+                continue  # every pair of the class has exact overlaps
+            for i in members:
+                xs = names[i]
+                lines = pair_lines[i, j] = [f"stages {i},{j}: {h}" for h in heads]
+                for a, xj, z in sorted(collide, key=lambda w: xs[w[0]]):
+                    xi = xs[a]
+                    why = f"{xi} is outside the transit domain" if z is None else (
+                        f"the transit sends {xi} to {z}"
                     )
+                    lines.append(f"stages {i},{j}: {xi} and {xj} collide at {p[a]} but {why}")
+    overlap_bad = [w for pair in sorted(pair_lines) for w in pair_lines[pair]]
     disjoint_bad.sort()
     checks.append(CheckResult("overlap", not overlap_bad, tuple(overlap_bad)))
     checks.append(CheckResult("disjointness", not disjoint_bad, tuple(w[-1] for w in disjoint_bad)))
@@ -464,10 +477,16 @@ class ImagesClosedReport:
 
 
 def images_closed(ls: LimitSpace) -> ImagesClosedReport:
-    bad = tuple(
-        i for i, phi in enumerate(ls.phis) if not ls.x.is_closed(phi.image())
-    )
+    """Which structure maps have open images, read from the kept closures:
+    an image A is closed exactly when cl(A) = A."""
+    closures = _kept(ls, "_closures", _image_closures)
+    bad = tuple(i for i, (phi, cl) in enumerate(zip(ls.phis, closures)) if cl != phi.image())
     return ImagesClosedReport(not bad, bad)
+
+
+def _image_closures(ls: LimitSpace) -> tuple[frozenset[str], ...]:
+    """cl(phi_k(X_k)) for every stage k, in stage order."""
+    return tuple(ls.x.closure(phi.image()) for phi in ls.phis)
 
 
 def canonical_bijection(c: Cis, ls_a: LimitSpace, ls_b: LimitSpace) -> CtsMap:
@@ -514,16 +533,15 @@ class CoverProfile:
 
 
 def cover_profile(ls: LimitSpace) -> CoverProfile:
-    """One pass over the images.  U_x meets an image A exactly when x lies in
-    cl(A), so a point's neighbourhood multiplicity counts the image closures
-    that hold it, as its point multiplicity counts the images; and A is
-    closed exactly when cl(A) = A."""
+    """One pass over the images and their kept closures.  U_x meets an image
+    A exactly when x lies in cl(A), so a point's neighbourhood multiplicity
+    counts the image closures that hold it, as its point multiplicity counts
+    the images; and A is closed exactly when cl(A) = A."""
     point_mult: Counter[str] = Counter()
     nbhd_mult: Counter[str] = Counter()
     closed = True
-    for phi in ls.phis:
+    for phi, cl in zip(ls.phis, _kept(ls, "_closures", _image_closures)):
         img = phi.image()
-        cl = ls.x.closure(img)
         point_mult.update(img)
         nbhd_mult.update(cl)
         closed = closed and cl == img

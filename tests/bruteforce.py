@@ -60,6 +60,19 @@ def brute_embedding(m: CtsMap):
     return pushed_opens == image_opens
 
 
+def two_pass_embedding(m: CtsMap) -> bool:
+    """The embedding flag as two reads, kept as the oracle of the one loop in
+    `MapProfile.embedding`: injectivity and continuity first, continuity in
+    its own pass, then each U_q against U_f(q) within the image, by size."""
+    f, tgt = m.assignment, m.target.min_open
+    if len(set(f.values())) != len(f):
+        return False
+    if not all(tgt[f[p]] >= {f[x] for x in u} for p, u in m.source.min_open.items()):
+        return False
+    img = frozenset(f.values())
+    return all(len(tgt[f[q]] & img) == len(u) for q, u in m.source.min_open.items())
+
+
 def brute_quotient_min_open(space: FinSpace, label: dict):
     """Minimal opens of the quotient topology, from the full open-set family."""
     classes = sorted(set(label.values()))

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from contextlib import contextmanager
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,9 @@ from bruteforce import (
     closed_sets,
     open_sets,
     projection,
+    two_pass_embedding,
 )
-from conftest import continuous_maps, finspaces, spaces_with_subsets
+from conftest import continuous_maps, finspaces, space_from_edges, spaces_with_subsets
 import cislim.finspace
 from cislim.finspace import (
     CtsMap,
@@ -230,6 +232,68 @@ class TestKeptFlags:
         assert vars(m)["_continuous"] is True and "_closed" not in vars(m)
         assert second.closed and vars(m)["_closed"] is True
         assert not any(isinstance(v, MapProfile) for v in vars(m).values())
+
+
+def drawn_map(rng: random.Random) -> CtsMap:
+    """A map between two small random spaces, injective about half the time."""
+    src, tgt = (
+        space_from_edges(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))])
+        for n in (rng.randint(1, 4), rng.randint(1, 5))
+    )
+    pts, targets = sorted(src.points), sorted(tgt.points)
+    if len(pts) <= len(targets) and rng.random() < 0.5:
+        values = rng.sample(targets, len(pts))
+    else:
+        values = [rng.choice(targets) for _ in pts]
+    return CtsMap(src, tgt, dict(zip(pts, values)))
+
+
+class TestOneLoopEmbedding:
+    """`MapProfile.embedding` decides continuity in its own loop and keeps it;
+    `two_pass_embedding` reads the two clauses apart."""
+
+    READS = list(permutations(("embedding", "continuous", "injective")))
+
+    def test_matches_the_two_pass_oracle_in_every_read_order(self):
+        rng = random.Random(23)
+        seen = Counter()
+        for _ in range(400):
+            m = drawn_map(rng)
+            want = {
+                "embedding": two_pass_embedding(m),
+                "continuous": brute_continuous(m),
+                "injective": len(set(m.assignment.values())) == len(m.assignment),
+            }
+            assert want["embedding"] == brute_embedding(m)
+            for reads in self.READS:
+                fresh = CtsMap(m.source, m.target, dict(m.assignment))
+                prof = classify_map(fresh)
+                for name in reads:
+                    assert getattr(prof, name) == want[name], (reads, m.assignment)
+                    # whatever was read so far, a kept continuity is the true one
+                    assert vars(fresh).get("_continuous", want["continuous"]) == want["continuous"]
+            seen[want["injective"], want["continuous"], want["embedding"]] += 1
+        # injective or not, continuous or not, and injective continuous maps
+        # both embedding and not
+        assert {(i, c) for i, c, _ in seen} == {(i, c) for i in (True, False) for c in (True, False)}
+        assert (True, True, True) in seen and (True, True, False) in seen
+
+    def test_the_embedding_loop_keeps_continuity(self):
+        rng = random.Random(5)
+        maps = [drawn_map(rng) for _ in range(200)]  # alive, so no id is reused
+        kept = 0
+        with counted_flag_bodies() as runs:
+            for m in maps:
+                prof = classify_map(m)
+                prof.embedding
+                if not prof.injective:
+                    continue
+                # an injective map's continuity is settled by the same loop
+                assert vars(m)["_continuous"] == brute_continuous(m)
+                assert prof.continuous == brute_continuous(m)
+                assert runs[id(m), "continuous"] == 0 and runs[id(m), "embedding"] == 1
+                kept += 1
+        assert kept > 50
 
 
 class TestSubspace:

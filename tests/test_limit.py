@@ -48,7 +48,7 @@ from cislim.limit import (
     verify_limit_axioms,
 )
 from cislim.randgen import FuzzGen, relabel_cis
-from conftest import finspaces, rebuilt_candidate, rebuilt_cis
+from conftest import finspaces, rebuilt_candidate, rebuilt_cis, rebuilt_space
 
 
 @st.composite
@@ -260,6 +260,19 @@ class TestVerify:
         ls = build_fundamental(c)
         with pytest.raises(TopologyError, match="structure maps"):
             verify_limit_axioms(c, LimitSpace(ls.x, ls.phis[:1]))
+
+    def test_a_structure_map_on_another_space_is_a_hard_error(self, sierpinski):
+        c = identity_system(sierpinski, 2)
+        ls = build_fundamental(c)
+        pts = sierpinski.points
+        indiscrete = FinSpace(pts, {p: pts for p in pts})
+        cand = LimitSpace(ls.x, (ls.phis[0], CtsMap(indiscrete, ls.x, ls.phis[1].assignment)))
+        for check in (verify_limit_axioms, verify_gluing_laws, has_weak_topology):
+            with pytest.raises(TopologyError, match="structure map 1 is not defined on stage 1"):
+                check(c, cand)
+        # a stage space equal to its own, but built anew, is the stage's
+        twin = CtsMap(rebuilt_space(sierpinski), ls.x, ls.phis[1].assignment)
+        assert verify_limit_axioms(c, LimitSpace(ls.x, (ls.phis[0], twin))).passed
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=120, deadline=None)
@@ -473,6 +486,26 @@ class TestPerPointVerdict:
         assert walked
         assert not rep.check("overlap").passed
         assert any(w.startswith("stages 1,2: ") for w in rep.check("overlap").witnesses)
+
+    def test_failing_candidates_find_witnesses_once_per_class(self, monkeypatch):
+        # stage 40 of an 80-stage identity tower is placed with two points
+        # swapped: 3,160 stage pairs are linked, in about two classes per
+        # later stage, and only the pairs through stage 40 have witnesses
+        c = identity_system(sphere_space(2), 80)
+        ls = build_fundamental(c)
+        phi = ls.phis[40]
+        a, b = sorted(phi.source.points)[:2]
+        swapped = CtsMap(phi.source, phi.target, {**phi.assignment, a: phi(b), b: phi(a)})
+        cand = LimitSpace(ls.x, ls.phis[:40] + (swapped,) + ls.phis[41:])
+        pushes = []
+        call = CtsMap.__call__
+        monkeypatch.setattr(CtsMap, "__call__", lambda m, p: pushes.append(p) or call(m, p))
+        rep = verify_limit_axioms(c, cand)
+        # each stage point is pushed once, to group its stage's fibres, not once per pair
+        assert len(pushes) == sum(len(st.space.points) for st in c.stages)
+        monkeypatch.undo()
+        assert rep.render() == pairwise_limit_axioms(c, cand).render()
+        assert len(rep.check("overlap").witnesses) == 2 * 79  # two per pair through stage 40
 
 
 class TestGluingLaws:
@@ -716,6 +749,25 @@ class TestKeptFacts:
         verify_limit_axioms(c, cand)
         assert covers == embeddings == [ls, cand]
 
+    def test_the_image_closures_are_built_once_per_candidate(self, monkeypatch):
+        runs = self._counted(monkeypatch, "_image_closures")
+        ls = build_fundamental(sphere_chain(2))  # which tests its gluing sets for closedness
+        reads = Counter()
+        for name in ("closure", "is_closed"):
+            body = getattr(FinSpace, name)
+            monkeypatch.setattr(
+                FinSpace, name, lambda x, a, name=name, body=body: reads.update([name]) or body(x, a)
+            )
+        first = images_closed(ls)
+        prof = cover_profile(ls)
+        assert images_closed(ls) == first and first.value and prof.closed_cover
+        assert runs == [ls]
+        # one closure per image, and no closedness decided apart from it
+        assert reads == {"closure": len(ls.phis)}
+        twin = LimitSpace(ls.x, ls.phis)
+        assert cover_profile(twin) == prof and images_closed(twin) == first
+        assert len(runs) == 2 and runs[1] is twin
+
     def test_kept_verdicts_equal_fresh_ones(self):
         # every fact read twice from one candidate equals the fact decided
         # on an equal candidate and system built anew, which keep nothing
@@ -729,14 +781,22 @@ class TestKeptFacts:
             cands += [gen.mutate_candidate(ls)[1] for _ in range(4)]
             for cand in cands:
                 kept = [self._facts(c, cand) for _ in range(2)]
-                fresh = self._facts(rebuilt_cis(c), rebuilt_candidate(cand))
+                rebuilt = rebuilt_candidate(cand)
+                fresh = self._facts(rebuilt_cis(c), rebuilt)
                 assert kept[0] == kept[1] == fresh, seed
-                for name in ("_cover", "_embeddings", "_weak"):
+                for name in ("_cover", "_embeddings", "_weak", "_closures"):
                     assert name in vars(cand)
+                # each kept closure is cl(A) = {y : U_y meets A}, from the definition
+                x = cand.x
+                defined = tuple(
+                    frozenset(y for y in x.points if x.min_open[y] & phi.image())
+                    for phi in cand.phis
+                )
+                assert vars(cand)["_closures"] == vars(rebuilt)["_closures"] == defined, seed
                 seen[fresh[0].check("cover").passed, fresh[0].check("embeddings").passed,
-                     fresh[2]] += 1
+                     fresh[2], fresh[3].value] += 1
         # each fact is seen both ways
-        for k in range(3):
+        for k in range(4):
             assert {key[k] for key in seen} == {True, False}
 
     @staticmethod
