@@ -25,12 +25,17 @@ dimension down, skipping those that are pivots of the dimension above
 ("clearing": Chen & Kerber, Persistent homology computation with a twist,
 2011), and keeps the canonical cycles: of the RREF nullspace basis, the
 earliest independent modulo boundaries; clearing and the cycles read the
-same kept columns.  Linear systems are solved by one index-tagged
-reduction, `_solve`.  A space keeps one homology record (its order
-complex, each point's vertex bit and its cycles per degree), a complex
-its chain data, and a map its H_p(m) per degree, next to the flags
-`finspace` keeps on it, so a second check on the same maps reads their
-matrices back; each is kept from first use and lives as long as its owner.
+same kept columns.  Clearing keeps each boundary rank r_p it finds, and a
+degree with n_p = r_p + r_{p+1} has b_p = 0, so it records no cycles
+without the index-tagged reduction; no reduction runs only to learn a
+rank.  Linear systems are solved by one index-tagged reduction, `_solve`.
+A space keeps one homology record (its order complex, each point's vertex
+bit and its cycles per degree), a complex its chain data, a map its
+H_p(m) per degree, next to the flags `finspace` keeps on it, and an
+inductive system the stage side of its invariance check per degree, next
+to its `CisValidation`; so a second check on the same system and maps
+reads them back.  Each is kept from first use and lives as long as its
+owner.
 """
 
 from __future__ import annotations
@@ -310,19 +315,29 @@ def _homology(space: FinSpace, p: int) -> tuple[_Homology, list[int], dict[int, 
     echelon basis of boundaries and cycles whose bits below b_p are cycle
     coordinates.  The columns clearing leaves are reduced carrying their own
     index below bit n; each that vanishes is a free column, and its low bits
-    its RREF nullspace vector, as only pivot columns ever enter the basis."""
+    its RREF nullspace vector, as only pivot columns ever enter the basis.
+
+    Rank rule: when the complex already holds the rank r_p of the boundary
+    from dimension p (`betti_mod2`, or a lower degree's clearing, reduced it),
+    and n_p = r_p + r_{p+1}, then b_p = 0: no column can vanish, so the degree
+    records no cycles and the boundaries as its classes, and the tagged
+    reduction is not run.  No reduction is made only to learn r_p."""
     if p < 0:
         raise TopologyError(f"homology degree must be >= 0, got {p}")
     rec = _record(space)
     if p not in rec.degrees:
         ch = rec.complex._chains
         n, bounds = len(ch.cells(p)), ch.boundaries(p + 1)
-        _, zero = _echelon([c << n | 1 << j for j, c in enumerate(ch.columns(p))], n, skip=bounds)
-        cycles = [z for _, z in zero]
-        m = len(cycles)
-        classes = {t + m: b << m for t, b in bounds.items()}
-        _echelon([z << m | 1 << c for c, z in enumerate(cycles)], m, basis=classes)
-        rec.degrees[p] = (cycles, classes)
+        below = ch._boundaries.get(p)
+        if below is not None and n == len(below) + len(bounds):
+            rec.degrees[p] = ([], dict(bounds))
+        else:
+            cols = [c << n | 1 << j for j, c in enumerate(ch.columns(p))]
+            cycles = [z for _, z in _echelon(cols, n, skip=bounds)[1]]
+            m = len(cycles)
+            classes = {t + m: b << m for t, b in bounds.items()}
+            _echelon([z << m | 1 << c for c, z in enumerate(cycles)], m, basis=classes)
+            rec.degrees[p] = (cycles, classes)
     return (rec, *rec.degrees[p])
 
 
@@ -400,7 +415,11 @@ class GF2ModuleSeq:
     maps: tuple[list[int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        dims = tuple(self.dims)
+        for n, d in enumerate(dims):
+            if isinstance(d, bool) or not hasattr(d, "__index__") or d < 0:
+                raise TopologyError(f"dimension {n} must be an integer >= 0, got {d!r}")
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         object.__setattr__(self, "maps", tuple(list(m) for m in self.maps))
         if len(self.maps) != len(self.dims) - 1:
             raise TopologyError("need exactly one map between consecutive modules")
@@ -427,6 +446,18 @@ def stage_homology_sequence(c: Cis, p: int) -> GF2ModuleSeq:
         raise TopologyError("stage homology sequences need an inductive system")
     dims = tuple(len(_homology(st.space, p)[1]) for st in c.stages)
     return GF2ModuleSeq(dims, tuple(_induced(st.f, p) for st in c.stages[:-1]))
+
+
+def _stage_side(c: Cis, p: int) -> tuple[int, list[list[int]]]:
+    """module_colimit(stage_homology_sequence(c, p)) of an inductive system,
+    built once per degree and kept on c, as its `CisValidation` is: it depends
+    on c and p alone.  It is kept only once built, so a call that raises keeps
+    nothing.  Callers must not mutate it."""
+    side = c.__dict__.get("_stage_side", {}).get(p)
+    if side is None:
+        side = module_colimit(stage_homology_sequence(c, p))
+        _kept(c, "_stage_side", lambda _: {})[p] = side
+    return side
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +504,13 @@ def functorial_invariance_check(
     homology chain: a unique isomorphism h must intertwine the structure
     maps, h @ H_p(phi_k) = cocone_k for every k.
 
+    The stage side, module_colimit(stage_homology_sequence(c, p)), is built
+    once per system and degree and kept on c (`_stage_side`); the limit side,
+    the solve and every check below read the candidate as well and run on
+    each call.  Each H_p is read from its space's record, so a degree whose
+    kept boundary ranks show it acyclic is never reduced for cycles (the
+    rank rule of `_homology`).
+
     Side by side and transposed, a.T h.T = b.T, so one solve gives every row
     of h, and the first column of b.T outside the span of a.T names the first
     row with no solution.  h is unique iff a.T has no kernel; otherwise its
@@ -482,7 +520,7 @@ def functorial_invariance_check(
         raise TopologyError("invariance holds for inductive systems; this one glues less")
     ls = limit if limit is not None else build_fundamental(c)
     _require_aligned(c, ls)
-    module_dim, cocone = module_colimit(stage_homology_sequence(c, p))
+    module_dim, cocone = _stage_side(c, p)
     limit_dim = len(_homology(ls.x, p)[1])
     structure = [_induced(phi, p) for phi in ls.phis]
     a, b = [v for s in structure for v in s], [v for s in cocone for v in s]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import continuous_maps, finspaces
+from conftest import continuous_maps, finspaces, rebuilt_cis, rebuilt_space
 from homology_oracles import (
     bitmask_rank,
     complex_betti,
@@ -688,6 +688,20 @@ class TestModuleSequences:
         assert seq.dims == (0, 1, 0, 0, 0)
         assert module_colimit(seq)[0] == 0
 
+    @pytest.mark.parametrize(
+        "dims, maps, index",
+        [((-2,), (), 0), ((1, 1.7), ([1],), 1), ((True,), (), 0), ((2, -1, 0), ([0, 0], []), 1)],
+    )
+    def test_dimensions_must_be_nonnegative_integers(self, dims, maps, index):
+        # int() would turn 1.7 into 1 and True into 1, and let -2 through
+        with pytest.raises(TopologyError, match=f"dimension {index} must be an integer >= 0"):
+            GF2ModuleSeq(dims, maps)
+
+    def test_integer_dimensions_of_any_integral_type_are_accepted(self):
+        seq = GF2ModuleSeq((np.int64(1), 0, 2), ([0], []))
+        assert seq.dims == (1, 0, 2) and all(type(d) is int for d in seq.dims)
+        assert module_colimit(GF2ModuleSeq((0,), ())) == (0, [[]])
+
     def test_shape_mismatch_rejected(self):
         # a third row shows only where it holds a bit; a third column always does
         tall = np.zeros((3, 2), dtype=np.uint8)
@@ -920,3 +934,155 @@ class TestInvariance:
         assert co.ok, co.render()
         assert co.limit_dim == rep.limit_dim  # cohomology dims equal homology dims
         assert co.module_dim == rep.module_dim
+
+
+class TestKeptRanks:
+    """A degree whose kept boundary ranks show it acyclic skips the tagged
+    reduction; `_homology` and the invariance checks give the same results."""
+
+    @staticmethod
+    def tagged_reductions(monkeypatch):
+        """(space, degree) of every `_echelon` call with shift > 0 that
+        `_homology` makes, in call order."""
+        calls, current = [], []
+        echelon, homology_ = homology._echelon, homology._homology
+
+        def counted_echelon(cols, shift=0, skip=(), basis=None):
+            if shift > 0 and current:
+                calls.append(current[-1])
+            return echelon(cols, shift, skip, basis)
+
+        def tracked_homology(space, p):
+            current.append((space, p))
+            try:
+                return homology_(space, p)
+            finally:
+                current.pop()
+
+        monkeypatch.setattr(homology, "_echelon", counted_echelon)
+        monkeypatch.setattr(homology, "_homology", tracked_homology)
+        return calls
+
+    def test_betti_ranks_leave_only_the_top_degree_to_reduce(self, monkeypatch):
+        ls = build_fundamental(sphere_chain(5))
+        assert betti_mod2(order_complex(ls.x), 5) == [1, 0, 0, 0, 0, 1]
+        calls = self.tagged_reductions(monkeypatch)
+        for p in range(1, 5):
+            assert homology._homology(ls.x, p)[1] == [] and calls == [], p
+        assert len(homology._homology(ls.x, 5)[1]) == 1
+        assert calls and {p for _, p in calls} == {5}
+
+    def test_no_reduction_runs_only_to_learn_a_rank(self, monkeypatch):
+        # on a fresh complex, degree 3 alone needs clearing from dimension 4 up;
+        # r_3 is not known, so the tagged reduction runs and r_3 stays unreduced
+        ls = build_fundamental(sphere_chain(5))
+        calls = self.tagged_reductions(monkeypatch)
+        assert homology._homology(ls.x, 3)[1] == []
+        assert {p for _, p in calls} == {3}
+        assert 3 not in order_complex(ls.x)._chains._boundaries
+
+    def test_an_ascending_sweep_reduces_only_cyclic_degrees(self, monkeypatch):
+        # each degree's clearing keeps the rank the next degree needs, so only
+        # degree 0 and the degrees with b_p > 0 run the tagged reduction
+        calls = self.tagged_reductions(monkeypatch)
+        skipped = 0
+        for seed in range(12):
+            c = FuzzGen(seed).cis(inductive=True, max_stages=4, max_points=8)
+            ls = build_fundamental(c)
+            spaces = {id(x): x for x in [st_.space for st_ in c.stages] + [ls.x]}
+            calls.clear()
+            for p in range(4):
+                assert functorial_invariance_check(c, p, ls).ok
+                assert counter_functorial_check(c, p, ls).ok
+            betti = {i: betti_mod2(order_complex(x), 3) for i, x in spaces.items()}
+            assert [(id(x), p) for x, p in calls] == [
+                (i, p) for p in range(4) for i in spaces if betti[i][p] > 0
+                for _ in range(2)  # the cycles, then the classes
+            ]
+            skipped += sum(
+                betti[i][p] == 0 and len(order_complex(x)._chains.cells(p)) > 0
+                for i, x in spaces.items() for p in range(4)
+            )
+        assert skipped, "no acyclic degree with simplices was swept"
+
+    def test_kept_ranks_give_the_cycles_and_classes_of_a_full_reduction(self):
+        # stage spaces, built limits and mutated candidates of fuzzed systems:
+        # with betti first, or with the ranks a lower degree kept, each degree
+        # equals a rebuilt space's asked in descending order, which knows no
+        # rank below the degree and so runs every reduction; acyclic degrees
+        # with simplices and degrees with b_p > 0 both occur
+        seen, spaces = Counter(), 0
+        for seed in range(48):
+            gen = FuzzGen(seed)
+            c = gen.cis(inductive=seed % 2 == 0, max_stages=4, max_points=7)
+            ls = build_fundamental(c)
+            for x in [st_.space for st_ in c.stages] + [ls.x, gen.mutate_candidate(ls)[1].x]:
+                spaces += 1
+                ref = rebuilt_space(x)
+                want = {p: _homology(ref, p)[1:] for p in (3, 2, 1, 0)}
+                ascending = rebuilt_space(x)
+                betti = betti_mod2(order_complex(x), 3)
+                for p in range(4):
+                    for y in (x, ascending):
+                        cycles, classes = _homology(y, p)[1:]
+                        assert cycles == want[p][0] and list(classes.items()) == list(
+                            want[p][1].items()
+                        )
+                    assert len(want[p][0]) == betti[p]
+                    seen[betti[p] > 0, len(order_complex(x)._chains.cells(p)) > 0] += 1
+        assert spaces >= 200 and seen[True, True] and seen[False, True]
+
+
+class TestKeptStageSide:
+    def test_one_stage_chain_per_system_and_degree(self, monkeypatch):
+        built = Counter()
+        sequence = homology.stage_homology_sequence
+
+        def counted(c, p):
+            built[id(c), p] += 1
+            return sequence(c, p)
+
+        monkeypatch.setattr(homology, "stage_homology_sequence", counted)
+        c = sphere_chain(3)
+        ls = build_fundamental(c)
+        renders = {}
+        for p in range(3):
+            for check in (functorial_invariance_check, counter_functorial_check) * 2:
+                renders.setdefault(p, set()).add(check(c, p, ls).render())
+        assert built == {(id(c), p): 1 for p in range(3)}
+        # an equal system shares nothing kept with c, so it builds its own
+        twin = rebuilt_cis(c)
+        for p in range(3):
+            for check in (functorial_invariance_check, counter_functorial_check):
+                assert {check(twin, p).render()} == renders[p]
+        assert {k: n for k, n in built.items() if k[0] == id(twin)} == {
+            (id(twin), p): 1 for p in range(3)
+        }
+
+    def test_the_public_chain_and_colimit_are_fresh_objects(self):
+        c = sphere_chain(2)
+        ls = build_fundamental(c)
+        want = functorial_invariance_check(c, 0, ls).render()
+        seq = stage_homology_sequence(c, 0)
+        dim, cocone = module_colimit(seq)
+        assert (dim, cocone) == (1, [[1, 1], [1], [1]])
+        assert seq is not stage_homology_sequence(c, 0)
+        assert cocone is not module_colimit(seq)[1]
+        cocone[0][:] = [0]
+        seq.maps[0][:] = [0]
+        assert functorial_invariance_check(c, 0, ls).render() == want
+        assert module_colimit(stage_homology_sequence(c, 0)) == (1, [[1, 1], [1], [1]])
+
+    def test_a_check_that_raises_keeps_nothing(self):
+        from cislim.gallery import interval_chain
+
+        c = sphere_chain(2)
+        ls = build_fundamental(c)
+        with pytest.raises(TopologyError, match="degree must be >= 0"):
+            functorial_invariance_check(c, -1, ls)
+        loose = interval_chain(2)
+        with pytest.raises(TopologyError, match="inductive"):
+            functorial_invariance_check(loose, 0)
+        assert "_stage_side" not in vars(c) and "_stage_side" not in vars(loose)
+        functorial_invariance_check(c, 1, ls)
+        assert set(vars(c)["_stage_side"]) == {1}
