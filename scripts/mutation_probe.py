@@ -2,7 +2,7 @@
 """Mutation probe: does a test file notice when one operator in a function changes?
 
 Usage:
-    python scripts/mutation_probe.py MODULE FUNC [FUNC ...] --tests TEST_FILE
+    python scripts/mutation_probe.py MODULE FUNC [FUNC ...] --tests TEST_FILE [TEST_FILE ...]
         [--allow SITE ...]
 
 MODULE is a source path such as src/cislim/homology.py, and each FUNC a
@@ -16,9 +16,9 @@ gets exactly one mutant, one operator swapped:
 A site is named FUNC:LINE:COL:OLD->NEW, with LINE counted from the `def`
 (quote it in a shell, for the `>`).  The probe copies src/, tests/ and
 pyproject.toml to a new temporary directory (under $TMPDIR when set,
-removed at the end), checks that the test file passes on the unmutated
+removed at the end), checks that the test files pass on the unmutated
 copy, then writes each mutant into the copy and runs `pytest -x` on the
-test file there.  A mutant is killed when the run fails or outlasts
+test files there.  A mutant is killed when the run fails or outlasts
 five times the clean run (at least 60 s), since a swap can loop forever.
 It prints every mutant's fate and exits 1 when a mutant survives whose
 site is not passed as --allow, 2 when the probe cannot run, else 0.
@@ -125,10 +125,10 @@ def mutants(source: str, names: list[str]):
             yield label, ast.unparse(tree)
 
 
-def run_tests(work: Path, test_file: str, timeout: float) -> tuple[str, float]:
+def run_tests(work: Path, test_files: list[str], timeout: float) -> tuple[str, float]:
     """'pass', 'fail' or 'timeout' for one pytest -x run in the copy, and its seconds."""
     shutil.rmtree(work / ".hypothesis", ignore_errors=True)  # no examples carried over
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", test_file]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *test_files]
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     try:
@@ -142,7 +142,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("module", help="source file, e.g. src/cislim/limit.py")
     ap.add_argument("functions", nargs="+", help="function or Class.method names")
-    ap.add_argument("--tests", required=True, help="the test file to run on each mutant")
+    ap.add_argument("--tests", required=True, nargs="+",
+                    help="the test files to run on each mutant")
     ap.add_argument("--allow", action="append", default=[], metavar="SITE",
                     help="a site whose mutant may survive (argued equivalent)")
     args = ap.parse_args(argv)
@@ -161,7 +162,7 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT / part, work / part, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
     target = work / rel
-    test_file = str(Path(args.tests).resolve().relative_to(ROOT))
+    test_files = [str(Path(t).resolve().relative_to(ROOT)) for t in args.tests]
 
     try:
         target.write_text(ast.unparse(ast.parse(source)))  # the clean run uses the same printer
@@ -174,9 +175,10 @@ def main(argv=None) -> int:
         if Path(where).resolve() != target:
             print(f"mutation_probe: {name} imports from {where or '?'}, not the copy", flush=True)
             return 2
-        status, seconds = run_tests(work, test_file, timeout=3600)
+        status, seconds = run_tests(work, test_files, timeout=3600)
         if status != "pass":
-            print(f"mutation_probe: {test_file} does not pass on the unmutated copy", flush=True)
+            print(f"mutation_probe: {' '.join(test_files)} does not pass on the unmutated copy",
+                  flush=True)
             return 2
         timeout = max(60.0, 5 * seconds)
         print(f"clean run: {seconds:.1f} s; {len(all_mutants)} mutants, "
@@ -184,7 +186,7 @@ def main(argv=None) -> int:
         survivors = []
         for label, text in all_mutants:
             target.write_text(text)
-            status, seconds = run_tests(work, test_file, timeout)
+            status, seconds = run_tests(work, test_files, timeout)
             fate = {"pass": "SURVIVED", "fail": "killed", "timeout": "killed (timeout)"}[status]
             print(f"{fate:17} {label}  {seconds:.1f} s", flush=True)
             if status == "pass":

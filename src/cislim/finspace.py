@@ -47,6 +47,21 @@ def _kept(obj, name: str, build):
     return kept[name]
 
 
+def _kept_at(obj, name: str, key, build):
+    """Entry `key` of obj's table `name`, set to build(obj, key) on first use.
+    The entry, and the table with its first one, is stored only once build
+    returns, so a call that raises keeps nothing.  With build None this is a
+    read that builds nothing: a missing entry reads None."""
+    table = obj.__dict__.get(name)
+    if table is not None and key in table:
+        return table[key]
+    if build is None:
+        return None
+    value = build(obj, key)
+    obj.__dict__.setdefault(name, {})[key] = value
+    return value
+
+
 def _closure_table(space: "FinSpace") -> dict[str, tuple[str, ...]]:
     """cl{p} = {y : p in U_y} for every point p, by inverting min_open.
 

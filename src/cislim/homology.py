@@ -8,34 +8,30 @@ row-reduce.  Cohomology is realized by transposing, which over a field
 carries the same dimensions.
 
 A simplex is a vertex mask over the complex's sorted vertices, earlier
-labels in higher bits.  Chains are enumerated as masks, and faces are
-checked, boundary columns built and maps pushed forward on them; label
-sets (`simplices`, `of_dim`) are a view derived on read.  A complex's
-chain data (its simplices per dimension, their index and every boundary
-column) is built by its constructor, in the one pass that checks its
-faces: a face with no index is a missing face.
+labels in higher bits; label sets (`simplices`, `of_dim`) are a view
+derived on read.  A `SimplicialComplex` builds its chain data (its
+simplices per dimension, their index and every boundary column) in its
+constructor, in the one pass that checks its faces.
 
 A matrix is a list of Python ints, one per column, with row r in bit r;
-its row count is whatever the context fixes (a matrix with trailing zero
-rows is the same list).  This is the one matrix type, inside the library
-and out: the `gf2_*` functions, the matrix functions, module chains and
-the intertwiner all take or return it.  One kernel, `_echelon`, reduces
-columns by leading bit.  It reduces boundary columns from the top
-dimension down, skipping those that are pivots of the dimension above
-("clearing": Chen & Kerber, Persistent homology computation with a twist,
-2011), and keeps the canonical cycles: of the RREF nullspace basis, the
-earliest independent modulo boundaries; clearing and the cycles read the
-same kept columns.  Clearing keeps each boundary rank r_p it finds, and a
-degree with n_p = r_p + r_{p+1} has b_p = 0, so it records no cycles
-without the index-tagged reduction; no reduction runs only to learn a
-rank.  Linear systems are solved by one index-tagged reduction, `_solve`.
-A space keeps one homology record (its order complex, each point's vertex
-bit and its cycles per degree), a complex its chain data, a map its
-H_p(m) per degree, next to the flags `finspace` keeps on it, and an
-inductive system the stage side of its invariance check per degree, next
-to its `CisValidation`; so a second check on the same system and maps
-reads them back.  Each is kept from first use and lives as long as its
-owner.
+its row count is whatever the context fixes.  This is the one matrix type,
+inside the library and out.  One kernel, `_echelon`, reduces columns by
+leading bit.  Boundary columns are reduced from the top dimension down,
+skipping the pivots of the dimension above ("clearing": Chen & Kerber,
+Persistent homology computation with a twist, 2011), and a degree's
+canonical cycles are the earliest RREF nullspace vectors independent
+modulo boundaries.  A degree whose kept boundary ranks give
+n_p = r_p + r_{p+1} has b_p = 0 and records no cycles without the
+index-tagged reduction; no reduction runs only to learn a rank.  Linear
+systems are solved by one index-tagged reduction, `_solve`.
+
+Every per-degree fact is kept on its owner from first use by `_kept_at`
+and lives as long as the owner: a complex's boundary bases, the cycles
+and classes on a space's homology record (its order complex and each
+point's vertex bit), a map's H_p(m), next to the flags `finspace` keeps on
+it, and an inductive system's stage side, next to its `CisValidation`.
+So a second check on the same system and maps reads them back, and a call
+that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from functools import cached_property, reduce
 from operator import xor
 
 from .cis import Cis, is_inductive
-from .finspace import CtsMap, FinSpace, TopologyError, _kept, classify_map
+from .finspace import CtsMap, FinSpace, TopologyError, _kept, _kept_at, classify_map
 from .limit import LimitSpace, _require_aligned, build_fundamental
 
 # ---------------------------------------------------------------------------
@@ -147,8 +143,14 @@ class SimplicialComplex:
     n - 1 - i: earlier labels go in higher bits, so descending masks list
     the simplices of a dimension in the order of their sorted labels.
     `simplices` and `of_dim` are label views of the masks, derived on read.
-    The constructor builds the chain data (`_Chains`) in the pass that checks
-    every face, so it lives exactly as long as the complex.
+
+    The constructor also builds the chain data: the simplices per dimension
+    (`_by_dim`, read through `_cells`), each one's index in its dimension
+    (`_index`) and every boundary column (`_columns`).  Dimensions are
+    indexed upwards, so each simplex's faces are indexed before its column
+    is built: building the columns is the face check.  The echelon bases
+    that clearing reduces (`_boundaries`) are kept per dimension from first
+    use.  All of it lives exactly as long as the complex.
     """
 
     vertices: tuple[str, ...]
@@ -166,7 +168,14 @@ class SimplicialComplex:
             raise TopologyError(
                 f"simplex {self._labels(top)} uses unknown vertices at bits {unknown}"
             )
-        object.__setattr__(self, "_chains", _Chains(self))
+        by_dim: dict[int, list[int]] = {}
+        for s in sorted(masks, reverse=True):
+            by_dim.setdefault(s.bit_count() - 1, []).append(s)
+        index, columns = {}, {}
+        for p, cells in sorted(by_dim.items()):
+            index.update(zip(cells, range(len(cells))))
+            columns[p] = _boundary_columns(self, p, cells, index)
+        vars(self).update(_by_dim=by_dim, _index=index, _columns=columns)
         for v, b in self._bit.items():
             if b not in masks:
                 raise TopologyError(f"vertex {v} has no singleton simplex")
@@ -179,16 +188,21 @@ class SimplicialComplex:
         """The sorted labels of the vertices in mask s."""
         return [v for v, b in self._bit.items() if s & b]
 
+    def _cells(self, p: int) -> list[int]:
+        """The p-simplices' masks, descending: the kept list, which callers must not mutate."""
+        return self._by_dim.get(p, [])
+
     @property
     def simplices(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(self._labels(s)) for s in self.masks)
 
     def of_dim(self, p: int) -> list[frozenset[str]]:
-        return [frozenset(self._labels(s)) for s in self._chains.cells(p)]
+        return [frozenset(self._labels(s)) for s in self._cells(p)]
 
     @property
     def dim(self) -> int:
-        return max((s.bit_count() for s in self.masks), default=0) - 1
+        # every face is present, so the dimensions run 0..dim without a gap
+        return len(self._by_dim) - 1
 
 
 def _boundary_columns(k: SimplicialComplex, p: int, cells: list[int], index: dict[int, int]):
@@ -210,46 +224,20 @@ def _boundary_columns(k: SimplicialComplex, p: int, cells: list[int], index: dic
     return cols
 
 
-class _Chains:
-    """A complex's simplices per dimension, each one's index in its dimension,
-    every boundary column and the reductions.  Descending masks list a
-    dimension's simplices as their sorted labels do.  Dimensions are indexed
-    upwards, so each simplex's faces are indexed before its column is built:
-    building the columns is the face check."""
-
-    def __init__(self, k: SimplicialComplex):
-        self.by_dim: dict[int, list[int]] = {}
-        for s in sorted(k.masks, reverse=True):
-            self.by_dim.setdefault(s.bit_count() - 1, []).append(s)
-        self.index: dict[int, int] = {}
-        self._columns: dict[int, list[int]] = {}
-        for p in sorted(self.by_dim):
-            cells = self.by_dim[p]
-            self.index.update(zip(cells, range(len(cells))))
-            self._columns[p] = _boundary_columns(k, p, cells, self.index)
-        self._boundaries: dict[int, dict[int, int]] = {}
-
-    def cells(self, p: int) -> list[int]:
-        return self.by_dim.get(p, [])
-
-    def columns(self, p: int) -> list[int]:
-        """The boundary of each p-simplex as a bitset over the (p-1)-simplices:
-        the kept list, which callers must not mutate."""
-        return self._columns.get(p, [])
-
-    def boundaries(self, p: int) -> dict[int, int]:
-        """An echelon basis of the image of the boundary from dimension p,
-        whose keys are the columns of dimension p-1 that clearing skips."""
-        if p not in self._boundaries:
-            skip = self.boundaries(p + 1) if 0 < p <= max(self.by_dim, default=-1) else None
-            self._boundaries[p] = {} if skip is None else _echelon(self.columns(p), skip=skip)[0]
-        return self._boundaries[p]
+def _clear(k: SimplicialComplex, p: int) -> dict[int, int]:
+    """An echelon basis of the image of the boundary from dimension p, kept on
+    k per p as `_boundaries`; its keys are the columns of dimension p-1 that
+    clearing skips.  The pivots of dimension p + 1 are found first, so the
+    first call recurses up to the top dimension."""
+    if not 0 < p <= k.dim:
+        return {}
+    return _echelon(k._columns[p], skip=_kept_at(k, "_boundaries", p + 1, _clear))[0]
 
 
 class _Homology:
-    """A space's order complex, each point's vertex bit (that of the least point
-    sharing its minimal open set: T0 classes are grouped once, here) and the
-    `_homology` value of each degree asked for."""
+    """A space's order complex and each point's vertex bit (that of the least
+    point sharing its minimal open set: T0 classes are grouped once, here);
+    `_homology` keeps the cycles and classes of each degree asked for on it."""
 
     def __init__(self, space: FinSpace):
         mo, rep = space.min_open, {}
@@ -269,7 +257,6 @@ class _Homology:
         masks = frozenset(m for ms in starting.values() for m in ms)
         self.complex = SimplicialComplex(tuple(bit), masks)
         self.bit = {p: bit[rep[mo[p]]] for p in space.points}
-        self.degrees: dict[int, tuple[list[int], dict[int, int]]] = {}
 
 
 def order_complex(space: FinSpace) -> SimplicialComplex:
@@ -293,16 +280,15 @@ def _record(space: FinSpace) -> _Homology:
 def boundary_matrix(k: SimplicialComplex, p: int) -> list[int]:
     """The mod-2 boundary from p-simplices to (p-1)-simplices: a copy of the
     columns the complex keeps."""
-    return list(k._chains.columns(p))
+    return list(k._columns.get(p, []))
 
 
 def betti_mod2(k: SimplicialComplex, pmax: int) -> list[int]:
     """b_p = dim ker boundary_p - dim im boundary_{p+1} for p = 0..pmax."""
     if pmax < 0:
         raise TopologyError("pmax must be >= 0")
-    ch = k._chains
-    ranks = [len(ch.boundaries(p)) for p in range(pmax + 2)]
-    return [len(ch.cells(p)) - ranks[p] - ranks[p + 1] for p in range(pmax + 1)]
+    ranks = [len(_kept_at(k, "_boundaries", p, _clear)) for p in range(pmax + 2)]
+    return [len(k._cells(p)) - ranks[p] - ranks[p + 1] for p in range(pmax + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,48 +299,51 @@ def _homology(space: FinSpace, p: int) -> tuple[_Homology, list[int], dict[int, 
     """(homology record, cycles, classes) in degree p: a cycle over the
     p-simplices of the record's complex per class of a basis of H_p, and an
     echelon basis of boundaries and cycles whose bits below b_p are cycle
-    coordinates.  The columns clearing leaves are reduced carrying their own
-    index below bit n; each that vanishes is a free column, and its low bits
-    its RREF nullspace vector, as only pivot columns ever enter the basis.
+    coordinates.  Both are kept on the record per degree (`_cycles`)."""
+    if p < 0:
+        raise TopologyError(f"homology degree must be >= 0, got {p}")
+    rec = _record(space)
+    return (rec, *_kept_at(rec, "_degrees", p, _cycles))
+
+
+def _cycles(rec: _Homology, p: int) -> tuple[list[int], dict[int, int]]:
+    """The cycles and classes `_homology` keeps.  The columns clearing leaves
+    are reduced carrying their own index below bit n; each that vanishes is a
+    free column, and its low bits its RREF nullspace vector, as only pivot
+    columns ever enter the basis.
 
     Rank rule: when the complex already holds the rank r_p of the boundary
     from dimension p (`betti_mod2`, or a lower degree's clearing, reduced it),
     and n_p = r_p + r_{p+1}, then b_p = 0: no column can vanish, so the degree
     records no cycles and the boundaries as its classes, and the tagged
-    reduction is not run.  No reduction is made only to learn r_p."""
-    if p < 0:
-        raise TopologyError(f"homology degree must be >= 0, got {p}")
-    rec = _record(space)
-    if p not in rec.degrees:
-        ch = rec.complex._chains
-        n, bounds = len(ch.cells(p)), ch.boundaries(p + 1)
-        below = ch._boundaries.get(p)
-        if below is not None and n == len(below) + len(bounds):
-            rec.degrees[p] = ([], dict(bounds))
-        else:
-            cols = [c << n | 1 << j for j, c in enumerate(ch.columns(p))]
-            cycles = [z for _, z in _echelon(cols, n, skip=bounds)[1]]
-            m = len(cycles)
-            classes = {t + m: b << m for t, b in bounds.items()}
-            _echelon([z << m | 1 << c for c, z in enumerate(cycles)], m, basis=classes)
-            rec.degrees[p] = (cycles, classes)
-    return (rec, *rec.degrees[p])
+    reduction is not run.  r_p is only read: no reduction is made to learn it."""
+    k = rec.complex
+    n, bounds = len(k._cells(p)), _kept_at(k, "_boundaries", p + 1, _clear)
+    below = _kept_at(k, "_boundaries", p, None)
+    if below is not None and n == len(below) + len(bounds):
+        return [], dict(bounds)
+    cols = [c << n | 1 << j for j, c in enumerate(k._columns.get(p, []))]
+    cycles = [z for _, z in _echelon(cols, n, skip=bounds)[1]]
+    m = len(cycles)
+    classes = {t + m: b << m for t, b in bounds.items()}
+    _echelon([z << m | 1 << c for c, z in enumerate(cycles)], m, basis=classes)
+    return cycles, classes
 
 
 def _push(m: CtsMap, p: int, src: _Homology, tgt: _Homology) -> list[int]:
     """Each p-simplex of the source's complex sent into the target's: the bit
     of the simplex its vertices' image bits OR to, or 0 where that has fewer
     than p + 1 vertices (the image is degenerate and vanishes mod 2)."""
-    ks, ct = src.complex, tgt.complex._chains
+    ks, index = src.complex, tgt.complex._index
     image = {b: tgt.bit[m(v)] for v, b in ks._bit.items()}
     out = []
-    for s in ks._chains.cells(p):
+    for s in ks._cells(p):
         t = 0
         while s:
             b = s & -s
             t |= image[b]
             s ^= b
-        out.append(1 << ct.index[t] if t.bit_count() == p + 1 else 0)
+        out.append(1 << index[t] if t.bit_count() == p + 1 else 0)
     return out
 
 
@@ -369,38 +358,33 @@ def chain_map_matrix(m: CtsMap, p: int) -> list[int]:
     return _push(m, p, _record(m.source), _record(m.target))
 
 
-def _induced(m: CtsMap, p: int) -> list[int]:
+def _induce(m: CtsMap, p: int) -> list[int]:
     """H_p(m), from the homology records of m.source and m.target: pushed
     forward and reduced against the target's classes, the source's cycles
     leave their coordinates (unique: cycles are independent modulo
     boundaries).  An inductive stage's attachment is defined on its stage
-    space itself, so the stage's one record serves both.
+    space itself, so the stage's one record serves both.  Continuity is
+    checked first, so a map it rejects builds no record.
 
     A record is a function of its space's points and minimal opens, so H_p(m)
-    depends on m and p alone: it is kept on m, one matrix per degree, for as
-    long as m lives.  Callers must not mutate it."""
-    kept = _kept(m, "_induced", lambda _: {})
-    if p in kept:
-        return kept[p]
-    (rs, hs, _), (rt, ht, classes) = _homology(m.source, p), _homology(m.target, p)
+    depends on m and p alone: it is kept on m per degree as `_induced`, for
+    as long as m lives.  Callers must not mutate it."""
     if not classify_map(m).continuous:
         raise TopologyError("homology is only functorial on continuous maps")
+    (rs, hs, _), (rt, ht, classes) = _homology(m.source, p), _homology(m.target, p)
     if not hs or not ht:
-        h = [0] * len(hs)
-    else:
-        pushed = [z << len(ht) for z in gf2_matmul(_push(m, p, rs, rt), hs)]
-        _, coords = _echelon(pushed, len(ht), basis=dict(classes))
-        if len(coords) < len(hs):
-            raise TopologyError("vector is not a cycle modulo boundaries")
-        h = [v for _, v in coords]
-    kept[p] = h
-    return h
+        return [0] * len(hs)
+    pushed = [z << len(ht) for z in gf2_matmul(_push(m, p, rs, rt), hs)]
+    _, coords = _echelon(pushed, len(ht), basis=dict(classes))
+    if len(coords) < len(hs):
+        raise TopologyError("vector is not a cycle modulo boundaries")
+    return [v for _, v in coords]
 
 
 def induced_matrix(m: CtsMap, p: int) -> list[int]:
     """The matrix of the degree-p homology functor applied to m, computed
     once per map object and degree; each call returns its own copy."""
-    return list(_induced(m, p))
+    return list(_kept_at(m, "_induced", p, _induce))
 
 
 # ---------------------------------------------------------------------------
@@ -445,19 +429,8 @@ def stage_homology_sequence(c: Cis, p: int) -> GF2ModuleSeq:
     if not is_inductive(c):
         raise TopologyError("stage homology sequences need an inductive system")
     dims = tuple(len(_homology(st.space, p)[1]) for st in c.stages)
-    return GF2ModuleSeq(dims, tuple(_induced(st.f, p) for st in c.stages[:-1]))
-
-
-def _stage_side(c: Cis, p: int) -> tuple[int, list[list[int]]]:
-    """module_colimit(stage_homology_sequence(c, p)) of an inductive system,
-    built once per degree and kept on c, as its `CisValidation` is: it depends
-    on c and p alone.  It is kept only once built, so a call that raises keeps
-    nothing.  Callers must not mutate it."""
-    side = c.__dict__.get("_stage_side", {}).get(p)
-    if side is None:
-        side = module_colimit(stage_homology_sequence(c, p))
-        _kept(c, "_stage_side", lambda _: {})[p] = side
-    return side
+    maps = tuple(_kept_at(st.f, "_induced", p, _induce) for st in c.stages[:-1])
+    return GF2ModuleSeq(dims, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +493,11 @@ def functorial_invariance_check(
         raise TopologyError("invariance holds for inductive systems; this one glues less")
     ls = limit if limit is not None else build_fundamental(c)
     _require_aligned(c, ls)
-    module_dim, cocone = _stage_side(c, p)
+    module_dim, cocone = _kept_at(
+        c, "_stage_side", p, lambda c, p: module_colimit(stage_homology_sequence(c, p))
+    )
     limit_dim = len(_homology(ls.x, p)[1])
-    structure = [_induced(phi, p) for phi in ls.phis]
+    structure = [_kept_at(phi, "_induced", p, _induce) for phi in ls.phis]
     a, b = [v for s in structure for v in s], [v for s in cocone for v in s]
     null, rows = _solve(_transpose(a, limit_dim), _transpose(b, module_dim))
     h = _transpose(rows, limit_dim)

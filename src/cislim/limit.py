@@ -25,12 +25,12 @@ the axiom verifier reads it only to name witnesses once its verdict fails.
 
 A candidate is immutable, so the facts that depend on it alone are decided
 once and kept on it: the cover and embedding checks that both verifiers
-report, the verdict of the weak-topology fixpoint, and the closure of each
-structure map's image, which `images_closed` and `cover_profile` both read.
-Its structure maps keep their images (`CtsMap.image`) and, from the one
-loop of the embedding flag, their continuity.  Verdicts that also read the
-system (the overlap, disjointness and gluing checks) are decided on every
-call.
+report, the verdict of the weak-topology fixpoint, the closure of each
+structure map's image and the closed-image verdict read from them;
+`cover_profile` reads both.  Its structure maps keep their images
+(`CtsMap.image`) and, from the one loop of the embedding flag, their
+continuity.  Verdicts that also read the system (the overlap, disjointness
+and gluing checks) are decided on every call.
 """
 
 from __future__ import annotations
@@ -477,8 +477,14 @@ class ImagesClosedReport:
 
 
 def images_closed(ls: LimitSpace) -> ImagesClosedReport:
-    """Which structure maps have open images, read from the kept closures:
-    an image A is closed exactly when cl(A) = A."""
+    """Which structure maps have open images, decided once per candidate and
+    kept on it."""
+    return _kept(ls, "_images_closed", _open_images)
+
+
+def _open_images(ls: LimitSpace) -> ImagesClosedReport:
+    """The verdict `images_closed` keeps, read from the kept closures: an
+    image A is closed exactly when cl(A) = A."""
     closures = _kept(ls, "_closures", _image_closures)
     bad = tuple(i for i, (phi, cl) in enumerate(zip(ls.phis, closures)) if cl != phi.image())
     return ImagesClosedReport(not bad, bad)
@@ -536,19 +542,16 @@ def cover_profile(ls: LimitSpace) -> CoverProfile:
     """One pass over the images and their kept closures.  U_x meets an image
     A exactly when x lies in cl(A), so a point's neighbourhood multiplicity
     counts the image closures that hold it, as its point multiplicity counts
-    the images; and A is closed exactly when cl(A) = A."""
+    the images.  Whether the cover is closed is the verdict of `images_closed`."""
     point_mult: Counter[str] = Counter()
     nbhd_mult: Counter[str] = Counter()
-    closed = True
     for phi, cl in zip(ls.phis, _kept(ls, "_closures", _image_closures)):
-        img = phi.image()
-        point_mult.update(img)
+        point_mult.update(phi.image())
         nbhd_mult.update(cl)
-        closed = closed and cl == img
     return CoverProfile(
         pointwise_finite=True,
         locally_finite=True,
-        closed_cover=closed,
+        closed_cover=images_closed(ls).value,
         max_point_multiplicity=max(point_mult.values(), default=0),
         max_neighbourhood_multiplicity=max(nbhd_mult.values(), default=0),
     )

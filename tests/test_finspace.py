@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from cislim.finspace import (
     FinSpace,
     MapProfile,
     TopologyError,
+    _kept_at,
     classify_map,
     components,
     compose,
@@ -232,6 +234,51 @@ class TestKeptFlags:
         assert vars(m)["_continuous"] is True and "_closed" not in vars(m)
         assert second.closed and vars(m)["_closed"] is True
         assert not any(isinstance(v, MapProfile) for v in vars(m).values())
+
+
+class TestKeptAt:
+    def test_each_entry_is_built_once_and_read_back(self):
+        owner, built = SimpleNamespace(), []
+
+        def build(obj, key):
+            built.append((obj, key))
+            return [key]
+
+        first = _kept_at(owner, "_table", 1, build)
+        assert _kept_at(owner, "_table", 1, build) is first and first == [1]
+        assert _kept_at(owner, "_table", 2, build) == [2]
+        assert built == [(owner, 1), (owner, 2)] and vars(owner)["_table"] == {1: [1], 2: [2]}
+
+    def test_a_read_builds_nothing(self):
+        owner = SimpleNamespace()
+        assert _kept_at(owner, "_table", 1, None) is None and "_table" not in vars(owner)
+        _kept_at(owner, "_table", 1, lambda obj, key: "one")
+        assert _kept_at(owner, "_table", 1, None) == "one"
+        assert _kept_at(owner, "_table", 2, None) is None and vars(owner)["_table"] == {1: "one"}
+
+    def test_a_build_that_raises_keeps_nothing(self):
+        owner = SimpleNamespace()
+
+        def boom(obj, key):
+            raise TopologyError("no entry")
+
+        with pytest.raises(TopologyError):
+            _kept_at(owner, "_table", 1, boom)
+        assert "_table" not in vars(owner)
+        _kept_at(owner, "_table", 2, lambda obj, key: key)
+        with pytest.raises(TopologyError):
+            _kept_at(owner, "_table", 1, boom)
+        assert vars(owner)["_table"] == {2: 2}
+
+    def test_a_build_may_fill_its_own_table(self):
+        # a recursive build, as clearing's is, keeps every entry it fills
+        owner = SimpleNamespace()
+
+        def down(obj, key):
+            return 0 if key == 0 else _kept_at(obj, "_table", key - 1, down) + 1
+
+        assert _kept_at(owner, "_table", 3, down) == 3
+        assert vars(owner)["_table"] == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
 def drawn_map(rng: random.Random) -> CtsMap:

@@ -592,6 +592,19 @@ class TestInducedMatrix:
         with pytest.raises(TopologyError, match="degree must be >= 0"):
             induced_matrix(identity_map(circle4), -1)
 
+    def test_a_call_that_raises_keeps_nothing(self, sierpinski):
+        # neither a discontinuous map nor a negative degree leaves a table on
+        # the map, and the continuity check comes before any homology record
+        swap = CtsMap(sierpinski, sierpinski, {"a": "b", "b": "a"})
+        with pytest.raises(TopologyError, match="functorial"):
+            induced_matrix(swap, 0)
+        assert "_induced" not in vars(swap) and "_homology" not in vars(sierpinski)
+        ident = identity_map(sierpinski)
+        with pytest.raises(TopologyError, match="degree must be >= 0"):
+            induced_matrix(ident, -1)
+        assert "_induced" not in vars(ident)
+        assert induced_matrix(ident, 0) == [1] and set(vars(ident)["_induced"]) == {0}
+
     def test_chain_map_rejects_discontinuous_structure_maps(self):
         seen = 0
         for seed in range(60):
@@ -972,6 +985,25 @@ class TestKeptRanks:
         assert len(homology._homology(ls.x, 5)[1]) == 1
         assert calls and {p for _, p in calls} == {5}
 
+    @pytest.mark.parametrize("pmax", [0, 1, 2, 4, 6])
+    def test_betti_reduces_each_dimension_once_whatever_pmax(self, monkeypatch, pmax):
+        # the first clearing call recurses up through every dimension, so on
+        # S^4 any pmax makes the same four reductions, from the top dimension
+        # down, and a second call makes none
+        widths = []
+        echelon = homology._echelon
+
+        def counted(cols, shift=0, skip=(), basis=None):
+            widths.append(len(cols))
+            return echelon(cols, shift, skip, basis)
+
+        monkeypatch.setattr(homology, "_echelon", counted)
+        k = order_complex(sphere_space(4))
+        assert betti_mod2(k, pmax) == [1, 0, 0, 0, 1, 0, 0][: pmax + 1]
+        assert widths == [len(k.of_dim(p)) for p in (4, 3, 2, 1)] == [32, 80, 80, 40]
+        betti_mod2(k, pmax)
+        assert len(widths) == 4
+
     def test_no_reduction_runs_only_to_learn_a_rank(self, monkeypatch):
         # on a fresh complex, degree 3 alone needs clearing from dimension 4 up;
         # r_3 is not known, so the tagged reduction runs and r_3 stays unreduced
@@ -979,7 +1011,7 @@ class TestKeptRanks:
         calls = self.tagged_reductions(monkeypatch)
         assert homology._homology(ls.x, 3)[1] == []
         assert {p for _, p in calls} == {3}
-        assert 3 not in order_complex(ls.x)._chains._boundaries
+        assert 3 not in vars(order_complex(ls.x))["_boundaries"]
 
     def test_an_ascending_sweep_reduces_only_cyclic_degrees(self, monkeypatch):
         # each degree's clearing keeps the rank the next degree needs, so only
@@ -1000,7 +1032,7 @@ class TestKeptRanks:
                 for _ in range(2)  # the cycles, then the classes
             ]
             skipped += sum(
-                betti[i][p] == 0 and len(order_complex(x)._chains.cells(p)) > 0
+                betti[i][p] == 0 and len(order_complex(x)._cells(p)) > 0
                 for i, x in spaces.items() for p in range(4)
             )
         assert skipped, "no acyclic degree with simplices was swept"
@@ -1029,7 +1061,7 @@ class TestKeptRanks:
                             want[p][1].items()
                         )
                     assert len(want[p][0]) == betti[p]
-                    seen[betti[p] > 0, len(order_complex(x)._chains.cells(p)) > 0] += 1
+                    seen[betti[p] > 0, len(order_complex(x)._cells(p)) > 0] += 1
         assert spaces >= 200 and seen[True, True] and seen[False, True]
 
 

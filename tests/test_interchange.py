@@ -141,6 +141,17 @@ class TestMorphismAndDiagramDocs:
             x.assignment for a in d.arrows for x in a.h
         ]
 
+    def test_fuzzed_diagram_round_trips(self):
+        # three objects, the first and last often unequal, so each arrow must
+        # land on the next object and on no other
+        gen, unequal = FuzzGen(5), 0
+        for _ in range(8):
+            d = gen.diagram(gen.cis(), length=3)
+            again = diagram_from_doc(diagram_to_doc(d))
+            assert again.objects == d.objects and again.arrows == d.arrows
+            unequal += d.objects[0] != d.objects[2]
+        assert unequal
+
     def test_diagram_arrow_count(self):
         c = sphere_chain(1)
         doc = diagram_to_doc(CisDiagram((c,), ()))

@@ -760,13 +760,27 @@ class TestKeptFacts:
             )
         first = images_closed(ls)
         prof = cover_profile(ls)
-        assert images_closed(ls) == first and first.value and prof.closed_cover
+        assert images_closed(ls) is first and first.value and prof.closed_cover
         assert runs == [ls]
         # one closure per image, and no closedness decided apart from it
         assert reads == {"closure": len(ls.phis)}
         twin = LimitSpace(ls.x, ls.phis)
         assert cover_profile(twin) == prof and images_closed(twin) == first
         assert len(runs) == 2 and runs[1] is twin
+
+    def test_the_closed_cover_flag_is_the_images_closed_verdict(self, monkeypatch):
+        verdicts, body = [], limit.images_closed
+        monkeypatch.setattr(limit, "images_closed", lambda ls: verdicts.append(ls) or body(ls))
+        seen = set()
+        for seed in range(12):
+            gen = FuzzGen(seed)
+            ls = build_fundamental(gen.cis())
+            for cand in (ls, gen.mutate_candidate(ls)[1]):
+                verdicts.clear()
+                closed = cover_profile(cand).closed_cover
+                assert verdicts == [cand] and closed == body(cand).value
+                seen.add(closed)
+        assert seen == {True, False}
 
     def test_kept_verdicts_equal_fresh_ones(self):
         # every fact read twice from one candidate equals the fact decided
@@ -784,7 +798,7 @@ class TestKeptFacts:
                 rebuilt = rebuilt_candidate(cand)
                 fresh = self._facts(rebuilt_cis(c), rebuilt)
                 assert kept[0] == kept[1] == fresh, seed
-                for name in ("_cover", "_embeddings", "_weak", "_closures"):
+                for name in ("_cover", "_embeddings", "_weak", "_closures", "_images_closed"):
                     assert name in vars(cand)
                 # each kept closure is cl(A) = {y : U_y meets A}, from the definition
                 x = cand.x
