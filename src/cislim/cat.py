@@ -291,13 +291,8 @@ def check_limit_compatibility(d: CisDiagram) -> CompatibilityReport:
         induced_fundamental_map(res.cocone[n], obj_limits[n], big)
         for n in range(len(d.objects))
     ]
-    witnesses = []
-    cts = True
-    for n, theta in enumerate(mediating):
-        if not classify_map(theta).continuous:
-            cts = False
-            witnesses.append(f"mediating map {n} is not continuous")
-    identities = True
+    cts = True  # induced_fundamental_map raises unless each mediating map is closed continuous
+    witnesses, identities = [], True
     for m_idx in range(len(d.objects)):
         for n_idx in range(m_idx + 1, len(d.objects)):
             lh = induced_fundamental_map(

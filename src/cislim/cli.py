@@ -24,6 +24,7 @@ from .homology import (
     order_complex,
 )
 from .limit import (
+    InvalidSystemError,
     build_fundamental,
     has_weak_topology,
     images_closed,
@@ -81,6 +82,9 @@ def cmd_limit(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     c = interchange.cis_from_doc(_load_json(args.cis), args.cis)
+    rep = validate_cis(c)
+    if not rep.ok:  # the limit checks assume a valid system, as `limit` and `homology` do
+        raise InvalidSystemError(rep)
     ls = interchange.limit_from_doc(_load_json(args.limit), c, args.limit)
     axioms = verify_limit_axioms(c, ls)
     gluing = verify_gluing_laws(c, ls)

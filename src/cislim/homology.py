@@ -21,17 +21,17 @@ skipping the pivots of the dimension above ("clearing": Chen & Kerber,
 Persistent homology computation with a twist, 2011), and a degree's
 canonical cycles are the earliest RREF nullspace vectors independent
 modulo boundaries.  A degree whose kept boundary ranks give
-n_p = r_p + r_{p+1} has b_p = 0 and records no cycles without the
+n_p = r_p + r_{p+1} has b_p = 0 and keeps no cycles without the
 index-tagged reduction; no reduction runs only to learn a rank.  Linear
 systems are solved by one index-tagged reduction, `_solve`.
 
-Every per-degree fact is kept on its owner from first use by `_kept_at`
-and lives as long as the owner: a complex's boundary bases, the cycles
-and classes on a space's homology record (its order complex and each
-point's vertex bit), a map's H_p(m), next to the flags `finspace` keeps on
-it, and an inductive system's stage side, next to its `CisValidation`.
-So a second check on the same system and maps reads them back, and a call
-that raises keeps nothing.
+A space keeps one homology object, its order complex, and every
+per-degree fact is kept on its owner from first use by `_kept_at` and
+lives as long as the owner: a complex's boundary bases and the cycles and
+classes of each degree, a map's H_p(m), next to the flags `finspace`
+keeps on it, and an inductive system's stage side, next to its
+`CisValidation`.  So a second check on the same system and maps reads
+them back, and a call that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -149,8 +149,9 @@ class SimplicialComplex:
     (`_index`) and every boundary column (`_columns`).  Dimensions are
     indexed upwards, so each simplex's faces are indexed before its column
     is built: building the columns is the face check.  The echelon bases
-    that clearing reduces (`_boundaries`) are kept per dimension from first
-    use.  All of it lives exactly as long as the complex.
+    that clearing reduces (`_boundaries`) are kept per dimension, and the
+    cycles and classes of each homology degree (`_degrees`) per degree,
+    from first use.  All of it lives exactly as long as the complex.
     """
 
     vertices: tuple[str, ...]
@@ -234,47 +235,37 @@ def _clear(k: SimplicialComplex, p: int) -> dict[int, int]:
     return _echelon(k._columns[p], skip=_kept_at(k, "_boundaries", p + 1, _clear))[0]
 
 
-class _Homology:
-    """A space's order complex and each point's vertex bit (that of the least
-    point sharing its minimal open set: T0 classes are grouped once, here);
-    `_homology` keeps the cycles and classes of each degree asked for on it."""
-
-    def __init__(self, space: FinSpace):
-        mo, rep = space.min_open, {}
-        for p in sorted(space.points):
-            rep.setdefault(mo[p], p)
-        bit = _vertex_bits(tuple(rep.values()))  # each class's least point, ascending
-        # the chains starting at c: c alone, or c below a chain starting at some
-        # representative d > c; U_d is strictly inside U_c, so smaller opens come first
-        starting: dict[str, list[int]] = {}
-        for c in sorted(bit, key=lambda r: len(mo[r])):
-            b = bit[c]
-            chains = [b]
-            for d in mo[c]:
-                if d != c and d in bit:
-                    chains += [m | b for m in starting[d]]
-            starting[c] = chains
-        masks = frozenset(m for ms in starting.values() for m in ms)
-        self.complex = SimplicialComplex(tuple(bit), masks)
-        self.bit = {p: bit[rep[mo[p]]] for p in space.points}
+def _build_complex(space: FinSpace) -> SimplicialComplex:
+    """The order complex of space, built; its vertices are the least point of
+    each T0 class (points sharing a minimal open set are grouped once, here)."""
+    mo, rep = space.min_open, {}
+    for p in sorted(space.points):
+        rep.setdefault(mo[p], p)
+    bit = _vertex_bits(tuple(rep.values()))  # each class's least point, ascending
+    # the chains starting at c: c alone, or c below a chain starting at some
+    # representative d > c; U_d is strictly inside U_c, so smaller opens come first
+    starting: dict[str, list[int]] = {}
+    for c in sorted(bit, key=lambda r: len(mo[r])):
+        b = bit[c]
+        chains = [b]
+        for d in mo[c]:
+            if d != c and d in bit:
+                chains += [m | b for m in starting[d]]
+        starting[c] = chains
+    return SimplicialComplex(tuple(bit), frozenset(m for ms in starting.values() for m in ms))
 
 
 def order_complex(space: FinSpace) -> SimplicialComplex:
-    """Chains of the specialization order of the T0 quotient, built once per space.
+    """Chains of the specialization order of the T0 quotient, built once per
+    space and kept on it as `_complex`.  Reads inside this module look it up
+    there and call this only on a miss, so `perfbench/tracer.py` books every
+    build, and nothing else, to this name.
 
     y specializes to x when x lies in U_y; collapsing topologically
     indistinguishable points first makes the relation a partial order, and
     the collapse does not change the weak homotopy type.
     """
-    return _kept(space, "_homology", _Homology).complex
-
-
-def _record(space: FinSpace) -> _Homology:
-    """The space's homology record.  Only `order_complex` builds it, so that
-    `perfbench/tracer.py` books every build to that name."""
-    if "_homology" not in vars(space):
-        order_complex(space)
-    return space._homology
+    return _kept(space, "_complex", _build_complex)
 
 
 def boundary_matrix(k: SimplicialComplex, p: int) -> list[int]:
@@ -295,29 +286,28 @@ def betti_mod2(k: SimplicialComplex, pmax: int) -> list[int]:
 # the homology functor on maps
 
 
-def _homology(space: FinSpace, p: int) -> tuple[_Homology, list[int], dict[int, int]]:
-    """(homology record, cycles, classes) in degree p: a cycle over the
-    p-simplices of the record's complex per class of a basis of H_p, and an
-    echelon basis of boundaries and cycles whose bits below b_p are cycle
-    coordinates.  Both are kept on the record per degree (`_cycles`)."""
+def _homology(space: FinSpace, p: int) -> tuple[SimplicialComplex, list[int], dict[int, int]]:
+    """(order complex, cycles, classes) in degree p: a cycle over the
+    p-simplices of the space's order complex per class of a basis of H_p, and
+    an echelon basis of boundaries and cycles whose bits below b_p are cycle
+    coordinates.  Both are kept on the complex per degree (`_cycles`)."""
     if p < 0:
         raise TopologyError(f"homology degree must be >= 0, got {p}")
-    rec = _record(space)
-    return (rec, *_kept_at(rec, "_degrees", p, _cycles))
+    k = vars(space).get("_complex") or order_complex(space)
+    return (k, *_kept_at(k, "_degrees", p, _cycles))
 
 
-def _cycles(rec: _Homology, p: int) -> tuple[list[int], dict[int, int]]:
-    """The cycles and classes `_homology` keeps.  The columns clearing leaves
-    are reduced carrying their own index below bit n; each that vanishes is a
-    free column, and its low bits its RREF nullspace vector, as only pivot
-    columns ever enter the basis.
+def _cycles(k: SimplicialComplex, p: int) -> tuple[list[int], dict[int, int]]:
+    """The cycles and classes `_homology` keeps on k as `_degrees`, next to
+    its `_boundaries`.  The columns clearing leaves are reduced carrying their
+    own index below bit n; each that vanishes is a free column, and its low
+    bits its RREF nullspace vector, as only pivot columns ever enter the basis.
 
-    Rank rule: when the complex already holds the rank r_p of the boundary
-    from dimension p (`betti_mod2`, or a lower degree's clearing, reduced it),
-    and n_p = r_p + r_{p+1}, then b_p = 0: no column can vanish, so the degree
-    records no cycles and the boundaries as its classes, and the tagged
+    Rank rule: when k already holds the rank r_p of the boundary from
+    dimension p (`betti_mod2`, or a lower degree's clearing, reduced it), and
+    n_p = r_p + r_{p+1}, then b_p = 0: no column can vanish, so the degree
+    keeps no cycles and the boundaries as its classes, and the tagged
     reduction is not run.  r_p is only read: no reduction is made to learn it."""
-    k = rec.complex
     n, bounds = len(k._cells(p)), _kept_at(k, "_boundaries", p + 1, _clear)
     below = _kept_at(k, "_boundaries", p, None)
     if below is not None and n == len(below) + len(bounds):
@@ -330,12 +320,14 @@ def _cycles(rec: _Homology, p: int) -> tuple[list[int], dict[int, int]]:
     return cycles, classes
 
 
-def _push(m: CtsMap, p: int, src: _Homology, tgt: _Homology) -> list[int]:
-    """Each p-simplex of the source's complex sent into the target's: the bit
-    of the simplex its vertices' image bits OR to, or 0 where that has fewer
-    than p + 1 vertices (the image is degenerate and vanishes mod 2)."""
-    ks, index = src.complex, tgt.complex._index
-    image = {b: tgt.bit[m(v)] for v, b in ks._bit.items()}
+def _push(m: CtsMap, p: int, ks: SimplicialComplex, kt: SimplicialComplex) -> list[int]:
+    """Each p-simplex of ks, m.source's complex, sent into kt, m.target's: the
+    bit of the simplex its vertices' image bits OR to, or 0 where that has
+    fewer than p + 1 vertices (the image is degenerate and vanishes mod 2).
+    A point's vertex in kt is the one sharing its minimal open set."""
+    mo, index = m.target.min_open, kt._index
+    vertex = {mo[v]: b for v, b in kt._bit.items()}
+    image = {b: vertex[mo[m(v)]] for v, b in ks._bit.items()}
     out = []
     for s in ks._cells(p):
         t = 0
@@ -355,26 +347,27 @@ def chain_map_matrix(m: CtsMap, p: int) -> list[int]:
     """
     if not classify_map(m).continuous:
         raise TopologyError("homology is only functorial on continuous maps")
-    return _push(m, p, _record(m.source), _record(m.target))
+    ks, kt = (vars(x).get("_complex") or order_complex(x) for x in (m.source, m.target))
+    return _push(m, p, ks, kt)
 
 
 def _induce(m: CtsMap, p: int) -> list[int]:
-    """H_p(m), from the homology records of m.source and m.target: pushed
+    """H_p(m), from the order complexes of m.source and m.target: pushed
     forward and reduced against the target's classes, the source's cycles
     leave their coordinates (unique: cycles are independent modulo
     boundaries).  An inductive stage's attachment is defined on its stage
-    space itself, so the stage's one record serves both.  Continuity is
-    checked first, so a map it rejects builds no record.
+    space itself, so the stage's one complex serves both.  Continuity is
+    checked first, so a map it rejects builds no complex.
 
-    A record is a function of its space's points and minimal opens, so H_p(m)
+    A complex is a function of its space's points and minimal opens, so H_p(m)
     depends on m and p alone: it is kept on m per degree as `_induced`, for
     as long as m lives.  Callers must not mutate it."""
     if not classify_map(m).continuous:
         raise TopologyError("homology is only functorial on continuous maps")
-    (rs, hs, _), (rt, ht, classes) = _homology(m.source, p), _homology(m.target, p)
+    (ks, hs, _), (kt, ht, classes) = _homology(m.source, p), _homology(m.target, p)
     if not hs or not ht:
         return [0] * len(hs)
-    pushed = [z << len(ht) for z in gf2_matmul(_push(m, p, rs, rt), hs)]
+    pushed = [z << len(ht) for z in gf2_matmul(_push(m, p, ks, kt), hs)]
     _, coords = _echelon(pushed, len(ht), basis=dict(classes))
     if len(coords) < len(hs):
         raise TopologyError("vector is not a cycle modulo boundaries")
@@ -480,9 +473,9 @@ def functorial_invariance_check(
     The stage side, module_colimit(stage_homology_sequence(c, p)), is built
     once per system and degree and kept on c (`_stage_side`); the limit side,
     the solve and every check below read the candidate as well and run on
-    each call.  Each H_p is read from its space's record, so a degree whose
-    kept boundary ranks show it acyclic is never reduced for cycles (the
-    rank rule of `_homology`).
+    each call.  Each H_p is read from its space's order complex, so a degree
+    whose kept boundary ranks show it acyclic is never reduced for cycles
+    (the rank rule of `_cycles`).
 
     Side by side and transposed, a.T h.T = b.T, so one solve gives every row
     of h, and the first column of b.T outside the span of a.T names the first

@@ -52,6 +52,19 @@ def rebuilt_candidate(ls: LimitSpace) -> LimitSpace:
     )
 
 
+def swap_first_two(phi: CtsMap) -> CtsMap:
+    """phi with the images of its first two source points exchanged."""
+    a = phi.assignment
+    u, v = sorted(a)[:2]
+    return CtsMap(phi.source, phi.target, {**a, u: a[v], v: a[u]})
+
+
+def first_leg_swapped(ls: LimitSpace) -> LimitSpace:
+    """ls with `swap_first_two` applied to its first structure map: a wrong
+    answer for fault-injection tests of the construction self-checks."""
+    return LimitSpace(ls.x, (swap_first_two(ls.phis[0]), *ls.phis[1:]))
+
+
 def space_from_edges(n: int, edges) -> FinSpace:
     """Reflexive-transitive closure of a digraph on n points, read as minimal opens."""
     labels = [f"x{i}" for i in range(n)]

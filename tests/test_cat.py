@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cislim import cis
+from conftest import first_leg_swapped, swap_first_two
+from cislim import cat, cis
 from cislim.cat import (
     CisDiagram,
     CisMorphism,
@@ -17,7 +18,7 @@ from cislim.cat import (
     push_forward,
     validate_morphism,
 )
-from cislim.cis import Cis, Cutoff, make_stage, validate_cis
+from cislim.cis import Cis, Cutoff, make_cis, make_stage, validate_cis
 from cislim.finspace import (
     CtsMap,
     FinSpace,
@@ -397,6 +398,69 @@ class TestDirectLimit:
                 assert [x.assignment for x in led.h] == [
                     x.assignment for x in res.cocone[m_idx].h
                 ]
+
+
+class TestDirectLimitSelfChecks:
+    """Fault injection: a construction step of `cis_direct_limit` that returns
+    a wrong answer makes one of its construction-bug RuntimeErrors fire.  The
+    diagram is a two-point discrete identity system mapped to itself, whose
+    columns and limit are again discrete, so a swap stays a valid system."""
+
+    @staticmethod
+    def diagram():
+        c = identity_system(_discrete("u", "v"), 2)
+        return CisDiagram((c, c), (identity_morphism(c),))
+
+    @staticmethod
+    def columns_with_leg_0_swapped(monkeypatch, columns):
+        """Make the columns numbered in `columns` send object 0 in swapped."""
+        real, built = cat.attaching_space, []
+
+        def wrong(spaces, attachments):
+            ls = real(spaces, attachments)
+            built.append(ls)
+            return first_leg_swapped(ls) if len(built) - 1 in columns else ls
+
+        monkeypatch.setattr(cat, "attaching_space", wrong)
+
+    @staticmethod
+    def limit_rebuilt(monkeypatch, attachment):
+        """Make push_forward return its system with stage 0's attachment replaced."""
+        real = cat.push_forward
+
+        def wrong(legs, spaces, tail):
+            c = real(legs, spaces, tail)
+            f = attachment(c.stages[0].f)
+            return make_cis([st.space for st in c.stages], [st.y for st in c.stages], [f], tail)
+
+        monkeypatch.setattr(cat, "push_forward", wrong)
+
+    def test_conflicting_legs_are_a_construction_bug(self, monkeypatch):
+        # one column swapped, the other not: the legs disagree on g_0
+        self.columns_with_leg_0_swapped(monkeypatch, {0})
+        with pytest.raises(RuntimeError, match="^construction bug: stage 0: attachment sends "):
+            cis_direct_limit(self.diagram())
+
+    def test_an_invalid_limit_system_is_a_construction_bug(self, monkeypatch):
+        # a constant attachment is not injective
+        self.limit_rebuilt(monkeypatch, lambda f: {y: f(min(f.assignment)) for y in f.assignment})
+        with pytest.raises(
+            RuntimeError, match="^construction bug: direct limit is not a valid system\n"
+        ):
+            cis_direct_limit(self.diagram())
+
+    def test_an_invalid_cocone_leg_is_a_construction_bug(self, monkeypatch):
+        # a valid limit system, but its attachment no longer commutes with the legs
+        self.limit_rebuilt(monkeypatch, lambda f: swap_first_two(f).assignment)
+        with pytest.raises(RuntimeError, match="^construction bug: cocone leg invalid\n"):
+            cis_direct_limit(self.diagram())
+
+    def test_failing_cocone_identities_are_a_construction_bug(self, monkeypatch):
+        # every column swapped: each leg is a valid morphism, but leg 1 after
+        # the identity arrow is not leg 0
+        self.columns_with_leg_0_swapped(monkeypatch, {0, 1})
+        with pytest.raises(RuntimeError, match="^construction bug: cocone identities fail$"):
+            cis_direct_limit(self.diagram())
 
 
 class TestCompatibility:

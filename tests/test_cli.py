@@ -15,7 +15,13 @@ from cislim.interchange import (
     limit_from_doc,
     morphism_to_doc,
 )
-from cislim.gallery import MAX_SEARCH_POINTS, identity_system, sierpinski_space, sphere_chain
+from cislim.gallery import (
+    MAX_SEARCH_POINTS,
+    identity_system,
+    sierpinski_space,
+    sphere_chain,
+    stationary_sphere,
+)
 from cislim.limit import verify_limit_axioms
 from cislim.randgen import FuzzGen, point_system
 from cislim.cis import validate_cis
@@ -256,6 +262,21 @@ class TestPinnedErrorPaths:
         assert run("verify", str(c), str(lim)) == (
             2, f"input error: {lim}.phis[0]: assignment leaves the target at ['z']\n"
         )
+
+    def test_verify_refuses_an_invalid_system_before_reading_the_limit(self, tmp_path):
+        # the parked stage glues along nothing: the document is well-formed,
+        # but the system fails the stationary-tail axiom
+        c = stationary_sphere(1)
+        good, lim = self.write(tmp_path, "c.json", cis_to_doc(c)), tmp_path / "l.json"
+        assert run("limit", str(good), "-o", str(lim))[0] == 0
+        doc = cis_to_doc(c)
+        doc["stages"][1]["y"] = []
+        bad = self.write(tmp_path, "bad.json", doc)
+        want = "input error: invalid closed injective system:\n"
+        want += validate_cis(cis_from_doc(doc)).render() + "\n"
+        assert "stationary tail" in want
+        assert run("verify", str(bad), str(lim)) == (2, want)
+        assert run("verify", str(bad), str(tmp_path / "missing.json")) == (2, want)
 
     def test_morphism_from_a_cutoff_into_a_stationary_tail_is_two(self, tmp_path):
         s = sierpinski_space()

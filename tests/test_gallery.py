@@ -210,6 +210,17 @@ class TestSearchNonFundamental:
         assert res.found == ()
         assert res.cap == 3
 
+    def test_the_default_cap_is_four(self):
+        # a 4-point limit is searched as under cap=4; a 5-point one is left undecided
+        c = sphere_chain(1)
+        res, capped = search_non_fundamental(c), search_non_fundamental(c, cap=4)
+        assert (res.status, res.found, res.examined, res.cap) == (
+            capped.status, capped.found, capped.examined, capped.cap
+        ) == ("completed", (), 355, 4)
+        assert len(build_fundamental(interval_chain(2)).x.points) == 5
+        res = search_non_fundamental(interval_chain(2))
+        assert (res.status, res.found, res.examined, res.cap) == ("undecided", (), 0, 4)
+
     def test_a_negative_cap_is_refused(self):
         with pytest.raises(TopologyError, match=r"^cap must be >= 0, got -1$"):
             search_non_fundamental(non_semicomponible(), cap=-1)

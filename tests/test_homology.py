@@ -594,11 +594,11 @@ class TestInducedMatrix:
 
     def test_a_call_that_raises_keeps_nothing(self, sierpinski):
         # neither a discontinuous map nor a negative degree leaves a table on
-        # the map, and the continuity check comes before any homology record
+        # the map, and the continuity check comes before any order complex
         swap = CtsMap(sierpinski, sierpinski, {"a": "b", "b": "a"})
         with pytest.raises(TopologyError, match="functorial"):
             induced_matrix(swap, 0)
-        assert "_induced" not in vars(swap) and "_homology" not in vars(sierpinski)
+        assert "_induced" not in vars(swap) and "_complex" not in vars(sierpinski)
         ident = identity_map(sierpinski)
         with pytest.raises(TopologyError, match="degree must be >= 0"):
             induced_matrix(ident, -1)
@@ -815,10 +815,10 @@ class TestInvariance:
 
     def test_one_record_per_distinct_space(self, monkeypatch):
         # each stage's attachment is defined on the stage itself, so stage and
-        # attachment share one record, and the limit has its own
+        # attachment share one order complex, and the limit has its own
         built = []
-        record = homology._Homology
-        monkeypatch.setattr(homology, "_Homology", lambda x: built.append(x) or record(x))
+        build = homology._build_complex
+        monkeypatch.setattr(homology, "_build_complex", lambda x: built.append(x) or build(x))
         c = sphere_chain(3)
         ls = build_fundamental(c)
         assert functorial_invariance_check(c, 1, ls).ok

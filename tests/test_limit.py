@@ -16,6 +16,7 @@ from bruteforce import (
     projection,
     scan_cover_profile,
 )
+from conftest import first_leg_swapped
 from cislim import limit
 from cislim.cis import Cis, Cutoff, Stage, make_cis, make_stage
 from cislim.finspace import (
@@ -197,6 +198,28 @@ class TestBuildFundamental:
         assert verify_gluing_laws(c, ls).passed
         assert has_weak_topology(c, ls)
         assert images_closed(ls).value
+
+
+class TestConstructionSelfChecks:
+    """Fault injection: a construction step that returns a wrong answer makes
+    `build_fundamental` raise its construction-bug RuntimeError."""
+
+    def test_a_limit_failing_its_axioms_is_a_construction_bug(self, monkeypatch):
+        real = limit.attaching_space
+        monkeypatch.setattr(limit, "attaching_space", lambda *a: first_leg_swapped(real(*a)))
+        with pytest.raises(RuntimeError, match="^construction bug: built limit fails its axioms\n"):
+            build_fundamental(identity_system(_discrete("u", "v"), 2))
+
+    def test_a_limit_lacking_the_weak_topology_is_a_construction_bug(self, monkeypatch):
+        from cislim.gallery import search_non_fundamental
+
+        c = non_semicomponible()
+        (coarser,) = search_non_fundamental(c, cap=4).found  # passes the axioms
+        monkeypatch.setattr(limit, "attaching_space", lambda spaces, attachments: coarser)
+        with pytest.raises(
+            RuntimeError, match="^construction bug: built limit lacks the weak topology$"
+        ):
+            build_fundamental(c)
 
 
 class TestWeakTopology:
