@@ -5,12 +5,11 @@ and direct limits of finite chains of systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cis import Cis, make_cis, validate_cis
 from .finspace import (
     CtsMap,
     TopologyError,
+    _record,
     classify_map,
     compose,
     final_space,
@@ -18,7 +17,7 @@ from .finspace import (
 from .limit import LimitSpace, attaching_space, build_fundamental
 
 
-@dataclass(frozen=True)
+@_record
 class CisMorphism:
     """A stagewise family of closed continuous maps h_i: X_i -> Z_i that
     sends gluing sets into gluing sets and commutes with the attachments."""
@@ -42,7 +41,7 @@ class CisMorphism:
                 raise TopologyError(f"stage map {i} does not land in the target stage")
 
 
-@dataclass(frozen=True)
+@_record
 class MorphismValidation:
     failures: tuple[tuple[int, str, str], ...]
 
@@ -157,7 +156,7 @@ def induced_fundamental_map(
     return out
 
 
-@dataclass(frozen=True)
+@_record
 class CisDiagram:
     """A finite chain of systems and connecting morphisms; composites and
     identities are derived.  Finite chains stand in for arbitrary inductive
@@ -205,7 +204,7 @@ def push_forward(legs, spaces, tail) -> Cis:
     return make_cis(spaces, ys, attachments, tail)
 
 
-@dataclass(frozen=True)
+@_record
 class DirectLimitResult:
     limit: Cis
     cocone: tuple[CisMorphism, ...]
@@ -265,7 +264,7 @@ def cis_direct_limit(d: CisDiagram) -> DirectLimitResult:
     return DirectLimitResult(limit, tuple(cocone), columns)
 
 
-@dataclass(frozen=True)
+@_record
 class CompatibilityReport:
     mediating_continuous: bool
     cocone_identities: bool

@@ -9,21 +9,20 @@ keeps its closure table, and every later call on that object reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .finspace import (
     CtsMap,
     FinSpace,
     PointSet,
     TopologyError,
     _kept,
+    _record,
     classify_map,
     identity_map,
     subspace,
 )
 
 
-@dataclass(frozen=True)
+@_record
 class Stationary:
     """All stages from n0 on repeat stage n0 with identity attachments.
 
@@ -34,7 +33,7 @@ class Stationary:
     n0: int
 
 
-@dataclass(frozen=True)
+@_record
 class Cutoff:
     """Plain truncation: nothing is represented past the last stage, and
     statements quantifying over all indices are truncation-relative."""
@@ -43,7 +42,7 @@ class Cutoff:
 TailPolicy = Stationary | Cutoff
 
 
-@dataclass(frozen=True)
+@_record
 class Stage:
     space: FinSpace
     y: PointSet
@@ -53,7 +52,7 @@ class Stage:
         object.__setattr__(self, "y", self.space.check_points(self.y))
 
 
-@dataclass(frozen=True)
+@_record
 class Cis:
     stages: tuple[Stage, ...]
     tail: TailPolicy
@@ -115,7 +114,7 @@ def stage_map(c: Cis, i: int) -> CtsMap:
     raise IndexError(f"stage {i} has no attachment under truncation")
 
 
-@dataclass(frozen=True)
+@_record
 class CisValidation:
     failures: tuple[tuple[int, str, str], ...]  # (stage, clause, detail)
     warnings: tuple[str, ...]
@@ -169,7 +168,7 @@ def _validation(c: Cis) -> CisValidation:
     return CisValidation(tuple(failures), tuple(warnings))
 
 
-@dataclass(frozen=True)
+@_record
 class CompositeInjection:
     """The composite attachment from stage i through stage j.
 
@@ -229,7 +228,7 @@ def is_inductive(c: Cis) -> bool:
     return all(st.y == st.space.points for st in c.stages)
 
 
-@dataclass(frozen=True)
+@_record
 class FinitelySemicomponibleReport:
     value: bool
     truncation_relative: bool

@@ -156,6 +156,9 @@ def cmd_homology(args, out) -> int:
 
 def cmd_invariance(args, out) -> int:
     c = interchange.cis_from_doc(_load_json(args.cis), args.cis)
+    rep = validate_cis(c)
+    if not rep.ok:  # an invalid system is reported as one, not as non-inductive
+        raise InvalidSystemError(rep)
     if not is_inductive(c):
         out.write("system is not inductive; invariance theorems do not apply\n")
         return INPUT_ERROR

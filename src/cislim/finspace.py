@@ -26,7 +26,7 @@ Every finite space is compact; compactness is therefore never computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from types import SimpleNamespace
 
 PointSet = frozenset[str]
@@ -39,8 +39,9 @@ class TopologyError(ValueError):
 def _kept(obj, name: str, build):
     """obj's attribute `name`, set to build(obj) on first use: it lives as long as obj.
 
-    It is written straight into obj's `__dict__`, which a frozen dataclass
-    leaves open, so a later read costs one membership test and one lookup."""
+    It is written straight into obj's `__dict__`, which a `_record` class's
+    frozen fields leave open, so a later read costs one membership test and
+    one lookup."""
     kept = obj.__dict__
     if name not in kept:
         kept[name] = build(obj)
@@ -62,6 +63,90 @@ def _kept_at(obj, name: str, key, build):
     return value
 
 
+def _record(cls=None, /, *, eq: bool = True):
+    """Make cls a frozen value class over its annotated fields, in order.
+
+    The constructor takes each field by position or keyword, leaves out a
+    field whose class attribute is its default, and then calls
+    `self.__post_init__()`, looked up anew on every construction, if the
+    class has one.  Assigning or deleting an attribute raises
+    AttributeError, and the repr names every field.  With eq, two instances
+    of one class are equal when their field tuples are and hash by that
+    tuple; without it they keep identity.  A method the class body defines
+    is kept.  The methods are closures, so no source is compiled at import.
+    """
+    if cls is None:
+        return lambda c: _record(c, eq=eq)
+    names = tuple(cls.__annotations__)
+    defaults = {f: cls.__dict__[f] for f in names if f in cls.__dict__}
+    post_init = hasattr(cls, "__post_init__")
+    set_field, indexed = object.__setattr__, tuple(enumerate(names))
+    qualname = cls.__qualname__
+
+    def bind(args: tuple, kwargs: dict) -> list:
+        if len(args) > len(names):
+            raise TypeError(
+                f"{qualname}.__init__() takes {len(names) + 1} positional arguments"
+                f" but {len(args) + 1} were given"
+            )
+        values = list(args)
+        for f in names[len(args) :]:
+            if f in kwargs:
+                values.append(kwargs.pop(f))
+            elif f in defaults:
+                values.append(defaults[f])
+            else:
+                raise TypeError(f"{qualname}.__init__() missing required argument {f!r}")
+        for f in kwargs:
+            problem = "multiple values for" if f in names else "an unexpected keyword"
+            raise TypeError(f"{qualname}.__init__() got {problem} argument {f!r}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        for i, f in indexed:
+            # set one by one, not through __dict__, which would make the
+            # instance's dict a real one and every later field read slower
+            set_field(self, f, args[i])
+        if post_init:
+            self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in names)
+        return f"{type(self).__qualname__}({fields})"
+
+    methods = [__init__, __setattr__, __delattr__, __repr__]
+    if eq:
+        # one tuple per side, as a tuple compares: an item identical on both
+        # sides, such as a shared min_open dict, is equal without a walk.
+        # attrgetter gives a tuple only for two names or more.
+        key = (
+            attrgetter(*names) if len(names) > 1
+            else lambda r: tuple(getattr(r, f) for f in names)
+        )
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        methods += [__eq__, __hash__]
+    for method in methods:
+        if method.__name__ not in cls.__dict__:
+            setattr(cls, method.__name__, method)
+    return cls
+
+
 def _closure_table(space: "FinSpace") -> dict[str, tuple[str, ...]]:
     """cl{p} = {y : p in U_y} for every point p, by inverting min_open.
 
@@ -75,7 +160,7 @@ def _closure_table(space: "FinSpace") -> dict[str, tuple[str, ...]]:
     return {p: tuple(c) for p, c in table.items()}
 
 
-@dataclass(frozen=True)
+@_record
 class FinSpace:
     """A finite space: point ids plus the minimal open set of every point.
 
@@ -142,7 +227,7 @@ class FinSpace:
         return all(a.issuperset(cl[p]) for p in a)
 
 
-@dataclass(frozen=True)
+@_record
 class CtsMap:
     """A point function between finite spaces, stored as a total assignment.
 
@@ -432,7 +517,7 @@ def final_space(points, maps) -> FinSpace:
     return FinSpace(pts, min_open)
 
 
-@dataclass(frozen=True)
+@_record
 class HomeoResult:
     """Outcome of a homeomorphism search: found / none / undecided-at-cap."""
 
@@ -528,7 +613,7 @@ def components(space: FinSpace) -> frozenset[PointSet]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
+@_record
 class SeparationProfile:
     t0: bool
     t1: bool

@@ -10,11 +10,10 @@ inclusions and hence the system axioms.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .cis import Cis, Cutoff, Stationary, make_cis
-from .finspace import CtsMap, FinSpace, TopologyError, product
+from .finspace import CtsMap, FinSpace, TopologyError, _record, product
 from .limit import (
     InvalidSystemError,
     LimitSpace,
@@ -198,7 +197,7 @@ def build_example(name: str, *params, stationary: bool = False) -> Cis:
 GALLERY_NAMES = tuple(_ARITY)
 
 
-@dataclass(frozen=True)
+@_record
 class NonFundamentalSearch:
     """Outcome of the exhaustive topology search.
 

@@ -36,12 +36,11 @@ them back, and a call that raises keeps nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from operator import xor
 
 from .cis import Cis, is_inductive
-from .finspace import CtsMap, FinSpace, TopologyError, _kept, _kept_at, classify_map
+from .finspace import CtsMap, FinSpace, TopologyError, _kept, _kept_at, _record, classify_map
 from .limit import LimitSpace, _require_aligned, build_fundamental
 
 # ---------------------------------------------------------------------------
@@ -135,7 +134,7 @@ def _vertex_bits(vertices: tuple[str, ...]) -> dict[str, int]:
     return {v: 1 << n - 1 - i for i, v in enumerate(vertices)}
 
 
-@dataclass(frozen=True)
+@_record
 class SimplicialComplex:
     """A complex on labelled vertices whose simplices are vertex masks.
 
@@ -384,7 +383,7 @@ def induced_matrix(m: CtsMap, p: int) -> list[int]:
 # module sequences and their colimits
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class GF2ModuleSeq:
     """A finite chain of GF(2) vector spaces and maps, dims[n+1] x dims[n]."""
 
@@ -430,7 +429,7 @@ def stage_homology_sequence(c: Cis, p: int) -> GF2ModuleSeq:
 # invariance checks
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class InvarianceReport:
     p: int
     limit_dim: int
@@ -452,7 +451,9 @@ class InvarianceReport:
         Transposing h @ induced_k = cocone_k gives induced_k.T @ h.T = cone_k,
         the same linear system, so the intertwiner is this one transposed and
         every dimension, flag and witness carries over."""
-        return replace(self, iso=None if self.iso is None else _transpose(self.iso, self.module_dim))
+        iso = None if self.iso is None else _transpose(self.iso, self.module_dim)
+        return InvarianceReport(self.p, self.limit_dim, self.module_dim, self.iso_exists,
+                                self.iso_unique, iso, self.witnesses)
 
     def render(self) -> str:
         status = "pass" if self.ok else "FAIL"

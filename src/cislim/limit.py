@@ -36,14 +36,13 @@ and gluing checks) are decided on every call.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .cis import Cis, validate_cis
-from .finspace import CtsMap, FinSpace, TopologyError, _kept, classify_map, final_space
+from .finspace import CtsMap, FinSpace, TopologyError, _kept, _record, classify_map, final_space
 
 
-@dataclass(frozen=True)
+@_record
 class LimitSpace:
     """A candidate limit: a space plus one structure map per stage.
 
@@ -124,14 +123,14 @@ def build_fundamental(c: Cis) -> LimitSpace:
     return ls
 
 
-@dataclass(frozen=True)
+@_record
 class CheckResult:
     name: str
     passed: bool
     witnesses: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@_record
 class AxiomReport:
     checks: tuple[CheckResult, ...]
 
@@ -467,7 +466,7 @@ def _weak(ls: LimitSpace) -> bool:
     return all(mask[q] == sum(map(bit.__getitem__, u)) for q, u in x.min_open.items())
 
 
-@dataclass(frozen=True)
+@_record
 class ImagesClosedReport:
     value: bool
     open_image_stages: tuple[int, ...]
@@ -520,7 +519,7 @@ def canonical_bijection(c: Cis, ls_a: LimitSpace, ls_b: LimitSpace) -> CtsMap:
     return CtsMap(ls_a.x, ls_b.x, beta)
 
 
-@dataclass(frozen=True)
+@_record
 class CoverProfile:
     """Flags for the image cover {phi_i(X_i)} over the represented stages.
 

@@ -278,6 +278,16 @@ class TestPinnedErrorPaths:
         assert run("verify", str(bad), str(lim)) == (2, want)
         assert run("verify", str(bad), str(tmp_path / "missing.json")) == (2, want)
 
+    def test_invariance_refuses_an_invalid_system_before_the_inductive_test(self, tmp_path):
+        doc = cis_to_doc(stationary_sphere(1))
+        doc["stages"][1]["y"] = []  # well-formed, but fails the stationary-tail axiom
+        bad = self.write(tmp_path, "bad.json", doc)
+        want = "input error: invalid closed injective system:\n"
+        want += validate_cis(cis_from_doc(doc)).render() + "\n"
+        assert "stationary tail" in want
+        assert run("invariance", str(bad)) == (2, want)
+        assert run("invariance", str(bad), "--co") == (2, want)
+
     def test_morphism_from_a_cutoff_into_a_stationary_tail_is_two(self, tmp_path):
         s = sierpinski_space()
         doc = {

@@ -52,7 +52,7 @@ ALLOWED = {
     "limit": (2, "input error: invalid closed injective system:"),
     "verify": (2, "input error: invalid closed injective system:"),
     "homology": (2, "input error: invalid closed injective system:"),
-    "invariance": (2, "system is not inductive"),
+    "invariance": (2, "input error: invalid closed injective system:"),
     "search": (2, "input error: cannot search an invalid system:"),
     "morphism": (1, "stage 1: "),
     "diagram-limit": (2, "input error: object "),
