@@ -3,7 +3,6 @@ limit spaces, the category of systems, and mod-2 homology functors."""
 
 from .cis import (
     Cis,
-    CompositeInjection,
     Cutoff,
     Stage,
     Stationary,

@@ -5,6 +5,9 @@ saying how the finite representation stands in for the infinite sequence.
 A system is immutable, so its `validate_cis` report is a function of it:
 the report is built on the first call and kept on the system, as a space
 keeps its closure table, and every later call on that object reads it.
+`require_valid` is the one gate that turns a failing report into an
+`InvalidSystemError`.  A composite attachment f_{i,j} is a plain `CtsMap`
+from the subspace of its domain in X_i to X_{j+1}.
 """
 
 from __future__ import annotations
@@ -168,26 +171,30 @@ def _validation(c: Cis) -> CisValidation:
     return CisValidation(tuple(failures), tuple(warnings))
 
 
-@_record
-class CompositeInjection:
-    """The composite attachment from stage i through stage j.
+class InvalidSystemError(TopologyError):
+    """The system failed validation; the report is attached."""
 
-    `domain` is the set of stage-i points whose forward orbit stays inside
-    the successive gluing sets long enough to reach X_{j+1}; `map` carries
-    them there.  Empty domain is exactly failure of semicomponibility.
-    """
-
-    i: int
-    j: int
-    domain: PointSet
-    map: CtsMap
+    def __init__(self, report: CisValidation):
+        self.report = report
+        super().__init__("invalid closed injective system:\n" + report.render())
 
 
-def composite(c: Cis, i: int, j: int) -> CompositeInjection:
-    """f_{i,j} as a map on the subspace of its domain.
+def require_valid(c: Cis) -> None:
+    """Raise InvalidSystemError unless c's kept `validate_cis` report passes."""
+    rep = validate_cis(c)
+    if not rep.ok:
+        raise InvalidSystemError(rep)
 
-    From the identity on X_i, each step keeps the points whose image lies
-    in Y_k, then applies f_k, so domains only shrink."""
+
+def composite(c: Cis, i: int, j: int) -> CtsMap:
+    """f_{i,j}, the composite attachment from stage i through stage j, as a
+    map on the subspace of its domain.
+
+    The domain is the set of stage-i points whose forward orbit stays inside
+    the successive gluing sets long enough to reach X_{j+1}; an empty domain
+    is exactly failure of semicomponibility.  From the identity on X_i, each
+    step keeps the points whose image lies in Y_k, then applies f_k, so
+    domains only shrink."""
     if j < i:
         raise IndexError("composite needs i <= j")
     resolve_index(c, i)
@@ -200,27 +207,23 @@ def composite(c: Cis, i: int, j: int) -> CompositeInjection:
     for k in range(i, top + 1):
         yk, f_k = stage_y(c, k), stage_map(c, k).assignment
         asg = {y: f_k[z] for y, z in asg.items() if z in yk}
-    domain = frozenset(asg)
-    sub, _ = subspace(stage_space(c, i), domain)
-    cmap = CtsMap(sub, stage_space(c, j + 1), asg)
-    return CompositeInjection(i, j, domain, cmap)
+    sub, _ = subspace(stage_space(c, i), frozenset(asg))
+    return CtsMap(sub, stage_space(c, j + 1), asg)
 
 
 def semicomponible(c: Cis, i: int, j: int) -> bool:
     """Whether the attachments at i and j compose nontrivially.
 
     Every attachment is semicomponible with itself.  For i < j the composite
-    domains shrink as j grows, so the single test is that the last preimage
-    f_{i,j-1}^{-1}(Y_j) is nonempty.
+    domains shrink as j grows, so the single test is that the image of
+    f_{i,j-1} meets Y_j.
     """
     if j < i:
         raise IndexError("semicomponible needs i <= j")
     resolve_index(c, j)
     if i == j:
         return True
-    comp = composite(c, i, j - 1)
-    yj = stage_y(c, j)
-    return any(comp.map(y) in yj for y in comp.domain)
+    return not composite(c, i, j - 1).image().isdisjoint(stage_y(c, j))
 
 
 def is_inductive(c: Cis) -> bool:

@@ -14,7 +14,7 @@ import sys
 
 from . import interchange
 from .cat import check_limit_compatibility, induced_fundamental_map, validate_morphism
-from .cis import is_finitely_semicomponible, is_inductive, is_stationary, validate_cis
+from .cis import is_finitely_semicomponible, is_inductive, is_stationary, require_valid, validate_cis
 from .finspace import TopologyError, classify_map
 from .gallery import GALLERY_NAMES, build_example, search_non_fundamental
 from .homology import (
@@ -24,7 +24,6 @@ from .homology import (
     order_complex,
 )
 from .limit import (
-    InvalidSystemError,
     build_fundamental,
     has_weak_topology,
     images_closed,
@@ -82,9 +81,7 @@ def cmd_limit(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     c = interchange.cis_from_doc(_load_json(args.cis), args.cis)
-    rep = validate_cis(c)
-    if not rep.ok:  # the limit checks assume a valid system, as `limit` and `homology` do
-        raise InvalidSystemError(rep)
+    require_valid(c)  # the limit checks assume a valid system, as `limit` and `homology` do
     ls = interchange.limit_from_doc(_load_json(args.limit), c, args.limit)
     axioms = verify_limit_axioms(c, ls)
     gluing = verify_gluing_laws(c, ls)
@@ -156,9 +153,7 @@ def cmd_homology(args, out) -> int:
 
 def cmd_invariance(args, out) -> int:
     c = interchange.cis_from_doc(_load_json(args.cis), args.cis)
-    rep = validate_cis(c)
-    if not rep.ok:  # an invalid system is reported as one, not as non-inductive
-        raise InvalidSystemError(rep)
+    require_valid(c)  # an invalid system is reported as one, not as non-inductive
     if not is_inductive(c):
         out.write("system is not inductive; invariance theorems do not apply\n")
         return INPUT_ERROR

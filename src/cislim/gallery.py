@@ -12,15 +12,9 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .cis import Cis, Cutoff, Stationary, make_cis
+from .cis import Cis, Cutoff, InvalidSystemError, Stationary, make_cis
 from .finspace import CtsMap, FinSpace, TopologyError, _record, product
-from .limit import (
-    InvalidSystemError,
-    LimitSpace,
-    build_fundamental,
-    has_weak_topology,
-    verify_limit_axioms,
-)
+from .limit import LimitSpace, build_fundamental, has_weak_topology, verify_limit_axioms
 
 MAX_CHAIN = 6
 MAX_TORUS = 3

@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from operator import xor
 
-from .cis import Cis, is_inductive
+from .cis import Cis, is_inductive, require_valid
 from .finspace import CtsMap, FinSpace, TopologyError, _kept, _kept_at, _record, classify_map
 from .limit import LimitSpace, _require_aligned, build_fundamental
 
@@ -480,9 +480,11 @@ def functorial_invariance_check(
 
     Side by side and transposed, a.T h.T = b.T, so one solve gives every row
     of h, and the first column of b.T outside the span of a.T names the first
-    row with no solution.  h is unique iff a.T has no kernel; otherwise its
-    free part is zero-filled, and a non-invertible fill fails the
-    isomorphism check."""
+    row with no solution; a full solve is h @ H_p(phi_k) = cocone_k for every
+    k.  h is unique iff a.T has no kernel; otherwise its free part is
+    zero-filled, and a non-invertible fill fails the isomorphism check.
+    The system is validated first, whether or not a limit is supplied."""
+    require_valid(c)
     if not is_inductive(c):
         raise TopologyError("invariance holds for inductive systems; this one glues less")
     ls = limit if limit is not None else build_fundamental(c)
@@ -501,11 +503,6 @@ def functorial_invariance_check(
     elif limit_dim != module_dim or len(_echelon(h)[0]) != limit_dim:
         exists = False
         witnesses.append("intertwiner exists but is not an isomorphism")
-    else:
-        for k, (a_k, b_k) in enumerate(zip(structure, cocone)):
-            if gf2_matmul(h, a_k) != b_k:
-                exists = False
-                witnesses.append(f"intertwiner fails on stage {k}")
     iso = h if exists else None
     return InvarianceReport(p, limit_dim, module_dim, exists, not null, iso, tuple(witnesses))
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from types import SimpleNamespace
 
-from .cis import Cis, validate_cis
+from .cis import Cis, require_valid
 from .finspace import CtsMap, FinSpace, TopologyError, _kept, _record, classify_map, final_space
 
 
@@ -92,14 +92,6 @@ def attaching_space(spaces, attachments) -> LimitSpace:
     return LimitSpace(space, tuple(CtsMap(sp, space, a) for sp, a in zip(spaces, names)))
 
 
-class InvalidSystemError(TopologyError):
-    """The system failed validation; the report is attached."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__("invalid closed injective system:\n" + report.render())
-
-
 def build_fundamental(c: Cis) -> LimitSpace:
     """The fundamental limit: attach every represented stage along its
     gluing map, with the final topology of the structure maps.
@@ -108,9 +100,7 @@ def build_fundamental(c: Cis) -> LimitSpace:
     weak-topology criterion; a failure here means a library bug, not bad
     input, so it raises rather than reports.
     """
-    rep = validate_cis(c)
-    if not rep.ok:
-        raise InvalidSystemError(rep)
+    require_valid(c)
     ls = attaching_space(
         [st.space for st in c.stages],
         [st.f.assignment for st in c.stages[:-1]],  # last stage attaches nothing

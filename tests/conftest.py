@@ -1,3 +1,4 @@
+import re
 import sys
 from pathlib import Path
 
@@ -10,6 +11,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 from cislim.cis import Cis, make_cis
 from cislim.finspace import CtsMap, FinSpace
 from cislim.limit import LimitSpace
+
+
+def raises_exactly(exc: type[BaseException], message: str):
+    """pytest.raises for exc whose whole message is `message`."""
+    return pytest.raises(exc, match=f"^{re.escape(message)}$")
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import first_leg_swapped, swap_first_two
+from conftest import first_leg_swapped, raises_exactly, swap_first_two
 from cislim import cat, cis
 from cislim.cat import (
     CisDiagram,
@@ -260,6 +260,59 @@ class TestInducedMap:
         lk = induced_fundamental_map(k)
         lkh = induced_fundamental_map(compose_morphisms(k, h))
         assert compose(lk, lh).assignment == lkh.assignment
+
+
+class TestRefusals:
+    """Morphisms and diagrams that do not fit their systems are refused by name."""
+
+    def test_a_morphism_needs_one_map_per_stage(self, sierpinski):
+        c = identity_system(sierpinski, 2)
+        with raises_exactly(TopologyError, "morphism needs one stage map per stage"):
+            CisMorphism(c, c, identity_morphism(c).h[:1])
+
+    def test_each_stage_map_runs_from_source_to_target_stage(self, sierpinski):
+        ab = FinSpace(frozenset("ab"), {"a": frozenset("a"), "b": frozenset("b")})
+        c, z = identity_system(ab, 2), identity_system(sierpinski, 2)
+        on_z = identity_morphism(z).h
+        with raises_exactly(TopologyError, "stage map 0 is not defined on the source stage"):
+            CisMorphism(c, z, on_z)
+        on_c = identity_morphism(c).h
+        with raises_exactly(TopologyError, "stage map 0 does not land in the target stage"):
+            CisMorphism(c, z, on_c)
+
+    def test_composition_needs_matching_ends(self, sierpinski):
+        c, d = identity_system(sierpinski, 2), sphere_chain(1)
+        with raises_exactly(TopologyError, "morphism composition mismatch"):
+            compose_morphisms(identity_morphism(c), identity_morphism(d))
+
+    def test_a_diagram_needs_an_object(self):
+        with raises_exactly(TopologyError, "diagram needs at least one object"):
+            CisDiagram((), ())
+
+    def test_a_diagram_needs_one_arrow_between_consecutive_objects(self, sierpinski):
+        c = identity_system(sierpinski, 2)
+        with raises_exactly(
+            TopologyError, "diagram needs exactly one arrow between consecutive objects"
+        ):
+            CisDiagram((c, c), ())
+
+    def test_each_arrow_connects_its_objects(self, sierpinski):
+        c, d = identity_system(sierpinski, 2), sphere_chain(1)
+        with raises_exactly(TopologyError, "arrow 0 does not connect objects 0 and 1"):
+            CisDiagram((c, d), (identity_morphism(c),))
+
+    def test_hom_indices_stay_in_range(self, sierpinski):
+        d = CisDiagram((identity_system(sierpinski, 2),), ())
+        for m, n in ((0, 1), (1, 0), (-1, 0)):
+            with raises_exactly(TopologyError, "diagram indices out of range"):
+                d.hom(m, n)
+
+    def test_the_induced_map_needs_a_valid_morphism(self):
+        m = swap_last(2)
+        rep = validate_morphism(m)
+        assert not rep.ok
+        with raises_exactly(TopologyError, "invalid cis-morphism:\n" + rep.render()):
+            induced_fundamental_map(m)
 
 
 def _discrete(*points):

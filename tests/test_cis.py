@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import transits
-from conftest import rebuilt_cis
+from conftest import raises_exactly, rebuilt_cis
 from cislim import cis
 from cislim.cis import (
     Cis,
@@ -16,6 +16,7 @@ from cislim.cis import (
     is_stationary,
     make_cis,
     make_stage,
+    resolve_index,
     semicomponible,
     stage_map,
     stage_space,
@@ -204,6 +205,42 @@ class TestMakeCis:
             make_cis([sierpinski], [{"b"}], [{"b": "b"}])
 
 
+class TestRefusals:
+    """Malformed systems and out-of-range indices are refused by name."""
+
+    def test_a_system_needs_a_stage(self):
+        with raises_exactly(TopologyError, "a system needs at least one stage"):
+            Cis((), Cutoff())
+
+    def test_the_last_stage_carries_no_attachment(self, sierpinski):
+        last = make_stage(sierpinski, sierpinski.points, sierpinski, {"a": "a", "b": "b"})
+        with raises_exactly(TopologyError, "last stage must not carry an attachment"):
+            Cis((last,), Cutoff())
+
+    def test_an_inner_stage_needs_its_attachment(self, sierpinski):
+        bare = Stage(sierpinski, sierpinski.points, None)
+        with raises_exactly(TopologyError, "stage 0 is missing its attachment"):
+            Cis((bare, bare), Cutoff())
+
+    def test_a_negative_index_is_refused(self, sierpinski):
+        with raises_exactly(IndexError, "negative stage index"):
+            resolve_index(identity_system(sierpinski, 2), -1)
+
+    def test_stage_map_past_the_truncation(self, sierpinski):
+        c = identity_system(sierpinski, 2)
+        with raises_exactly(IndexError, "stage 1 has no attachment under truncation"):
+            stage_map(c, 1)
+        with raises_exactly(IndexError, "stage 2 is beyond the truncation (last is 1)"):
+            stage_map(c, 2)
+
+    def test_composite_and_semicomponible_need_i_at_most_j(self):
+        c = sphere_chain(3)
+        with raises_exactly(IndexError, "composite needs i <= j"):
+            composite(c, 2, 1)
+        with raises_exactly(IndexError, "semicomponible needs i <= j"):
+            semicomponible(c, 2, 1)
+
+
 class TestAttachmentSources:
     """A stage that glues along all of itself carries an attachment defined on
     the stage space itself; a proper gluing set keeps its subspace copy."""
@@ -300,19 +337,19 @@ class TestComposite:
     def test_identity_system_full_domain(self, sierpinski):
         c = identity_system(sierpinski, 3)
         comp = composite(c, 0, 1)
-        assert comp.domain == sierpinski.points
-        assert comp.map.assignment == {"a": "a", "b": "b"}
+        assert comp.source.points == sierpinski.points
+        assert comp.assignment == {"a": "a", "b": "b"}
 
     def test_non_semicomponible_pair_empty_domain(self):
         c = non_semicomponible()
-        assert composite(c, 0, 1).domain == frozenset()
+        assert composite(c, 0, 1).source.points == frozenset()
 
     def test_sphere_double_inclusion(self):
         c = sphere_chain(3)
         comp = composite(c, 0, 2)
-        assert comp.domain == frozenset({"a", "b"})
-        assert comp.map.target == c.stages[3].space
-        assert classify_map(comp.map).embedding
+        assert comp.source.points == frozenset({"a", "b"})
+        assert comp.target == c.stages[3].space
+        assert classify_map(comp).embedding
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
@@ -321,7 +358,7 @@ class TestComposite:
         n = c.stage_count
         for i in range(n):
             for j in range(i, n - 1):
-                assert composite(c, i, j).domain == one_shot_domain(c, i, j)
+                assert composite(c, i, j).source.points == one_shot_domain(c, i, j)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
@@ -329,7 +366,7 @@ class TestComposite:
         c = FuzzGen(seed).cis()
         for i in range(c.stage_count):
             for j in range(i, c.stage_count - 1):
-                prof = classify_map(composite(c, i, j).map)
+                prof = classify_map(composite(c, i, j))
                 assert prof.continuous and prof.injective
 
     @given(st.integers(0, 2**32 - 1))
@@ -343,11 +380,11 @@ class TestComposite:
                 for k in range(i, j):
                     front = composite(c, i, k)
                     back = composite(c, k + 1, j)
-                    for y in whole.domain:
-                        assert y in front.domain
-                        mid = front.map(y)
-                        assert mid in back.domain
-                        assert back.map(mid) == whole.map(y)
+                    for y in whole.source.points:
+                        assert y in front.source.points
+                        mid = front(y)
+                        assert mid in back.source.points
+                        assert back(mid) == whole(y)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
@@ -358,7 +395,7 @@ class TestComposite:
             walk = dict(transits(c, i, n - 2))
             assert list(walk) == list(range(i, n - 1))
             for k in walk:
-                asg = composite(c, i, k).map.assignment
+                asg = composite(c, i, k).assignment
                 assert asg == walk[k]
                 assert frozenset(asg) == one_shot_domain(c, i, k)
                 for y, z in asg.items():
@@ -378,9 +415,9 @@ class TestComposite:
                 prev = composite(c, i, j - 1)
                 fj = stage_map(c, j)
                 expected = frozenset(
-                    fj(q) for q in prev.map.image() & stage_y(c, j)
+                    fj(q) for q in prev.image() & stage_y(c, j)
                 )
-                assert whole.map.image() == expected
+                assert whole.image() == expected
 
 
 class TestClassifiers:

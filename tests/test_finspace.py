@@ -21,7 +21,13 @@ from bruteforce import (
     projection,
     two_pass_embedding,
 )
-from conftest import continuous_maps, finspaces, space_from_edges, spaces_with_subsets
+from conftest import (
+    continuous_maps,
+    finspaces,
+    raises_exactly,
+    space_from_edges,
+    spaces_with_subsets,
+)
 import cislim.finspace
 from cislim.finspace import (
     CtsMap,
@@ -369,6 +375,10 @@ class TestSubspace:
 
 
 class TestCoproduct:
+    def test_an_empty_family_is_refused(self):
+        with raises_exactly(TopologyError, "coproduct of an empty family"):
+            coproduct([])
+
     def test_single_space_is_isomorphic_copy(self, circle4):
         total, _ = coproduct([circle4])
         assert find_homeomorphism(total, circle4).status == "found"
@@ -407,6 +417,10 @@ class TestCoproduct:
 
 
 class TestQuotient:
+    def test_rejects_an_empty_class(self):
+        with raises_exactly(TopologyError, "partition contains an empty class"):
+            quotient(DISCRETE2, [{"u", "v"}, set()])
+
     def test_singleton_partition_is_homeomorphic(self, circle4):
         q, proj = quotient(circle4, [{p} for p in circle4.points])
         assert find_homeomorphism(q, circle4).status == "found"
@@ -489,6 +503,11 @@ class TestProduct:
 
 
 class TestFinalSpace:
+    def test_rejects_a_map_that_leaves_the_point_set(self):
+        stray = CtsMap(POINT, DISCRETE2, {"z": "v"})
+        with raises_exactly(TopologyError, "map leaves the final-space point set at ['v']"):
+            final_space({"u"}, [stray])
+
     def test_single_identity_reproduces_topology(self, circle4):
         fs = final_space(circle4.points, [identity_map(circle4)])
         assert fs.min_open == circle4.min_open
@@ -714,3 +733,10 @@ class TestOracleConsistency:
         f = data.draw(continuous_maps(source=a))
         g = data.draw(continuous_maps(source=f.target))
         assert classify_map(compose(g, f)).continuous
+
+    def test_compose_needs_matching_ends(self):
+        f = CtsMap(POINT, DISCRETE2, {"z": "u"})
+        with raises_exactly(
+            TopologyError, "composition mismatch: target of early is not source of late"
+        ):
+            compose(f, f)

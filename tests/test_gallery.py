@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from conftest import raises_exactly
 from cislim import interchange
 from cislim.cat import check_limit_compatibility
 from cislim.cis import is_finitely_semicomponible, is_inductive, semicomponible, validate_cis
@@ -20,6 +21,7 @@ from cislim.gallery import (
     sphere_space,
     stationary_sphere,
     torus_chain,
+    torus_space,
     identity_system,
 )
 from cislim.homology import betti_mod2, order_complex
@@ -56,6 +58,14 @@ class TestBuilders:
             build_example("torus_chain", 5)
         with pytest.raises(TopologyError, match="unknown"):
             build_example("moebius_chain")
+
+    def test_builders_refuse_sizes_below_their_least(self):
+        with raises_exactly(TopologyError, "sphere dimension must be >= 0"):
+            sphere_space(-1)
+        with raises_exactly(TopologyError, "torus dimension must be >= 1"):
+            torus_space(0)
+        with raises_exactly(TopologyError, "need at least one stage"):
+            identity_system(point_space(), 0)
 
     def test_sphere_chain_structure(self):
         c = sphere_chain(2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import continuous_maps, finspaces, rebuilt_cis, rebuilt_space
+from conftest import continuous_maps, finspaces, raises_exactly, rebuilt_cis, rebuilt_space
 from homology_oracles import (
     bitmask_rank,
     complex_betti,
@@ -21,6 +21,7 @@ from homology_oracles import (
     staircase_torus_complex,
 )
 from cislim import homology
+from cislim.cis import InvalidSystemError, make_cis
 from cislim.finspace import (
     CtsMap,
     FinSpace,
@@ -33,6 +34,7 @@ from cislim.finspace import (
 )
 from cislim.gallery import (
     identity_system,
+    interval_chain,
     point_space,
     sierpinski_space,
     sphere_chain,
@@ -61,7 +63,7 @@ from cislim.homology import (
     order_complex,
     stage_homology_sequence,
 )
-from cislim.limit import LimitSpace, build_fundamental
+from cislim.limit import LimitSpace, attaching_space, build_fundamental
 from cislim.randgen import FuzzGen
 
 
@@ -715,6 +717,14 @@ class TestModuleSequences:
         assert seq.dims == (1, 0, 2) and all(type(d) is int for d in seq.dims)
         assert module_colimit(GF2ModuleSeq((0,), ())) == (0, [[]])
 
+    def test_one_map_between_each_pair_of_consecutive_modules(self):
+        with raises_exactly(TopologyError, "need exactly one map between consecutive modules"):
+            GF2ModuleSeq((1, 1), ())
+
+    def test_stage_sequences_need_an_inductive_system(self):
+        with raises_exactly(TopologyError, "stage homology sequences need an inductive system"):
+            stage_homology_sequence(interval_chain(2), 0)
+
     def test_shape_mismatch_rejected(self):
         # a third row shows only where it holds a bit; a third column always does
         tall = np.zeros((3, 2), dtype=np.uint8)
@@ -846,10 +856,18 @@ class TestInvariance:
         assert rep.limit_dim == rep.module_dim == 2
 
     def test_rejects_non_inductive(self):
-        from cislim.gallery import interval_chain
-
         with pytest.raises(TopologyError, match="inductive"):
             functorial_invariance_check(interval_chain(2), 0)
+
+    @pytest.mark.parametrize("check", [functorial_invariance_check, counter_functorial_check])
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_a_supplied_limit_does_not_skip_validation(self, check, p):
+        # S^0 glued onto one point: inductive, but the attachment is not injective
+        s0, e = sphere_space(0), point_space("e")
+        c = make_cis([s0, e], [s0.points, e.points], [{"a": "e", "b": "e"}])
+        glued = attaching_space([s0, e], [{"a": "e", "b": "e"}])
+        with pytest.raises(InvalidSystemError, match="stage 0: attachment injective"):
+            check(c, p, glued)
 
     def test_rejects_a_limit_not_aligned_with_the_stages(self):
         c = sphere_chain(2)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 from collections.abc import Mapping
 
@@ -18,7 +19,7 @@ from bruteforce import (
 )
 from conftest import first_leg_swapped
 from cislim import limit
-from cislim.cis import Cis, Cutoff, Stage, make_cis, make_stage
+from cislim.cis import Cis, Cutoff, InvalidSystemError, Stage, make_cis, make_stage
 from cislim.finspace import (
     CtsMap,
     FinSpace,
@@ -36,8 +37,8 @@ from cislim.gallery import (
     sphere_space,
     stationary_sphere,
 )
+from cislim.interchange import dumps, limit_from_doc, limit_to_doc
 from cislim.limit import (
-    InvalidSystemError,
     LimitSpace,
     build_fundamental,
     canonical_bijection,
@@ -49,7 +50,7 @@ from cislim.limit import (
     verify_limit_axioms,
 )
 from cislim.randgen import FuzzGen, relabel_cis
-from conftest import finspaces, rebuilt_candidate, rebuilt_cis, rebuilt_space
+from conftest import finspaces, raises_exactly, rebuilt_candidate, rebuilt_cis, rebuilt_space
 
 
 @st.composite
@@ -140,6 +141,21 @@ class TestAttachingSpace:
         assert len(ls.x.points) == 3
         assert ls.phis[0]("a") == ls.phis[0]("b") == ls.phis[1]("a") == ls.phis[2]("b")
         assert ls.phis[1]("b") not in ls.phis[0].image() | ls.phis[2].image()
+
+    def test_tags_stay_unique_when_labels_hold_colons_and_digits(self):
+        # the first ':' of a tag ends its stage index, so no label can forge another tag
+        labels = ("1:x", ":", "12", "2")
+        space = _discrete(*labels)
+        ys = [{"1:x", ":"}, {"12", "2"}, set(labels)]
+        c = make_cis([space] * 3, ys, [{"1:x": "12", ":": "1:x"}, {"12": ":", "2": "2"}])
+        ls = build_fundamental(c)
+        # each gluing point before the last stage is one point with its image
+        assert len(ls.x.points) == 3 * len(labels) - len(ys[0]) - len(ys[1])
+        for name in ls.x.points:
+            stage, _, label = name.partition(":")
+            assert label in c.stages[int(stage)].space.points
+        again = limit_from_doc(json.loads(dumps(limit_to_doc(ls))), c)
+        assert again == ls and verify_limit_axioms(c, again).passed
 
     @pytest.mark.parametrize("att", [{"z": "a"}, {"a": "z"}])
     def test_stray_attachment_key_or_value_raises(self, sierpinski, att):
@@ -259,6 +275,17 @@ class TestWeakTopology:
 
 
 class TestVerify:
+    def test_a_structure_map_must_land_in_the_limit_space(self, sierpinski):
+        elsewhere = CtsMap(sierpinski, _discrete("a", "b"), {"a": "a", "b": "b"})
+        with raises_exactly(TopologyError, "structure map 0 does not land in the limit space"):
+            LimitSpace(sierpinski, (elsewhere,))
+
+    def test_a_report_refuses_an_unknown_check_name(self, sierpinski):
+        c = identity_system(sierpinski, 2)
+        rep = verify_limit_axioms(c, build_fundamental(c))
+        with raises_exactly(KeyError, "'no such check'"):
+            rep.check("no such check")
+
     def test_broken_embedding_reported_with_witness(self, sierpinski):
         c = identity_system(sierpinski, 2)
         indiscrete = FinSpace(frozenset("ab"), {"a": frozenset("ab"), "b": frozenset("ab")})
