@@ -1,14 +1,20 @@
 """The category of closed injective systems: stagewise morphisms, their
 composition and isomorphisms, the induced map between fundamental limits,
 and direct limits of finite chains of systems.
+
+A morphism is immutable, and its `validate_morphism` report reads only its
+fields, the systems' kept reports and the maps' kept flags: it is built on
+the first call and kept on the morphism, as a system keeps its report.
+`require_morphism` is its one gate, as `cis.require_valid` is a system's.
 """
 
 from __future__ import annotations
 
-from .cis import Cis, make_cis, validate_cis
+from .cis import Cis, CisValidation, InvalidSystemError, make_cis, require_valid, validate_cis
 from .finspace import (
     CtsMap,
     TopologyError,
+    _kept,
     _record,
     classify_map,
     compose,
@@ -41,23 +47,14 @@ class CisMorphism:
                 raise TopologyError(f"stage map {i} does not land in the target stage")
 
 
-@_record
-class MorphismValidation:
-    failures: tuple[tuple[int, str, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def render(self) -> str:
-        if not self.failures:
-            return "valid cis-morphism"
-        return "\n".join(f"stage {i}: {clause}: {detail}" for i, clause, detail in self.failures)
-
-
-def validate_morphism(m: CisMorphism) -> MorphismValidation:
+def validate_morphism(m: CisMorphism) -> CisValidation:
     """Every system axiom on the source and the target, then every stage
-    map: closed, continuous, gluing sets kept, attachments commuting."""
+    map: closed, continuous, gluing sets kept, attachments commuting; the
+    report is kept on m."""
+    return _kept(m, "_validation", _morphism_validation)
+
+
+def _morphism_validation(m: CisMorphism) -> CisValidation:
     failures = [
         (i, f"{side} system: {clause}", detail)
         for side, c in (("source", m.source), ("target", m.target))
@@ -91,7 +88,14 @@ def validate_morphism(m: CisMorphism) -> MorphismValidation:
                         f"{y}: forward-then-map gives {left}, map-then-forward gives {right}",
                     )
                 )
-    return MorphismValidation(tuple(failures))
+    return CisValidation(tuple(failures), subject="cis-morphism")
+
+
+def require_morphism(m: CisMorphism, head: str = "invalid cis-morphism") -> None:
+    """Raise InvalidSystemError under `head` unless m's kept report passes."""
+    rep = validate_morphism(m)
+    if not rep.ok:
+        raise InvalidSystemError(rep, head)
 
 
 def identity_morphism(c: Cis) -> CisMorphism:
@@ -111,9 +115,12 @@ def compose_morphisms(late: CisMorphism, early: CisMorphism) -> CisMorphism:
 
 
 def is_cis_isomorphism(m: CisMorphism) -> bool:
-    """Each stage map a homeomorphism carrying the gluing set onto the
-    target's gluing set.  The restriction Y -> W is then a homeomorphism
-    too, as h(U_y ∩ Y) = U_h(y) ∩ W, so it is not classified again."""
+    """A valid cis-morphism whose every stage map is a homeomorphism
+    carrying the gluing set onto the target's gluing set.  The restriction
+    Y -> W is then a homeomorphism too, as h(U_y ∩ Y) = U_h(y) ∩ W, so it
+    is not classified again."""
+    if not validate_morphism(m).ok:
+        return False
     for st, tt, hi in zip(m.source.stages, m.target.stages, m.h):
         prof = classify_map(hi)
         if not (prof.embedding and prof.surjective):
@@ -132,9 +139,7 @@ def induced_fundamental_map(
     commuting with every stage map.  Defined pointwise through the covers
     from exactly the pairs (phi_i(p), psi_i(h_i(p))), so it commutes by
     construction; agreement on overlaps is checked while assembling."""
-    rep = validate_morphism(m)
-    if not rep.ok:
-        raise TopologyError("invalid cis-morphism:\n" + rep.render())
+    require_morphism(m)
     lx = source_limit if source_limit is not None else build_fundamental(m.source)
     lz = target_limit if target_limit is not None else build_fundamental(m.target)
     asg: dict[str, str] = {}
@@ -174,11 +179,14 @@ class CisDiagram:
                 raise TopologyError(f"arrow {n} does not connect objects {n} and {n + 1}")
 
     def hom(self, m: int, n: int) -> CisMorphism:
-        """The derived morphism from object m to object n (m <= n)."""
+        """The derived morphism from object m to object n (m <= n), composed
+        from arrows[m] on, so an adjacent hom is the arrow itself."""
         if not 0 <= m <= n < len(self.objects):
             raise TopologyError("diagram indices out of range")
-        out = identity_morphism(self.objects[m])
-        for k in range(m, n):
+        if m == n:
+            return identity_morphism(self.objects[m])
+        out = self.arrows[m]
+        for k in range(m + 1, n):
             out = compose_morphisms(self.arrows[k], out)
         return out
 
@@ -219,15 +227,9 @@ def cis_direct_limit(d: CisDiagram) -> DirectLimitResult:
     the spot.
     """
     for n, o in enumerate(d.objects):
-        orep = validate_cis(o)
-        if not orep.ok:
-            raise TopologyError(
-                f"object {n} is not a valid closed injective system:\n" + orep.render()
-            )
+        require_valid(o, f"object {n} is not a valid closed injective system")
     for n, arr in enumerate(d.arrows):
-        arep = validate_morphism(arr)
-        if not arep.ok:
-            raise TopologyError(f"arrow {n} is not a cis-morphism:\n" + arep.render())
+        require_morphism(arr, f"arrow {n} is not a cis-morphism")
     s = d.objects[0].stage_count
     n_obj = len(d.objects)
 

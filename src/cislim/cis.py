@@ -120,21 +120,17 @@ def stage_map(c: Cis, i: int) -> CtsMap:
 @_record
 class CisValidation:
     failures: tuple[tuple[int, str, str], ...]  # (stage, clause, detail)
-    warnings: tuple[str, ...]
+    warnings: tuple[str, ...] = ()
+    subject: str = "closed injective system"  # what a passing report calls valid
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def render(self) -> str:
-        lines = []
-        for i, clause, detail in self.failures:
-            lines.append(f"stage {i}: {clause}: {detail}")
-        for w in self.warnings:
-            lines.append(f"note: {w}")
-        if not lines:
-            lines.append("valid closed injective system")
-        return "\n".join(lines)
+        lines = [f"stage {i}: {clause}: {detail}" for i, clause, detail in self.failures]
+        lines += [f"note: {w}" for w in self.warnings]
+        return "\n".join(lines) or f"valid {self.subject}"
 
 
 def validate_cis(c: Cis) -> CisValidation:
@@ -172,18 +168,18 @@ def _validation(c: Cis) -> CisValidation:
 
 
 class InvalidSystemError(TopologyError):
-    """The system failed validation; the report is attached."""
+    """A system or cis-morphism failed validation; the report is attached."""
 
-    def __init__(self, report: CisValidation):
+    def __init__(self, report: CisValidation, head: str = "invalid closed injective system"):
         self.report = report
-        super().__init__("invalid closed injective system:\n" + report.render())
+        super().__init__(head + ":\n" + report.render())
 
 
-def require_valid(c: Cis) -> None:
-    """Raise InvalidSystemError unless c's kept `validate_cis` report passes."""
+def require_valid(c: Cis, head: str = "invalid closed injective system") -> None:
+    """Raise InvalidSystemError under `head` unless c's kept report passes."""
     rep = validate_cis(c)
     if not rep.ok:
-        raise InvalidSystemError(rep)
+        raise InvalidSystemError(rep, head)
 
 
 def composite(c: Cis, i: int, j: int) -> CtsMap:

@@ -272,9 +272,6 @@ def collapse_cis_morphism(c: Cis, chunks: list[frozenset]) -> CisMorphism:
         targets.append(q_space)
         projections.append(proj)
     target = push_forward([(c, [proj.assignment for proj in projections])], targets, c.tail)
-    rep = validate_cis(target)
-    if not rep.ok:
-        raise RuntimeError("generator bug: collapse target is not a valid system\n" + rep.render())
     morph = CisMorphism(c, target, tuple(projections))
     mrep = validate_morphism(morph)
     if not mrep.ok:

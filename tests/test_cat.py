@@ -1,4 +1,5 @@
 import hashlib
+import io
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,11 @@ from cislim.cat import (
     induced_fundamental_map,
     is_cis_isomorphism,
     push_forward,
+    require_morphism,
     validate_morphism,
 )
-from cislim.cis import Cis, Cutoff, make_cis, make_stage, validate_cis
+from cislim.cis import Cis, Cutoff, InvalidSystemError, make_cis, make_stage, validate_cis
+from cislim.cli import main
 from cislim.finspace import (
     CtsMap,
     FinSpace,
@@ -29,7 +32,7 @@ from cislim.finspace import (
     subspace,
 )
 from cislim.gallery import identity_system, sphere_chain, sphere_space
-from cislim.interchange import cis_to_doc, dumps
+from cislim.interchange import cis_to_doc, dumps, morphism_to_doc
 from cislim.limit import build_fundamental
 from cislim.randgen import FuzzGen, point_system
 
@@ -186,6 +189,16 @@ class TestIsomorphism:
         _, m = point_system(c)
         assert not is_cis_isomorphism(m)
 
+    def test_a_non_morphism_is_not_an_iso(self, sierpinski):
+        # homeomorphic stage maps carrying Y onto W, but the last square fails,
+        # and the identity on an invalid system is no morphism either
+        m = swap_last(2)
+        assert len(validate_morphism(m).failures) == 2
+        assert not is_cis_isomorphism(m)
+        ident = identity_morphism(open_gluing_system(sierpinski))
+        assert not validate_morphism(ident).ok
+        assert not is_cis_isomorphism(ident)
+
     def test_matches_the_reclassifying_oracle(self):
         # relabellings, collapses, random morphisms and composites; a stage map that
         # is a homeomorphism carrying Y onto W never fails the restricted check
@@ -313,6 +326,21 @@ class TestRefusals:
         assert not rep.ok
         with raises_exactly(TopologyError, "invalid cis-morphism:\n" + rep.render()):
             induced_fundamental_map(m)
+
+    def test_the_morphism_gate_raises_the_kept_report_under_its_head(self):
+        m = swap_last(2)
+        report = (
+            "stage 0: commutes with attachments: a: forward-then-map gives b, map-then-forward gives a\n"
+            "stage 0: commutes with attachments: b: forward-then-map gives a, map-then-forward gives b"
+        )
+        with raises_exactly(InvalidSystemError, "invalid cis-morphism:\n" + report) as caught:
+            require_morphism(m)
+        assert caught.value.report is validate_morphism(m)
+        with raises_exactly(InvalidSystemError, "arrow 4 is not a cis-morphism:\n" + report):
+            require_morphism(m, "arrow 4 is not a cis-morphism")
+        ident = identity_morphism(sphere_chain(1))
+        assert require_morphism(ident) is None
+        assert validate_morphism(ident).render() == "valid cis-morphism"
 
 
 def _discrete(*points):
@@ -531,7 +559,7 @@ class TestCompatibility:
 
     def test_each_system_is_validated_once(self, monkeypatch):
         # the objects, the direct limit and every arrow, leg and mediating
-        # map between them: 32 validate_cis calls, on 4 distinct systems
+        # map between them read the kept reports of 4 distinct systems
         built = []
         body = cis._validation
         monkeypatch.setattr(cis, "_validation", lambda c: built.append(c) or body(c))
@@ -540,6 +568,27 @@ class TestCompatibility:
         assert check_limit_compatibility(d).ok
         assert len(built) == 4
         assert len({id(c) for c in built}) == 4 and set(map(id, d.objects)) <= set(map(id, built))
+
+    def test_each_morphism_is_validated_once(self, monkeypatch, tmp_path):
+        # `morphism --induced`: the induced map reads the verb's kept report.
+        # The diagram's 2 arrows, 3 cocone legs and 3 homs are 6 distinct
+        # morphisms: an adjacent hom is its arrow, and a mediating map reads
+        # its leg's report
+        gen = FuzzGen(3)
+        doc = tmp_path / "m.json"
+        doc.write_text(dumps(morphism_to_doc(gen.morphism(gen.cis()))))
+        built = []
+        body = cat._morphism_validation
+        monkeypatch.setattr(cat, "_morphism_validation", lambda m: built.append(m) or body(m))
+        assert main(["morphism", str(doc), "--induced"], io.StringIO()) == 0
+        assert len(built) == 1
+        built.clear()
+        gen = FuzzGen(3)
+        d = gen.diagram(gen.cis(), 3)
+        assert check_limit_compatibility(d).ok
+        assert len(built) == 6 and len({id(m) for m in built}) == 6
+        assert set(map(id, d.arrows)) <= set(map(id, built))
+        assert all(d.hom(n, n + 1) is d.arrows[n] for n in range(2))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -7,7 +7,9 @@ from conftest import raises_exactly, rebuilt_cis
 from cislim import cis
 from cislim.cis import (
     Cis,
+    CisValidation,
     Cutoff,
+    InvalidSystemError,
     Stage,
     Stationary,
     composite,
@@ -16,6 +18,7 @@ from cislim.cis import (
     is_stationary,
     make_cis,
     make_stage,
+    require_valid,
     resolve_index,
     semicomponible,
     stage_map,
@@ -174,6 +177,42 @@ class TestKeptValidation:
                 assert fresh == kept and fresh.render() == kept.render(), seed
                 seen.add(kept.ok)
         assert seen == {True, False}  # valid and invalid systems both occur
+
+
+class TestGate:
+    """A report renders its failures, then its notes, or else names its
+    subject; `require_valid` raises the kept report under its head."""
+
+    def test_a_failing_report_lists_failures_then_notes(self, sierpinski):
+        c = Cis(
+            (
+                make_stage(sierpinski, {"a"}, sierpinski, {"a": "a"}),
+                make_stage(sierpinski, frozenset(), None, None),
+            ),
+            Cutoff(),
+        )
+        assert validate_cis(c).render() == (
+            "stage 0: gluing set closed: closure adds ['b']\n"
+            "stage 0: attachment closed: some point-closure image is not closed\n"
+            "note: stage 1 has an empty gluing set; it attaches to nothing"
+        )
+
+    def test_a_passing_report_names_its_subject(self):
+        assert validate_cis(sphere_chain(1)).render() == "valid closed injective system"
+        assert CisValidation(()).render() == "valid closed injective system"
+        assert CisValidation((), subject="cis-morphism").render() == "valid cis-morphism"
+
+    def test_require_valid_raises_the_kept_report_under_its_head(self, sierpinski):
+        c = Cis((make_stage(sierpinski, {"b"}, None, None),), Stationary(0))
+        report = "stage 0: stationary tail: the parked stage must glue along all of itself"
+        with raises_exactly(
+            InvalidSystemError, "invalid closed injective system:\n" + report
+        ) as caught:
+            require_valid(c)
+        assert caught.value.report is validate_cis(c)
+        with raises_exactly(InvalidSystemError, "object 3 is not valid:\n" + report):
+            require_valid(c, "object 3 is not valid")
+        assert require_valid(sphere_chain(1)) is None
 
 
 class TestMakeCis:
