@@ -19,9 +19,9 @@ from .finspace import (
     TopologyError,
     _kept,
     _record,
+    _subspace,
     classify_map,
     identity_map,
-    subspace,
 )
 
 
@@ -77,8 +77,14 @@ class Cis:
                 continue
             if st.f is None:
                 raise TopologyError(f"stage {i} is missing its attachment")
-            # the source must be the subspace on Y: U'_y = U_y ∩ Y, keyed by exactly Y
-            if st.f.source.min_open != {y: st.space.min_open[y] & st.y for y in st.y}:
+            # the source must be the subspace on Y: U'_y = U_y ∩ Y, keyed by exactly Y;
+            # the stage space itself is that subspace exactly when Y is all of it
+            src = st.f.source
+            if src is st.space:
+                on_y = st.y == src.points
+            else:
+                on_y = src.min_open == {y: st.space.min_open[y] & st.y for y in st.y}
+            if not on_y:
                 raise TopologyError(f"attachment at stage {i} is not defined on the subspace Y")
             if st.f.target != stages[i + 1].space:
                 raise TopologyError(f"attachment at stage {i} does not land in stage {i + 1}")
@@ -203,8 +209,7 @@ def composite(c: Cis, i: int, j: int) -> CtsMap:
     for k in range(i, top + 1):
         yk, f_k = stage_y(c, k), stage_map(c, k).assignment
         asg = {y: f_k[z] for y, z in asg.items() if z in yk}
-    sub, _ = subspace(stage_space(c, i), frozenset(asg))
-    return CtsMap(sub, stage_space(c, j + 1), asg)
+    return CtsMap(_subspace(stage_space(c, i), frozenset(asg)), stage_space(c, j + 1), asg)
 
 
 def semicomponible(c: Cis, i: int, j: int) -> bool:
@@ -273,8 +278,8 @@ def make_stage(space: FinSpace, y, next_space: FinSpace | None, assignment: dict
     y = space.check_points(y)
     if next_space is None:
         return Stage(space, y, None)
-    sub, _ = subspace(space, y)
-    return Stage(space, y, CtsMap(sub, next_space, dict(assignment or {})))
+    # CtsMap copies the assignment, so it is not copied here
+    return Stage(space, y, CtsMap(_subspace(space, y), next_space, assignment or {}))
 
 
 def make_cis(spaces, ys, attachments, tail: TailPolicy = Cutoff()) -> Cis:

@@ -36,13 +36,29 @@ OK, VERIFY_FAILED, INPUT_ERROR = 0, 1, 2
 
 
 def _load_json(path: str):
+    """The JSON document in the file at path.
+
+    The bytes are decoded here: json would read a leading BOM as a UTF-8-sig
+    mark, and it is refused instead.  Line ends are read as text mode reads
+    them, so an error names the same line and column."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise interchange.InterchangeError(path, f"cannot read file: {e}") from e
+    try:
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise interchange.InterchangeError(path, f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise interchange.InterchangeError(path, f"not UTF-8: {e.reason} at byte {e.start}") from e
+    except RecursionError as e:
+        raise interchange.InterchangeError(path, "nested too deeply to read") from e
+    except ValueError as e:  # a number past the interpreter's digit limit
+        raise interchange.InterchangeError(path, str(e)) from e
 
 
 def _write(path: str | None, text: str, out):
@@ -258,7 +274,8 @@ def cmd_fuzz(args, out) -> int:
     return OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each verb's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="cislim",
         description="closed injective systems of finite spaces and their fundamental limits",
@@ -308,18 +325,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cis")
     p.add_argument("--cap", type=int, default=4)
 
-    return parser
+    return parser, sub.choices
 
 
-_parser = functools.cache(build_parser)
+_parsers = functools.cache(build_parsers)
 
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    top, verbs = _parsers()
+    if argv and argv[0] in verbs:
+        # The verb's own parser reads the rest of argv, as the top parser
+        # would have it do; an argument left over is refused by the top
+        # parser under its usage, as parse_args refuses it.
+        command = argv[0]
+        args, extra = verbs[command].parse_known_args(argv[1:])
+        if extra:
+            top.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = top.parse_args(argv)
+        command = args.command
     # The verb's function is looked up by name on each call, so a later
     # rebinding of a cmd_* function (as a tracer does) is seen.
-    run = globals()[f"cmd_{args.command.replace('-', '_')}"]
+    run = globals()[f"cmd_{command.replace('-', '_')}"]
     try:
         return run(args, out)
     except (interchange.InterchangeError, TopologyError) as e:

@@ -26,6 +26,7 @@ Every finite space is compact; compactness is therefore never computed.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -79,6 +80,12 @@ def _record(cls=None, /, *, eq: bool = True):
         return lambda c: _record(c, eq=eq)
     names = tuple(cls.__annotations__)
     defaults = {f: cls.__dict__[f] for f in names if f in cls.__dict__}
+    # the defaults of the trailing run of defaulted fields: a call by position
+    # that leaves some of them out gets them appended, with no call to `bind`
+    required = len(names)
+    while required and names[required - 1] in defaults:
+        required -= 1
+    tail = tuple(defaults[f] for f in names[required:])
     post_init = hasattr(cls, "__post_init__")
     set_field, indexed = object.__setattr__, tuple(enumerate(names))
     qualname = cls.__qualname__
@@ -104,7 +111,10 @@ def _record(cls=None, /, *, eq: bool = True):
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
-            args = bind(args, kwargs)
+            if kwargs or not required <= len(args) < len(names):
+                args = bind(args, kwargs)
+            else:
+                args += tail[len(args) - required :]
         for i, f in indexed:
             # set one by one, not through __dict__, which would make the
             # instance's dict a real one and every later field read slower
@@ -147,6 +157,26 @@ def _record(cls=None, /, *, eq: bool = True):
     return cls
 
 
+def _first_fault(pts: PointSet, mo: dict[str, PointSet]) -> str:
+    """What is wrong with a failing minimal-open table, named as a walk in
+    sorted order meets it first: the keys, then each point's stray members
+    and its own membership, then the basis condition."""
+    if mo.keys() != pts:
+        return f"min_open keys and points disagree at {sorted(mo.keys() ^ pts)}"
+    for p in sorted(pts):
+        u = mo[p]
+        stray = u - pts
+        if stray:
+            return f"U_{p!r} contains unknown points {sorted(stray)}"
+        if p not in u:
+            return f"point {p!r} is missing from its own minimal open set"
+    for p in sorted(pts):
+        for q in sorted(mo[p]):
+            if not mo[q] <= mo[p]:
+                return f"minimal opens are not a basis: U_{q!r} is not inside U_{p!r}"
+    raise AssertionError("the table has no fault")
+
+
 def _closure_table(space: "FinSpace") -> dict[str, tuple[str, ...]]:
     """cl{p} = {y : p in U_y} for every point p, by inverting min_open.
 
@@ -167,6 +197,11 @@ class FinSpace:
     Invariants (checked on construction):
       * x is in U_x for every point x;
       * y in U_x implies U_y is a subset of U_x (the U_x form a basis).
+
+    The check is one pass in no particular order.  A table that fails it
+    is walked in sorted order, and the error names the first failure that
+    walk meets: a key mismatch, then stray members and missing selves
+    point by point, then the first U_q not inside its U_p.
     """
 
     points: PointSet
@@ -177,22 +212,15 @@ class FinSpace:
         mo = {p: frozenset(us) for p, us in self.min_open.items()}
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "min_open", mo)
-        if set(mo) != set(pts):
-            bad = sorted(set(mo) ^ set(pts))
-            raise TopologyError(f"min_open keys and points disagree at {bad}")
-        for p in sorted(pts):
-            u = mo[p]
-            stray = u - pts
-            if stray:
-                raise TopologyError(f"U_{p!r} contains unknown points {sorted(stray)}")
-            if p not in u:
-                raise TopologyError(f"point {p!r} is missing from its own minimal open set")
-        for p in sorted(pts):
-            for q in sorted(mo[p]):
-                if not mo[q] <= mo[p]:
-                    raise TopologyError(
-                        f"minimal opens are not a basis: U_{q!r} is not inside U_{p!r}"
-                    )
+        # one unsorted pass decides; only a failure is walked in sorted order
+        opens = mo.values()
+        if not (
+            mo.keys() == pts
+            and all(map(frozenset.__contains__, opens, mo))
+            and pts.issuperset(chain.from_iterable(opens))
+            and all(u.issuperset(mo[q]) for u in opens for q in u)
+        ):
+            raise TopologyError(_first_fault(pts, mo))
 
     def __hash__(self):
         return hash((self.points, frozenset(self.min_open.items())))
@@ -410,11 +438,19 @@ def subspace(space: FinSpace, a) -> tuple[FinSpace, CtsMap]:
 
     On all of the space that topology is the space's own, so the subspace
     is the space itself, with the identity: no copy is built."""
-    a = space.check_points(a)
-    if a == space.points:
+    sub = _subspace(space, space.check_points(a))
+    if sub is space:
         return space, identity_map(space)
-    sub = FinSpace(a, {p: space.min_open[p] & a for p in a})
-    return sub, CtsMap(sub, space, {p: p for p in a})
+    return sub, CtsMap(sub, space, {p: p for p in sub.points})
+
+
+def _subspace(space: FinSpace, a: PointSet) -> FinSpace:
+    """The subspace on a checked point set a, without the inclusion
+    `subspace` builds: the space itself when a is all of it."""
+    if a == space.points:
+        return space
+    mo = space.min_open
+    return FinSpace(a, {p: mo[p] & a for p in a})
 
 
 def coproduct(spaces: list[FinSpace]) -> tuple[FinSpace, list[CtsMap]]:

@@ -9,6 +9,7 @@ which names the offending point.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 
 from .cat import CisDiagram, CisMorphism
 from .cis import Cis, Cutoff, Stationary, make_stage
@@ -42,20 +43,24 @@ def _expect(cond: bool, path: str, message: str):
         raise InterchangeError(path, message)
 
 
-def _str_list(doc, path) -> list[str]:
-    _expect(isinstance(doc, list) and all(isinstance(x, str) for x in doc), path,
-            "expected a list of point ids")
-    return doc
+# The loaders format a JSON path only once a check has failed, and test the
+# items of a list or mapping in one C-level pass.
+_STRS, _LISTS = repeat(str), repeat(list)
+_NOT_IDS = "expected a list of point ids"
 
 
-def _str_map(doc, path) -> dict[str, str]:
-    _expect(
+def _str_list(doc) -> bool:
+    """Whether doc is a list of point ids."""
+    return isinstance(doc, list) and all(map(isinstance, doc, _STRS))
+
+
+def _str_map(doc) -> bool:
+    """Whether doc is an id-to-id mapping."""
+    return (
         isinstance(doc, dict)
-        and all(isinstance(k, str) and isinstance(v, str) for k, v in doc.items()),
-        path,
-        "expected an id-to-id mapping",
+        and all(map(isinstance, doc, _STRS))
+        and all(map(isinstance, doc.values(), _STRS))
     )
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +77,20 @@ def space_to_doc(space: FinSpace) -> dict:
 def space_from_doc(doc, path: str = "space") -> FinSpace:
     _expect(isinstance(doc, dict), path, "expected an object")
     _expect("points" in doc and "min_open" in doc, path, "needs 'points' and 'min_open'")
-    points = _str_list(doc["points"], f"{path}.points")
-    _expect(isinstance(doc["min_open"], dict), f"{path}.min_open", "expected an object")
-    min_open = {
-        k: frozenset(_str_list(v, f"{path}.min_open.{k}"))
-        for k, v in doc["min_open"].items()
-    }
-    with _at(path):
-        return FinSpace(frozenset(points), min_open)
+    points, raw = doc["points"], doc["min_open"]
+    if not _str_list(points):
+        raise InterchangeError(f"{path}.points", _NOT_IDS)
+    if not isinstance(raw, dict):
+        raise InterchangeError(f"{path}.min_open", "expected an object")
+    opens = raw.values()
+    if not (
+        all(map(isinstance, opens, _LISTS))
+        and all(map(isinstance, chain.from_iterable(opens), _STRS))
+    ):
+        k = next(k for k, v in raw.items() if not _str_list(v))
+        raise InterchangeError(f"{path}.min_open.{k}", _NOT_IDS)
+    with _at(path):  # the space makes its own frozen copy of each list
+        return FinSpace(points, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -104,31 +115,41 @@ def cis_from_doc(doc, path: str = "cis") -> Cis:
     _expect(isinstance(doc, dict), path, "expected an object")
     _expect("stages" in doc and "tail" in doc, path, "needs 'stages' and 'tail'")
     raw_stages = doc["stages"]
-    _expect(isinstance(raw_stages, list) and raw_stages, f"{path}.stages", "expected a nonempty list")
+    if not (isinstance(raw_stages, list) and raw_stages):
+        raise InterchangeError(f"{path}.stages", "expected a nonempty list")
     spaces = []
     for i, st in enumerate(raw_stages):
-        _expect(isinstance(st, dict) and "space" in st and "y" in st, f"{path}.stages[{i}]",
-                "each stage needs 'space' and 'y'")
+        if not (isinstance(st, dict) and "space" in st and "y" in st):
+            raise InterchangeError(f"{path}.stages[{i}]", "each stage needs 'space' and 'y'")
         spaces.append(space_from_doc(st["space"], f"{path}.stages[{i}].space"))
-    stages = []
-    for i, st in enumerate(raw_stages):
-        y = frozenset(_str_list(st["y"], f"{path}.stages[{i}].y"))
-        last = i == len(raw_stages) - 1
-        f_doc = st.get("f")
-        if last:
-            _expect(f_doc in (None, {}), f"{path}.stages[{i}].f", "last stage carries no attachment")
-            nxt, asg = None, None
-        else:
-            _expect(f_doc is not None, f"{path}.stages[{i}].f", "missing attachment")
-            asg = _str_map(f_doc, f"{path}.stages[{i}].f")
-            nxt = spaces[i + 1]
-        with _at(f"{path}.stages[{i}]"):
-            stages.append(make_stage(spaces[i], y, nxt, asg))
+    stages, last = [], len(raw_stages) - 1
+    try:  # a TopologyError names the stage i being built
+        for i, st in enumerate(raw_stages):
+            y = st["y"]
+            if not _str_list(y):
+                raise InterchangeError(f"{path}.stages[{i}].y", _NOT_IDS)
+            f_doc = st.get("f")
+            if i == last:
+                if f_doc not in (None, {}):
+                    raise InterchangeError(
+                        f"{path}.stages[{i}].f", "last stage carries no attachment"
+                    )
+                stages.append(make_stage(spaces[i], y, None, None))
+            elif f_doc is None:
+                raise InterchangeError(f"{path}.stages[{i}].f", "missing attachment")
+            elif not _str_map(f_doc):
+                raise InterchangeError(f"{path}.stages[{i}].f", "expected an id-to-id mapping")
+            else:
+                stages.append(make_stage(spaces[i], y, spaces[i + 1], f_doc))
+    except TopologyError as e:
+        raise InterchangeError(f"{path}.stages[{i}]", str(e)) from e
     tail_doc = doc["tail"]
-    _expect(isinstance(tail_doc, dict) and "kind" in tail_doc, f"{path}.tail", "needs a 'kind'")
+    if not (isinstance(tail_doc, dict) and "kind" in tail_doc):
+        raise InterchangeError(f"{path}.tail", "needs a 'kind'")
     if tail_doc["kind"] == "stationary":
         # bool is a subclass of int, and true is no stage index
-        _expect(type(tail_doc.get("n0")) is int, f"{path}.tail.n0", "expected an integer")
+        if type(tail_doc.get("n0")) is not int:
+            raise InterchangeError(f"{path}.tail.n0", "expected an integer")
         tail = Stationary(tail_doc["n0"])
     elif tail_doc["kind"] == "cutoff":
         tail = Cutoff()
@@ -157,17 +178,20 @@ def limit_from_doc(doc, c: Cis, path: str = "limit") -> LimitSpace:
     _expect("space" in doc and "phis" in doc, path, "needs 'space' and 'phis'")
     space = space_from_doc(doc["space"], f"{path}.space")
     raw = doc["phis"]
-    _expect(isinstance(raw, list), f"{path}.phis", "expected a list")
-    _expect(
-        len(raw) == c.stage_count,
-        f"{path}.phis",
-        f"got {len(raw)} structure maps for {c.stage_count} stages",
-    )
+    if not isinstance(raw, list):
+        raise InterchangeError(f"{path}.phis", "expected a list")
+    if len(raw) != c.stage_count:
+        raise InterchangeError(
+            f"{path}.phis", f"got {len(raw)} structure maps for {c.stage_count} stages"
+        )
     phis = []
-    for i, m in enumerate(raw):
-        asg = _str_map(m, f"{path}.phis[{i}]")
-        with _at(f"{path}.phis[{i}]"):
-            phis.append(CtsMap(c.stages[i].space, space, asg))
+    try:  # a TopologyError names the map i being built
+        for i, m in enumerate(raw):
+            if not _str_map(m):
+                raise InterchangeError(f"{path}.phis[{i}]", "expected an id-to-id mapping")
+            phis.append(CtsMap(c.stages[i].space, space, m))
+    except TopologyError as e:
+        raise InterchangeError(f"{path}.phis[{i}]", str(e)) from e
     with _at(path):
         return LimitSpace(space, tuple(phis))
 
@@ -189,30 +213,34 @@ def morphism_from_doc(
 ) -> CisMorphism:
     _expect(isinstance(doc, dict) and "h" in doc, path, "needs 'h'")
     if source is None:
-        _expect("source" in doc, f"{path}.source", "standalone morphisms embed their source")
+        if "source" not in doc:
+            raise InterchangeError(f"{path}.source", "standalone morphisms embed their source")
         source = cis_from_doc(doc["source"], f"{path}.source")
-    where = path  # a diagram arrow's target is the next object
-    if target is None:
-        _expect("target" in doc, f"{path}.target", "standalone morphisms embed their target")
+    embedded = target is None  # a diagram arrow's target is the next object
+    if embedded:
+        if "target" not in doc:
+            raise InterchangeError(f"{path}.target", "standalone morphisms embed their target")
         target = cis_from_doc(doc["target"], f"{path}.target")
-        where = f"{path}.target"
-    _expect(
-        target.stage_count == source.stage_count,
-        where,
-        f"target has {target.stage_count} stages, source has {source.stage_count}",
-    )
+    if target.stage_count != source.stage_count:
+        raise InterchangeError(
+            f"{path}.target" if embedded else path,
+            f"target has {target.stage_count} stages, source has {source.stage_count}",
+        )
     raw = doc["h"]
-    _expect(isinstance(raw, list), f"{path}.h", "expected a list")
-    _expect(
-        len(raw) == source.stage_count,
-        f"{path}.h",
-        f"got {len(raw)} stage maps for {source.stage_count} stages",
-    )
+    if not isinstance(raw, list):
+        raise InterchangeError(f"{path}.h", "expected a list")
+    if len(raw) != source.stage_count:
+        raise InterchangeError(
+            f"{path}.h", f"got {len(raw)} stage maps for {source.stage_count} stages"
+        )
     h = []
-    for i, m in enumerate(raw):
-        asg = _str_map(m, f"{path}.h[{i}]")
-        with _at(f"{path}.h[{i}]"):
-            h.append(CtsMap(source.stages[i].space, target.stages[i].space, asg))
+    try:  # a TopologyError names the map i being built
+        for i, m in enumerate(raw):
+            if not _str_map(m):
+                raise InterchangeError(f"{path}.h[{i}]", "expected an id-to-id mapping")
+            h.append(CtsMap(source.stages[i].space, target.stages[i].space, m))
+    except TopologyError as e:
+        raise InterchangeError(f"{path}.h[{i}]", str(e)) from e
     with _at(path):
         return CisMorphism(source, target, tuple(h))
 
@@ -228,16 +256,16 @@ def diagram_from_doc(doc, path: str = "diagram") -> CisDiagram:
     _expect(isinstance(doc, dict), path, "expected an object")
     _expect("objects" in doc and "arrows" in doc, path, "needs 'objects' and 'arrows'")
     raw_objects = doc["objects"]
-    _expect(isinstance(raw_objects, list) and raw_objects, f"{path}.objects",
-            "expected a nonempty list")
+    if not (isinstance(raw_objects, list) and raw_objects):
+        raise InterchangeError(f"{path}.objects", "expected a nonempty list")
     objects = [cis_from_doc(o, f"{path}.objects[{n}]") for n, o in enumerate(raw_objects)]
     raw_arrows = doc["arrows"]
-    _expect(isinstance(raw_arrows, list), f"{path}.arrows", "expected a list")
-    _expect(
-        len(raw_arrows) == len(objects) - 1,
-        f"{path}.arrows",
-        "need exactly one arrow between consecutive objects",
-    )
+    if not isinstance(raw_arrows, list):
+        raise InterchangeError(f"{path}.arrows", "expected a list")
+    if len(raw_arrows) != len(objects) - 1:
+        raise InterchangeError(
+            f"{path}.arrows", "need exactly one arrow between consecutive objects"
+        )
     arrows = [
         morphism_from_doc(a, f"{path}.arrows[{n}]", source=objects[n], target=objects[n + 1])
         for n, a in enumerate(raw_arrows)

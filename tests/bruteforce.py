@@ -20,6 +20,29 @@ from cislim.limit import (
 )
 
 
+def sorted_walk_fault(points, min_open) -> str | None:
+    """The message `FinSpace` raises for a minimal-open table, or None when
+    the table is valid, found as the checks once ran: the keys first, then
+    stray members and the self-membership of each point in sorted order,
+    then each basis pair in sorted order."""
+    pts = frozenset(points)
+    mo = {p: frozenset(us) for p, us in min_open.items()}
+    if set(mo) != set(pts):
+        return f"min_open keys and points disagree at {sorted(set(mo) ^ set(pts))}"
+    for p in sorted(pts):
+        u = mo[p]
+        stray = u - pts
+        if stray:
+            return f"U_{p!r} contains unknown points {sorted(stray)}"
+        if p not in u:
+            return f"point {p!r} is missing from its own minimal open set"
+    for p in sorted(pts):
+        for q in sorted(mo[p]):
+            if not mo[q] <= mo[p]:
+                return f"minimal opens are not a basis: U_{q!r} is not inside U_{p!r}"
+    return None
+
+
 def all_subsets(points):
     pts = sorted(points)
     return [frozenset(c) for r in range(len(pts) + 1) for c in combinations(pts, r)]

@@ -84,9 +84,9 @@ class TestValidation:
 
     def test_structural_mismatch_is_hard_error(self, sierpinski, circle4):
         good = make_stage(sierpinski, {"b"}, circle4, {"b": "a"})
-        with pytest.raises(TopologyError, match="stationary index"):
+        with raises_exactly(TopologyError, "stationary index 5 must be the last stage 1"):
             Cis((good, make_stage(circle4, circle4.points, None, None)), Stationary(5))
-        with pytest.raises(TopologyError, match="does not land"):
+        with raises_exactly(TopologyError, "attachment at stage 0 does not land in stage 1"):
             Cis(
                 (
                     make_stage(sierpinski, {"b"}, sierpinski, {"b": "b"}),
@@ -113,6 +113,22 @@ class TestValidation:
                 ),
                 Cutoff(),
             )
+
+    def test_the_stage_space_is_the_subspace_on_all_of_it_only(self, sierpinski):
+        whole = CtsMap(sierpinski, sierpinski, {"a": "a", "b": "b"})
+        last = make_stage(sierpinski, sierpinski.points, None, None)
+        c = Cis((Stage(sierpinski, sierpinski.points, whole), last), Cutoff())
+        assert c.stages[0].f.source is c.stages[0].space
+        with raises_exactly(TopologyError, "attachment at stage 0 is not defined on the subspace Y"):
+            Cis((Stage(sierpinski, {"b"}, whole), last), Cutoff())
+
+    def test_make_stage_glues_along_the_subspace_of_y(self, sierpinski, circle4):
+        whole = make_stage(circle4, circle4.points, sierpinski, {p: "b" for p in circle4.points})
+        assert whole.f.source is circle4
+        poles = make_stage(circle4, {"a", "b"}, sierpinski, {"a": "a", "b": "b"})
+        assert poles.f.source == FinSpace(frozenset("ab"), {"a": frozenset("a"), "b": frozenset("b")})
+        with raises_exactly(TopologyError, "unknown points ['z']"):
+            make_stage(circle4, {"a", "z"}, sierpinski, {"a": "a"})
 
     def test_empty_gluing_set_is_valid_but_flagged(self, sierpinski):
         c = Cis(

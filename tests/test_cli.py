@@ -48,6 +48,13 @@ class TestExitCodes:
         assert "valid closed injective system" in text
         assert "inductive: yes" in text
 
+    def test_argv_defaults_to_the_command_line(self, sphere_doc, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["cislim", "validate", str(sphere_doc)])
+        out = io.StringIO()
+        assert main(out=out) == 0
+        assert out.getvalue() == run("validate", str(sphere_doc))[1]
+        assert out.getvalue().startswith("valid closed injective system\n")
+
     def test_validate_failure_is_one(self, tmp_path):
         doc = cis_to_doc(sphere_chain(1))
         doc["stages"][1]["y"] = ["p1"]  # an open singleton: not closed
@@ -314,6 +321,31 @@ class TestPinnedErrorPaths:
             2, "system is not inductive; invariance theorems do not apply\n"
         )
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\xff\xfe{}", "not UTF-8: invalid start byte at byte 0"),
+            (b"[" * 100000, "nested too deeply to read"),
+            (b"\xef\xbb\xbf{}", "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            # line ends count as a text-mode read counts them
+            (b'{\r"stages":\r[],,}', "line 3, column 4: Expecting property name enclosed in double quotes"),
+            (b'{\r\n"stages":\r\n[],,}', "line 3, column 4: Expecting property name enclosed in double quotes"),
+        ],
+        ids=["not UTF-8", "nested too deeply", "BOM", "CR line ends", "CRLF line ends"],
+    )
+    def test_an_undecodable_file_is_two(self, tmp_path, data, message):
+        p = tmp_path / "c.json"
+        p.write_bytes(data)
+        assert run("validate", str(p)) == (2, f"input error: {p}: {message}\n")
+
+    def test_a_number_past_the_digit_limit_is_two(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text("1" * 5000)
+        status, text = run("validate", str(p))
+        assert status == 2
+        assert text.startswith(f"input error: {p}: Exceeds the limit (4300 digits)")
+        assert text.count("\n") == 1
+
     def test_negative_pmax_prints_only_the_error(self, sphere_doc):
         assert run("homology", str(sphere_doc), "--pmax", "-1") == (
             2, "input error: pmax must be >= 0\n"
@@ -353,6 +385,92 @@ class TestPinnedErrorPaths:
     )
     def test_gallery_parameter_out_of_range_is_two(self, argv, message):
         assert run("gallery", *argv) == (2, f"input error: {message}\n")
+
+
+TOP_USAGE = (
+    "usage: cislim [-h]\n"
+    "              {validate,limit,verify,morphism,diagram-limit,homology,invariance,gallery,fuzz,search}\n"
+    "              ...\n"
+)
+VERB_CHOICES = (
+    "'validate', 'limit', 'verify', 'morphism', 'diagram-limit', 'homology', "
+    "'invariance', 'gallery', 'fuzz', 'search'"
+)
+TOP_HELP = TOP_USAGE + """
+closed injective systems of finite spaces and their fundamental limits
+
+positional arguments:
+  {validate,limit,verify,morphism,diagram-limit,homology,invariance,gallery,fuzz,search}
+    validate            check a system document against the axioms
+    limit               build the fundamental limit of a system
+    verify              verify a limit candidate against a system
+    morphism            validate a morphism document
+    diagram-limit       direct limit of a diagram of systems
+    homology            mod-2 betti numbers of stages and limit
+    invariance          (counter-)functorial invariance check
+    gallery             emit a canonical example system
+    fuzz                run the seeded theorem sweep
+    search              look for non-fundamental limit topologies
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+class TestArgvPaths:
+    """What argparse prints and the status it exits with, byte for byte, for
+    argument lists that never reach a verb.  A refusal names the parser that
+    refused: the verb's own for its arguments, the top-level one for an
+    unknown verb or an argument no parser takes."""
+
+    @pytest.fixture(autouse=True)
+    def width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+
+    @staticmethod
+    def exits(capsys, *argv):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as stop:
+            main(list(argv), out)
+        seen = capsys.readouterr()
+        assert out.getvalue() == ""
+        return stop.value.code, seen.out, seen.err
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (("validate",), "usage: cislim validate [-h] cis\n"
+                            "cislim validate: error: the following arguments are required: cis\n"),
+            (("verify", "c.json"), "usage: cislim verify [-h] cis limit\n"
+                                   "cislim verify: error: the following arguments are required: limit\n"),
+            (("validate", "c.json", "extra.json"),
+             TOP_USAGE + "cislim: error: unrecognized arguments: extra.json\n"),
+            (("limit", "c.json", "--bogus", "x", "-o", "l.json"),
+             TOP_USAGE + "cislim: error: unrecognized arguments: --bogus x\n"),
+            (("bogus",), TOP_USAGE + "cislim: error: argument command: invalid choice: 'bogus' "
+                         f"(choose from {VERB_CHOICES})\n"),
+            ((), TOP_USAGE + "cislim: error: the following arguments are required: command\n"),
+            (("homology", "c.json", "--pmax", "two"),
+             "usage: cislim homology [-h] [--pmax PMAX] cis\n"
+             "cislim homology: error: argument --pmax: invalid int value: 'two'\n"),
+        ],
+        ids=["missing positional", "second positional missing", "extra positional",
+             "unknown option", "unknown verb", "no verb", "non-integer pmax"],
+    )
+    def test_a_refusal_exits_two(self, capsys, argv, err):
+        assert self.exits(capsys, *argv) == (2, "", err)
+
+    def test_top_level_help(self, capsys):
+        assert self.exits(capsys, "-h") == (0, TOP_HELP, "")
+
+    def test_verb_help(self, capsys):
+        help_text = (
+            "usage: cislim validate [-h] cis\n\n"
+            "positional arguments:\n  cis\n\n"
+            "options:\n  -h, --help  show this help message and exit\n"
+        )
+        assert self.exits(capsys, "validate", "-h") == (0, help_text, "")
+        assert self.exits(capsys, "validate", "c.json", "--help") == (0, help_text, "")
 
 
 class TestPipelines:

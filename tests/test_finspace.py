@@ -19,6 +19,7 @@ from bruteforce import (
     closed_sets,
     open_sets,
     projection,
+    sorted_walk_fault,
     two_pass_embedding,
 )
 from conftest import (
@@ -47,6 +48,7 @@ from cislim.finspace import (
     separation_profile,
     subspace,
 )
+from cislim.interchange import InterchangeError, space_from_doc
 from cislim.limit import build_fundamental
 from cislim.randgen import FuzzGen
 
@@ -70,6 +72,72 @@ class TestConstruction:
     def test_rejects_key_mismatch(self):
         with pytest.raises(TopologyError):
             FinSpace(frozenset("ab"), {"a": frozenset("a")})
+
+
+FAULTS = ("drop key", "extra key", "extra point", "stray", "missing self", "non-basis")
+
+
+@st.composite
+def faulty_tables(draw):
+    """A space's points and minimal-open table with one to three faults,
+    each at a drawn point: a key dropped, a key or a point added, an unknown
+    point put into some U_p, a point taken out of its own U_p, or a point
+    put into some U_p that need not hold its U_q."""
+    space = draw(finspaces(4))
+    points = set(space.points)
+    mo = {p: set(u) for p, u in space.min_open.items()}
+    for fault in draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3)):
+        keys = sorted(mo)
+        if not keys or fault == "extra key":
+            mo[draw(st.sampled_from(["w", "x", "y0"]))] = {"x0"}
+        elif fault == "drop key":
+            del mo[draw(st.sampled_from(keys))]
+        elif fault == "extra point":
+            points.add(draw(st.sampled_from(["w", "x", "y0"])))
+        elif fault == "stray":
+            mo[draw(st.sampled_from(keys))].add("zz")
+        elif fault == "missing self":
+            p = draw(st.sampled_from(keys))
+            mo[p].discard(p)
+        else:
+            mo[draw(st.sampled_from(keys))].add(draw(st.sampled_from(sorted(points))))
+    return points, mo
+
+
+class TestFirstFault:
+    """The one-pass check raises exactly when the sorted walk of the
+    `sorted_walk_fault` oracle finds a fault, and names the fault it finds."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(faulty_tables())
+    def test_names_the_first_failure_of_the_sorted_walk(self, table):
+        points, mo = table
+        want = sorted_walk_fault(points, mo)
+        doc = {"points": sorted(points), "min_open": {p: sorted(u) for p, u in mo.items()}}
+        if want is None:  # a drawn non-basis point can leave the table valid
+            assert FinSpace(points, mo) == space_from_doc(doc, "s")
+            return
+        with raises_exactly(TopologyError, want):
+            FinSpace(points, mo)
+        with pytest.raises(InterchangeError) as err:
+            space_from_doc(doc, "s.space")
+        assert (err.value.path, str(err.value)) == ("s.space", f"s.space: {want}")
+
+    @pytest.mark.parametrize(
+        "points, mo, want",
+        [
+            ("ab", {"a": "a", "c": "c"}, "min_open keys and points disagree at ['b', 'c']"),
+            ("ab", {"a": "az", "b": "a"}, "U_'a' contains unknown points ['z']"),
+            ("ab", {"a": "ab", "b": "a"}, "point 'b' is missing from its own minimal open set"),
+            ("abc", {"a": "a", "b": "bc", "c": "ac"},
+             "minimal opens are not a basis: U_'c' is not inside U_'b'"),
+        ],
+        ids=["keys", "stray before a later missing self", "missing self", "basis"],
+    )
+    def test_each_fault_by_its_whole_message(self, points, mo, want):
+        assert sorted_walk_fault(points, mo) == want
+        with raises_exactly(TopologyError, want):
+            FinSpace(frozenset(points), {p: frozenset(u) for p, u in mo.items()})
 
 
 class TestClosure:

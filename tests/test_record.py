@@ -47,6 +47,38 @@ class TestConstruction:
         assert HomeoResult("none").map is None
         assert vars(CheckResult("cover", True)) == {"name": "cover", "passed": True, "witnesses": ()}
 
+    def test_left_out_trailing_defaults_are_filled_without_binding(self):
+        @_record
+        class Triple:
+            a: int
+            b: int = 1
+            c: int = 2
+
+        @_record
+        class Gap:
+            a: int
+            b: int = 1
+            c: int
+
+        def calls(cls, *args, **kwargs):
+            seen = []
+            sys.setprofile(lambda frame, event, arg: event == "call" and seen.append(frame.f_code.co_name))
+            try:
+                record = cls(*args, **kwargs)
+            finally:
+                sys.setprofile(None)
+            return vars(record), seen
+
+        assert calls(Triple, 0) == ({"a": 0, "b": 1, "c": 2}, ["__init__"])
+        assert calls(Triple, 0, 5) == ({"a": 0, "b": 5, "c": 2}, ["__init__"])
+        assert calls(Triple, 0, 5, 6) == ({"a": 0, "b": 5, "c": 6}, ["__init__"])
+        assert calls(Triple, 0, c=6) == ({"a": 0, "b": 1, "c": 6}, ["__init__", "bind"])
+        assert calls(Gap, 0, c=6) == ({"a": 0, "b": 1, "c": 6}, ["__init__", "bind"])
+        with pytest.raises(TypeError, match=r"Gap\.__init__\(\) missing required argument 'c'$"):
+            Gap(0)
+        with pytest.raises(TypeError, match="takes 4 positional arguments but 5 were given"):
+            Triple(0, 1, 2, 3)
+
     def test_a_record_without_fields_takes_no_argument(self):
         assert Cutoff() == Cutoff()
         with pytest.raises(TypeError, match="takes 1 positional argument"):
