@@ -19,8 +19,9 @@ from .finspace import (
     classify_map,
     compose,
     final_space,
+    identity_map,
 )
-from .limit import LimitSpace, attaching_space, build_fundamental
+from .limit import LimitSpace, _require_aligned, attaching_space, build_fundamental
 
 
 @_record
@@ -66,7 +67,7 @@ def _morphism_validation(m: CisMorphism) -> CisValidation:
             failures.append((i, "stage map continuous", "minimal opens are not respected"))
         if not prof.closed:
             failures.append((i, "stage map closed", "some point-closure image is not closed"))
-        escaped = sorted(frozenset(hi(y) for y in st.y) - tt.y)
+        escaped = sorted(hi.image(st.y) - tt.y)
         if escaped:
             failures.append(
                 (i, "gluing sets preserved", f"images {escaped} leave the target gluing set")
@@ -99,8 +100,6 @@ def require_morphism(m: CisMorphism, head: str = "invalid cis-morphism") -> None
 
 
 def identity_morphism(c: Cis) -> CisMorphism:
-    from .finspace import identity_map
-
     return CisMorphism(c, c, tuple(identity_map(st.space) for st in c.stages))
 
 
@@ -125,7 +124,7 @@ def is_cis_isomorphism(m: CisMorphism) -> bool:
         prof = classify_map(hi)
         if not (prof.embedding and prof.surjective):
             return False
-        if frozenset(hi(y) for y in st.y) != tt.y:
+        if hi.image(st.y) != tt.y:
             return False
     return True
 
@@ -138,8 +137,12 @@ def induced_fundamental_map(
     """The unique closed continuous map between the fundamental limits
     commuting with every stage map.  Defined pointwise through the covers
     from exactly the pairs (phi_i(p), psi_i(h_i(p))), so it commutes by
-    construction; agreement on overlaps is checked while assembling."""
+    construction; agreement on overlaps is checked while assembling.  A
+    supplied limit must have one structure map on each stage of its system."""
     require_morphism(m)
+    for c, ls in ((m.source, source_limit), (m.target, target_limit)):
+        if ls is not None:
+            _require_aligned(c, ls)
     lx = source_limit if source_limit is not None else build_fundamental(m.source)
     lz = target_limit if target_limit is not None else build_fundamental(m.target)
     asg: dict[str, str] = {}

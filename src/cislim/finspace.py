@@ -17,9 +17,9 @@ them.  The embedding flag decides continuity in the same loop over the
 minimal opens and keeps it too, so a map read for both pushes each U_p
 once.  The map's image of its whole source, `image()`, which the
 embedding and surjectivity flags and the limit checks read, is kept as
-well.  Final
-topologies are reachability: the minimal open of a point is everything a
-graph search reaches from it.
+well.  Final topologies are reachability: the minimal open of a point is
+everything a graph search reaches from it.  That one search, `_reach`, also
+finds the connected components and the minimal opens of generated spaces.
 
 Every finite space is compact; compactness is therefore never computed.
 """
@@ -540,17 +540,26 @@ def final_space(points, maps) -> FinSpace:
         push = f.__getitem__
         for p, q in f.items():
             edges[q].update(map(push, m.source.min_open[p]))
-    min_open = {}
-    for x in pts:
-        u = {x}
-        todo = [x]
+    return FinSpace(pts, _reach(edges))
+
+
+def _reach(edges: dict[str, set[str]]) -> dict[str, PointSet]:
+    """What a search along `edges` reaches from each point, the point included.
+    A search meeting a point whose reach is known takes it whole, unwalked."""
+    out: dict[str, PointSet] = {}
+    for x in edges:
+        seen, todo = {x}, [x]
         while todo:
             for y in edges[todo.pop()]:
-                if y not in u:
-                    u.add(y)
-                    todo.append(y)
-        min_open[x] = frozenset(u)
-    return FinSpace(pts, min_open)
+                if y not in seen:
+                    known = out.get(y)
+                    if known is None:
+                        seen.add(y)
+                        todo.append(y)
+                    else:
+                        seen |= known
+        out[x] = frozenset(seen)
+    return out
 
 
 @_record
@@ -629,24 +638,10 @@ def find_homeomorphism(a: FinSpace, b: FinSpace, cap: int = DEFAULT_HOMEO_CAP) -
 
 
 def components(space: FinSpace) -> frozenset[PointSet]:
-    """Connected components: x, y linked whenever one lies in the other's U."""
-    remaining = set(space.points)
-    out = []
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            for y in space.points:
-                if y in comp:
-                    continue
-                if y in space.min_open[x] or x in space.min_open[y]:
-                    comp.add(y)
-                    frontier.append(y)
-        remaining -= comp
-        out.append(frozenset(comp))
-    return frozenset(out)
+    """Connected components: x, y linked whenever one lies in the other's U,
+    so the component of x is what a search along U_x and cl{x} reaches."""
+    cl = space._point_closures()
+    return frozenset(_reach({p: u.union(cl[p]) for p, u in space.min_open.items()}).values())
 
 
 @_record

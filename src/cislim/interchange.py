@@ -23,19 +23,12 @@ class InterchangeError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-class _at:
-    """A context that re-raises a TopologyError as an InterchangeError at path
-    (a class: a generator-based context costs about three times as much)."""
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, err, tb):
-        if isinstance(err, TopologyError):
-            raise InterchangeError(self.path, str(err)) from err
+def _built(path: str, make, *args):
+    """make(*args), with a TopologyError re-raised as an InterchangeError at path."""
+    try:
+        return make(*args)
+    except TopologyError as e:
+        raise InterchangeError(path, str(e)) from e
 
 
 def _expect(cond: bool, path: str, message: str):
@@ -89,8 +82,7 @@ def space_from_doc(doc, path: str = "space") -> FinSpace:
     ):
         k = next(k for k, v in raw.items() if not _str_list(v))
         raise InterchangeError(f"{path}.min_open.{k}", _NOT_IDS)
-    with _at(path):  # the space makes its own frozen copy of each list
-        return FinSpace(points, raw)
+    return _built(path, FinSpace, points, raw)  # the space copies each list
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +147,27 @@ def cis_from_doc(doc, path: str = "cis") -> Cis:
         tail = Cutoff()
     else:
         raise InterchangeError(f"{path}.tail.kind", f"unknown tail kind {tail_doc['kind']!r}")
-    with _at(path):
-        return Cis(tuple(stages), tail)
+    return _built(path, Cis, tuple(stages), tail)
+
+
+def _stage_maps(doc, path: str, key: str, what: str, c: Cis, targets) -> tuple[CtsMap, ...]:
+    """doc[key] read as one map per stage of c, into the matching space of targets."""
+    raw = doc[key]
+    if not isinstance(raw, list):
+        raise InterchangeError(f"{path}.{key}", "expected a list")
+    if len(raw) != c.stage_count:
+        raise InterchangeError(
+            f"{path}.{key}", f"got {len(raw)} {what} for {c.stage_count} stages"
+        )
+    maps = []
+    try:  # a TopologyError names the map i being built
+        for i, (m, st, target) in enumerate(zip(raw, c.stages, targets)):
+            if not _str_map(m):
+                raise InterchangeError(f"{path}.{key}[{i}]", "expected an id-to-id mapping")
+            maps.append(CtsMap(st.space, target, m))
+    except TopologyError as e:
+        raise InterchangeError(f"{path}.{key}[{i}]", str(e)) from e
+    return tuple(maps)
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +188,8 @@ def limit_from_doc(doc, c: Cis, path: str = "limit") -> LimitSpace:
     _expect(isinstance(doc, dict), path, "expected an object")
     _expect("space" in doc and "phis" in doc, path, "needs 'space' and 'phis'")
     space = space_from_doc(doc["space"], f"{path}.space")
-    raw = doc["phis"]
-    if not isinstance(raw, list):
-        raise InterchangeError(f"{path}.phis", "expected a list")
-    if len(raw) != c.stage_count:
-        raise InterchangeError(
-            f"{path}.phis", f"got {len(raw)} structure maps for {c.stage_count} stages"
-        )
-    phis = []
-    try:  # a TopologyError names the map i being built
-        for i, m in enumerate(raw):
-            if not _str_map(m):
-                raise InterchangeError(f"{path}.phis[{i}]", "expected an id-to-id mapping")
-            phis.append(CtsMap(c.stages[i].space, space, m))
-    except TopologyError as e:
-        raise InterchangeError(f"{path}.phis[{i}]", str(e)) from e
-    with _at(path):
-        return LimitSpace(space, tuple(phis))
+    phis = _stage_maps(doc, path, "phis", "structure maps", c, repeat(space))
+    return _built(path, LimitSpace, space, phis)
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +222,8 @@ def morphism_from_doc(
             f"{path}.target" if embedded else path,
             f"target has {target.stage_count} stages, source has {source.stage_count}",
         )
-    raw = doc["h"]
-    if not isinstance(raw, list):
-        raise InterchangeError(f"{path}.h", "expected a list")
-    if len(raw) != source.stage_count:
-        raise InterchangeError(
-            f"{path}.h", f"got {len(raw)} stage maps for {source.stage_count} stages"
-        )
-    h = []
-    try:  # a TopologyError names the map i being built
-        for i, m in enumerate(raw):
-            if not _str_map(m):
-                raise InterchangeError(f"{path}.h[{i}]", "expected an id-to-id mapping")
-            h.append(CtsMap(source.stages[i].space, target.stages[i].space, m))
-    except TopologyError as e:
-        raise InterchangeError(f"{path}.h[{i}]", str(e)) from e
-    with _at(path):
-        return CisMorphism(source, target, tuple(h))
+    h = _stage_maps(doc, path, "h", "stage maps", source, (st.space for st in target.stages))
+    return _built(path, CisMorphism, source, target, h)
 
 
 def diagram_to_doc(d: CisDiagram) -> dict:
@@ -270,8 +251,7 @@ def diagram_from_doc(doc, path: str = "diagram") -> CisDiagram:
         morphism_from_doc(a, f"{path}.arrows[{n}]", source=objects[n], target=objects[n + 1])
         for n, a in enumerate(raw_arrows)
     ]
-    with _at(path):
-        return CisDiagram(tuple(objects), tuple(arrows))
+    return _built(path, CisDiagram, tuple(objects), tuple(arrows))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ stage points it glues, and carries the final topology of its structure
 maps, which is what makes it the fundamental limit.  `has_weak_topology`
 finds that final topology another way, as a least fixpoint of int bitmasks
 over the stage opens, so `build_fundamental`'s self-check tests the graph
-search in `final_space` instead of repeating it.
+search in `final_space` instead of repeating it: `_weak` deliberately does
+not call `finspace._reach`, the one search behind final topologies.
 
 Overlap bookkeeping convention: for stages i < j, the images of stage i
 and stage j in a limit meet exactly along the composite transit map

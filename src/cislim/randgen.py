@@ -16,7 +16,7 @@ import random
 
 from .cat import CisDiagram, CisMorphism, push_forward, validate_morphism
 from .cis import Cis, Cutoff, Stationary, make_cis, validate_cis
-from .finspace import CtsMap, FinSpace, quotient, subspace
+from .finspace import CtsMap, FinSpace, _reach, identity_map, quotient, subspace
 from .limit import LimitSpace
 
 
@@ -30,22 +30,13 @@ class FuzzGen:
     def space(self, max_points: int = 6, prefix: str = "x", discrete: bool = False) -> FinSpace:
         n = self.rng.randint(1, max_points)
         labels = [f"{prefix}{k}" for k in range(n)]
-        edges = {i: {i} for i in range(n)}
+        edges = {p: set() for p in labels}
         if not discrete:
-            edge_count = self.rng.randint(0, 2 * n)
-            for _ in range(edge_count):
+            for _ in range(self.rng.randint(0, 2 * n)):
                 i = self.rng.randrange(n)
                 j = self.rng.randrange(n)
-                edges[i].add(j)
-        min_open = {}
-        for i in range(n):  # U_i is everything a search along the edges reaches from i
-            reach, todo = {i}, [i]
-            while todo:
-                for j in edges[todo.pop()] - reach:
-                    reach.add(j)
-                    todo.append(j)
-            min_open[labels[i]] = frozenset(labels[j] for j in reach)
-        return FinSpace(frozenset(labels), min_open)
+                edges[labels[i]].add(labels[j])
+        return FinSpace(frozenset(labels), _reach(edges))  # U_p: what a search from p reaches
 
     def closed_subset(self, space: FinSpace, allow_empty: bool = True):
         pts = sorted(space.points)
@@ -153,7 +144,7 @@ class FuzzGen:
         chunks[n - 1] = self.closed_subset(c.stages[n - 1].space)
         for i in range(n - 2, -1, -1):
             st = c.stages[i]
-            pulled = frozenset(y for y in st.y if st.f(y) in chunks[i + 1])
+            pulled = st.f.preimage(chunks[i + 1])
             extra = self.closed_subset(st.space)
             chunks[i] = pulled if extra & st.y else pulled | extra
         return collapse_cis_morphism(c, chunks)
@@ -265,7 +256,7 @@ def collapse_cis_morphism(c: Cis, chunks: list[frozenset]) -> CisMorphism:
     for st, chunk in zip(c.stages, chunks):
         if len(chunk) <= 1:
             targets.append(st.space)
-            projections.append(CtsMap(st.space, st.space, {p: p for p in st.space.points}))
+            projections.append(identity_map(st.space))
             continue
         parts = [chunk] + [{p} for p in st.space.points - chunk]
         q_space, proj = quotient(st.space, parts)

@@ -170,6 +170,16 @@ class UnionFind:
         return {frozenset(v) for v in out.values()}
 
 
+def brute_components(space: FinSpace) -> frozenset[frozenset[str]]:
+    """Connected components as the classes of a union-find over every pair
+    (x, y) with y in U_x, kept as the oracle for `finspace.components`."""
+    uf = UnionFind(space.points)
+    for x, u in space.min_open.items():
+        for y in u:
+            uf.union(x, y)
+    return frozenset(uf.classes())
+
+
 def coproduct_attaching_space(spaces, attachments) -> tuple[LimitSpace, CtsMap]:
     """`limit.attaching_space` the long way, kept as its oracle: the quotient
     of the stage coproduct that identifies each point with its image, the

@@ -31,7 +31,7 @@ from cislim.finspace import (
     find_homeomorphism,
     subspace,
 )
-from cislim.gallery import identity_system, sphere_chain, sphere_space
+from cislim.gallery import identity_system, sierpinski_space, sphere_chain, sphere_space
 from cislim.interchange import cis_to_doc, dumps, morphism_to_doc
 from cislim.limit import build_fundamental
 from cislim.randgen import FuzzGen, point_system
@@ -248,6 +248,21 @@ class TestInducedMap:
             for phi, psi, hi in zip(lx.phis, lz.phis, m.h):
                 for p in phi.source.points:
                     assert out(phi(p)) == psi(hi(p))
+
+    @pytest.mark.parametrize("side", ["source_limit", "target_limit"])
+    @pytest.mark.parametrize(
+        "other, message",
+        [
+            (lambda: sphere_chain(3), "candidate has 4 structure maps for 3 stages"),
+            (lambda: identity_system(sierpinski_space(), 3),
+             "structure map 0 is not defined on stage 0"),
+        ],
+        ids=["longer system", "other stage spaces"],
+    )
+    def test_supplied_limit_must_belong_to_its_system(self, side, other, message):
+        m = identity_morphism(sphere_chain(2))
+        with raises_exactly(TopologyError, message):
+            induced_fundamental_map(m, **{side: build_fundamental(other())})
 
     def test_uniqueness_forced_by_cover(self):
         gen = FuzzGen(8)

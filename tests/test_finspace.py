@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bruteforce import (
     brute_closed_map,
     brute_closure,
+    brute_components,
     brute_continuous,
     brute_embedding,
     brute_final_min_open,
@@ -768,6 +769,18 @@ class TestComponents:
             assert not (c & seen)
             seen |= c
         assert seen == set(space.points)
+
+    @given(finspaces(7))
+    def test_components_match_the_union_find_oracle(self, space):
+        assert components(space) == brute_components(space)
+
+    def test_fuzzed_limits_match_the_union_find_oracle(self):
+        counts = []
+        for seed, ls in fuzzed_limits():
+            counts.append(len(components(ls.x)))
+            assert components(ls.x) == brute_components(ls.x), seed
+        # connected and disconnected limits both occur
+        assert 1 in counts and max(counts) > 1
 
 
 class TestSeparation:
