@@ -6,6 +6,10 @@ A morphism is immutable, and its `validate_morphism` report reads only its
 fields, the systems' kept reports and the maps' kept flags: it is built on
 the first call and kept on the morphism, as a system keeps its report.
 `require_morphism` is its one gate, as `cis.require_valid` is a system's.
+
+The induced map comes from the morphism alone; `check_limit_compatibility`
+shares the limits it has built through the private `_induced`, and the map
+is read through the covers by `limit._cover_map`, as the canonical bijection is.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .finspace import (
     final_space,
     identity_map,
 )
-from .limit import LimitSpace, _require_aligned, attaching_space, build_fundamental
+from .limit import LimitSpace, _cover_map, attaching_space, build_fundamental
 
 
 @_record
@@ -129,32 +133,21 @@ def is_cis_isomorphism(m: CisMorphism) -> bool:
     return True
 
 
-def induced_fundamental_map(
-    m: CisMorphism,
-    source_limit: LimitSpace | None = None,
-    target_limit: LimitSpace | None = None,
-) -> CtsMap:
-    """The unique closed continuous map between the fundamental limits
-    commuting with every stage map.  Defined pointwise through the covers
-    from exactly the pairs (phi_i(p), psi_i(h_i(p))), so it commutes by
-    construction; agreement on overlaps is checked while assembling.  A
-    supplied limit must have one structure map on each stage of its system."""
+def induced_fundamental_map(m: CisMorphism) -> CtsMap:
+    """The unique closed continuous map between the fundamental limits of
+    m's systems commuting with every stage map, so it depends on m alone.
+    Defined pointwise through the covers from exactly the pairs (phi_i(p),
+    psi_i(h_i(p))), it commutes by construction; agreement on overlaps is
+    checked while assembling.  m is gated before either limit is built."""
     require_morphism(m)
-    for c, ls in ((m.source, source_limit), (m.target, target_limit)):
-        if ls is not None:
-            _require_aligned(c, ls)
-    lx = source_limit if source_limit is not None else build_fundamental(m.source)
-    lz = target_limit if target_limit is not None else build_fundamental(m.target)
-    asg: dict[str, str] = {}
-    for phi, psi, hi in zip(lx.phis, lz.phis, m.h):
-        for p in sorted(phi.source.points):
-            key = phi(p)
-            val = psi(hi(p))
-            if asg.setdefault(key, val) != val:
-                raise TopologyError(
-                    f"induced map is not well defined at {key}: {asg[key]} vs {val}"
-                )
-    out = CtsMap(lx.x, lz.x, asg)
+    return _induced(m, build_fundamental(m.source), build_fundamental(m.target))
+
+
+def _induced(m: CisMorphism, lx: LimitSpace, lz: LimitSpace) -> CtsMap:
+    """The induced map between m's built fundamental limits lx and lz: m is
+    gated, and the result checked closed and continuous."""
+    require_morphism(m)
+    out = _cover_map(lx, lz, m.h, "induced map is not well defined at {key}: {old} vs {new}")
     prof = classify_map(out)
     if not (prof.continuous and prof.closed):
         raise RuntimeError("construction bug: induced map is not closed continuous")
@@ -288,17 +281,12 @@ def check_limit_compatibility(d: CisDiagram) -> CompatibilityReport:
     res = cis_direct_limit(d)
     big = build_fundamental(res.limit)
     obj_limits = [build_fundamental(o) for o in d.objects]
-    mediating = [
-        induced_fundamental_map(res.cocone[n], obj_limits[n], big)
-        for n in range(len(d.objects))
-    ]
-    cts = True  # induced_fundamental_map raises unless each mediating map is closed continuous
+    mediating = [_induced(res.cocone[n], obj_limits[n], big) for n in range(len(d.objects))]
+    cts = True  # _induced raises unless each mediating map is closed continuous
     witnesses, identities = [], True
     for m_idx in range(len(d.objects)):
         for n_idx in range(m_idx + 1, len(d.objects)):
-            lh = induced_fundamental_map(
-                d.hom(m_idx, n_idx), obj_limits[m_idx], obj_limits[n_idx]
-            )
+            lh = _induced(d.hom(m_idx, n_idx), obj_limits[m_idx], obj_limits[n_idx])
             left = compose(mediating[n_idx], lh)
             if left.assignment != mediating[m_idx].assignment:
                 identities = False

@@ -40,7 +40,9 @@ from collections import Counter
 from types import SimpleNamespace
 
 from .cis import Cis, require_valid
-from .finspace import CtsMap, FinSpace, TopologyError, _kept, _record, classify_map, final_space
+from .finspace import (
+    CtsMap, FinSpace, TopologyError, _kept, _record, classify_map, final_space, identity_map
+)
 
 
 @_record
@@ -489,25 +491,34 @@ def canonical_bijection(c: Cis, ls_a: LimitSpace, ls_b: LimitSpace) -> CtsMap:
     """The unique point map beta with psi_i = beta o phi_i for all stages.
 
     Both candidates must satisfy the limit axioms; beta is then forced
-    pointwise by the cover, and is a bijection.  Continuity (and being a
-    homeomorphism when both sides are fundamental) is left to the caller
-    to classify.
+    pointwise by the cover, and is a bijection.  It is the cover walk the
+    induced map uses, `_cover_map`, along identity stage maps.  Continuity
+    (and being a homeomorphism when both sides are fundamental) is left to
+    the caller to classify.
     """
     for name, ls in (("first", ls_a), ("second", ls_b)):
         rep = verify_limit_axioms(c, ls)
         if not rep.passed:
             raise TopologyError(f"the {name} candidate fails the limit axioms:\n" + rep.render())
-    beta: dict[str, str] = {}
-    for phi, psi in zip(ls_a.phis, ls_b.phis):
-        for p in sorted(phi.source.points):
-            key, val = phi(p), psi(p)
-            if beta.setdefault(key, val) != val:
-                raise TopologyError(
-                    f"no canonical bijection: {key} would map to both {beta[key]} and {val}"
-                )
-    if len(set(beta.values())) != len(beta) or set(beta.values()) != set(ls_b.x.points):
+    clash = "no canonical bijection: {key} would map to both {old} and {new}"
+    beta = _cover_map(ls_a, ls_b, [identity_map(st.space) for st in c.stages], clash)
+    if sorted(beta.assignment.values()) != sorted(ls_b.x.points):
         raise TopologyError("canonical map failed to be a bijection")
-    return CtsMap(ls_a.x, ls_b.x, beta)
+    return beta
+
+
+def _cover_map(ls_a: LimitSpace, ls_b: LimitSpace, h, clash: str) -> CtsMap:
+    """The map phi_i(p) -> psi_i(h_i(p)) from ls_a to ls_b, read through the
+    two covers with one stage map h_i per stage.  A point sent two ways
+    raises a TopologyError whose text is `clash` with the point and both
+    values filled in."""
+    out: dict[str, str] = {}
+    for phi, psi, hi in zip(ls_a.phis, ls_b.phis, h):
+        for p in sorted(phi.source.points):
+            key, val = phi(p), psi(hi(p))
+            if out.setdefault(key, val) != val:
+                raise TopologyError(clash.format(key=key, old=out[key], new=val))
+    return CtsMap(ls_a.x, ls_b.x, out)
 
 
 @_record

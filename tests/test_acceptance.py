@@ -154,14 +154,13 @@ def test_criterion_04_functor_laws():
         for k in range(50):
             c = gen.cis()
             ls = build_fundamental(c)
-            unit = induced_fundamental_map(identity_morphism(c), ls, ls)
+            unit = induced_fundamental_map(identity_morphism(c))
             assert unit.assignment == {p: p for p in ls.x.points}
             h = gen.morphism(c)
             k2 = gen.morphism(h.target)
-            lx, ly, lz = ls, build_fundamental(h.target), build_fundamental(k2.target)
-            lh = induced_fundamental_map(h, lx, ly)
-            lk = induced_fundamental_map(k2, ly, lz)
-            lkh = induced_fundamental_map(compose_morphisms(k2, h), lx, lz)
+            lh = induced_fundamental_map(h)
+            lk = induced_fundamental_map(k2)
+            lkh = induced_fundamental_map(compose_morphisms(k2, h))
             assert compose(lk, lh).assignment == lkh.assignment
 
 

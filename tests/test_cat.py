@@ -31,9 +31,15 @@ from cislim.finspace import (
     find_homeomorphism,
     subspace,
 )
-from cislim.gallery import identity_system, sierpinski_space, sphere_chain, sphere_space
+from cislim.gallery import (
+    identity_system,
+    non_semicomponible,
+    search_non_fundamental,
+    sphere_chain,
+    sphere_space,
+)
 from cislim.interchange import cis_to_doc, dumps, morphism_to_doc
-from cislim.limit import build_fundamental
+from cislim.limit import LimitSpace, build_fundamental, canonical_bijection
 from cislim.randgen import FuzzGen, point_system
 
 
@@ -218,7 +224,7 @@ class TestInducedMap:
     def test_functor_unit_law(self):
         c = sphere_chain(2)
         ls = build_fundamental(c)
-        lid = induced_fundamental_map(identity_morphism(c), ls, ls)
+        lid = induced_fundamental_map(identity_morphism(c))
         assert lid.assignment == {p: p for p in ls.x.points}
 
     def test_collapse_gives_constant_map(self):
@@ -242,27 +248,12 @@ class TestInducedMap:
             m = gen.morphism(c)
             lx = build_fundamental(m.source)
             lz = build_fundamental(m.target)
-            out = induced_fundamental_map(m, lx, lz)
+            out = induced_fundamental_map(m)
             prof = classify_map(out)
             assert prof.continuous and prof.closed
             for phi, psi, hi in zip(lx.phis, lz.phis, m.h):
                 for p in phi.source.points:
                     assert out(phi(p)) == psi(hi(p))
-
-    @pytest.mark.parametrize("side", ["source_limit", "target_limit"])
-    @pytest.mark.parametrize(
-        "other, message",
-        [
-            (lambda: sphere_chain(3), "candidate has 4 structure maps for 3 stages"),
-            (lambda: identity_system(sierpinski_space(), 3),
-             "structure map 0 is not defined on stage 0"),
-        ],
-        ids=["longer system", "other stage spaces"],
-    )
-    def test_supplied_limit_must_belong_to_its_system(self, side, other, message):
-        m = identity_morphism(sphere_chain(2))
-        with raises_exactly(TopologyError, message):
-            induced_fundamental_map(m, **{side: build_fundamental(other())})
 
     def test_uniqueness_forced_by_cover(self):
         gen = FuzzGen(8)
@@ -270,13 +261,37 @@ class TestInducedMap:
         m = gen.morphism(c)
         lx = build_fundamental(m.source)
         lz = build_fundamental(m.target)
-        out = induced_fundamental_map(m, lx, lz)
+        out = induced_fundamental_map(m)
         # any map commuting with all stage maps agrees pointwise with it
         forced = {}
         for phi, psi, hi in zip(lx.phis, lz.phis, m.h):
             for p in phi.source.points:
                 forced[phi(p)] = psi(hi(p))
         assert forced == out.assignment
+
+    def test_agrees_with_the_canonical_bijection_on_relabellings(self):
+        # the relabelled rebuild, written as a second limit of c, has psi_i o h_i
+        # as its structure maps, so both walks read the same pairs off the covers
+        gen = FuzzGen(11)
+        for _ in range(50):
+            c = gen.cis()
+            ls = build_fundamental(c)
+            m = gen.relabel_morphism(c)
+            lz = build_fundamental(m.target)
+            cand = LimitSpace(lz.x, tuple(compose(psi, hi) for psi, hi in zip(lz.phis, m.h)))
+            assert induced_fundamental_map(m) == canonical_bijection(c, ls, cand)
+
+    def test_a_map_that_is_not_closed_continuous_is_a_construction_bug(self):
+        # fault injection: read through a non-fundamental limit of c, the map
+        # out of it is closed but not continuous, and the map into it is
+        # continuous but not closed
+        c = non_semicomponible()
+        ls, cand = build_fundamental(c), search_non_fundamental(c, cap=4).found[0]
+        for lx, lz in ((cand, ls), (ls, cand)):
+            with raises_exactly(
+                RuntimeError, "construction bug: induced map is not closed continuous"
+            ):
+                cat._induced(identity_morphism(c), lx, lz)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -340,6 +355,13 @@ class TestRefusals:
         rep = validate_morphism(m)
         assert not rep.ok
         with raises_exactly(TopologyError, "invalid cis-morphism:\n" + rep.render()):
+            induced_fundamental_map(m)
+
+    def test_the_induced_map_gates_the_morphism_before_building_a_limit(self, sierpinski):
+        # an invalid system is named by the morphism's report, not by build_fundamental's
+        m = identity_morphism(open_gluing_system(sierpinski))
+        message = "invalid cis-morphism:\n" + validate_morphism(m).render()
+        with raises_exactly(InvalidSystemError, message):
             induced_fundamental_map(m)
 
     def test_the_morphism_gate_raises_the_kept_report_under_its_head(self):
@@ -604,6 +626,36 @@ class TestCompatibility:
         assert len(built) == 6 and len({id(m) for m in built}) == 6
         assert set(map(id, d.arrows)) <= set(map(id, built))
         assert all(d.hom(n, n + 1) is d.arrows[n] for n in range(2))
+
+    def test_each_fundamental_limit_is_built_once(self, monkeypatch):
+        # one per object and one for the direct limit: the mediating maps and
+        # the induced homs share them
+        built = []
+        real = cat.build_fundamental
+        monkeypatch.setattr(cat, "build_fundamental", lambda c: built.append(c) or real(c))
+        gen = FuzzGen(3)
+        d = gen.diagram(gen.cis(), 3)
+        assert check_limit_compatibility(d).ok
+        assert len(built) == 4
+
+    def test_a_failing_cocone_is_named_for_every_pair(self, monkeypatch):
+        # fault injection: each induced map between two objects swaps the two
+        # limit points, so the mediating maps fail to commute on every pair
+        c = identity_system(_discrete("u", "v"), 2)
+        d = CisDiagram((c, c, c), (identity_morphism(c),) * 2)
+        real = cat._induced
+
+        def wrong(m, lx, lz):
+            out = real(m, lx, lz)
+            return swap_first_two(out) if m.target is c else out
+
+        monkeypatch.setattr(cat, "_induced", wrong)
+        rep = check_limit_compatibility(d)
+        assert not rep.cocone_identities and rep.final_topology
+        assert rep.witnesses == tuple(
+            f"mediating cocone fails between objects {m} and {n}"
+            for m, n in ((0, 1), (0, 2), (1, 2))
+        )
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
