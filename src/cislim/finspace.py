@@ -16,10 +16,11 @@ as the map and every `classify_map` profile of it, a view onto them, shares
 them.  The embedding flag decides continuity in the same loop over the
 minimal opens and keeps it too, so a map read for both pushes each U_p
 once.  The map's image of its whole source, `image()`, which the
-embedding and surjectivity flags and the limit checks read, is kept as
-well.  Final topologies are reachability: the minimal open of a point is
-everything a graph search reaches from it.  That one search, `_reach`, also
-finds the connected components and the minimal opens of generated spaces.
+injectivity, embedding and surjectivity flags and the limit checks read, is
+kept as well.  Final topologies are reachability: the minimal open of a
+point is everything a graph search reaches from it.  That one search,
+`_reach`, also finds the connected components and the minimal opens of
+generated spaces.
 
 Every finite space is compact; compactness is therefore never computed.
 """
@@ -355,8 +356,8 @@ class MapProfile:
 
     @_flag
     def injective(m: CtsMap) -> bool:
-        f = m.assignment
-        return len(set(f.values())) == len(f)
+        """The kept image has a point for every source point."""
+        return len(m.image()) == len(m.assignment)
 
     @_flag
     def embedding(m: CtsMap) -> bool:

@@ -26,9 +26,12 @@ the axiom verifier reads it only to name witnesses once its verdict fails.
 
 A candidate is immutable, so the facts that depend on it alone are decided
 once and kept on it: the cover and embedding checks that both verifiers
-report, the verdict of the weak-topology fixpoint, the closure of each
-structure map's image and the closed-image verdict read from them;
-`cover_profile` reads both.  Its structure maps keep their images
+report, the verdict of the weak-topology fixpoint, the closures of the
+structure-map images and the closed-image verdict read from them;
+`cover_profile` reads both.  An image's facts depend on the image alone, so
+they are decided once per distinct image, however many stages share it: an
+identity system's stages all have one image, and a saturated inductive
+tower's last stages share theirs.  Its structure maps keep their images
 (`CtsMap.image`) and, from the one loop of the embedding flag, their
 continuity.  Verdicts that also read the system (the overlap, disjointness
 and gluing checks) are decided on every call.
@@ -469,22 +472,41 @@ class ImagesClosedReport:
 
 
 def images_closed(ls: LimitSpace) -> ImagesClosedReport:
-    """Which structure maps have open images, decided once per candidate and
-    kept on it."""
+    """Which structure maps have open images, decided once per distinct
+    image and kept on the candidate."""
     return _kept(ls, "_images_closed", _open_images)
 
 
 def _open_images(ls: LimitSpace) -> ImagesClosedReport:
-    """The verdict `images_closed` keeps, read from the kept closures: an
-    image A is closed exactly when cl(A) = A."""
-    closures = _kept(ls, "_closures", _image_closures)
-    bad = tuple(i for i, (phi, cl) in enumerate(zip(ls.phis, closures)) if cl != phi.image())
-    return ImagesClosedReport(not bad, bad)
+    """The verdict `images_closed` keeps: an image A is closed exactly when
+    cl(A) = A, tested once per distinct image against its kept closure and
+    reported at every stage that has that image."""
+    bad = sorted(k for a, (cl, stages) in _image_classes(ls).items() if cl != a for k in stages)
+    return ImagesClosedReport(not bad, tuple(bad))
+
+
+def _image_classes(ls: LimitSpace) -> dict[frozenset[str], tuple[frozenset[str], list[int]]]:
+    """Each distinct image with its closure and the stages it is the image
+    of, as `_image_closures` kept them."""
+    _kept(ls, "_closures", _image_closures)
+    return ls.__dict__["_image_classes"]
 
 
 def _image_closures(ls: LimitSpace) -> tuple[frozenset[str], ...]:
-    """cl(phi_k(X_k)) for every stage k, in stage order."""
-    return tuple(ls.x.closure(phi.image()) for phi in ls.phis)
+    """cl(phi_k(X_k)) for every stage k, in stage order, with one closure per
+    distinct image: stages with equal images share it.  The distinct images,
+    each with its closure and its stages, are kept beside the tuple as
+    `_image_classes`, which `images_closed` and `cover_profile` read."""
+    closure, classes, out = ls.x.closure, {}, []
+    for k, phi in enumerate(ls.phis):
+        a = phi.image()
+        cls = classes.get(a)
+        if cls is None:
+            cls = classes[a] = (closure(a), [])
+        cls[1].append(k)
+        out.append(cls[0])
+    ls.__dict__["_image_classes"] = classes
+    return tuple(out)
 
 
 def canonical_bijection(c: Cis, ls_a: LimitSpace, ls_b: LimitSpace) -> CtsMap:
@@ -540,15 +562,25 @@ class CoverProfile:
 
 
 def cover_profile(ls: LimitSpace) -> CoverProfile:
-    """One pass over the images and their kept closures.  U_x meets an image
-    A exactly when x lies in cl(A), so a point's neighbourhood multiplicity
+    """One pass over the distinct images and their kept closures, each
+    counted once for every stage that shares it.  U_x meets an image A
+    exactly when x lies in cl(A), so a point's neighbourhood multiplicity
     counts the image closures that hold it, as its point multiplicity counts
     the images.  Whether the cover is closed is the verdict of `images_closed`."""
     point_mult: Counter[str] = Counter()
     nbhd_mult: Counter[str] = Counter()
-    for phi, cl in zip(ls.phis, _kept(ls, "_closures", _image_closures)):
-        point_mult.update(phi.image())
-        nbhd_mult.update(cl)
+    for a, (cl, stages) in _image_classes(ls).items():
+        w = len(stages)
+        # Counter.update counts an iterable in C: the one-stage classes, most
+        # of a loose system's, take it, and only shared images pay the loop
+        if w == 1:
+            point_mult.update(a)
+            nbhd_mult.update(cl)
+        else:
+            for p in a:
+                point_mult[p] += w
+            for p in cl:
+                nbhd_mult[p] += w
     return CoverProfile(
         pointwise_finite=True,
         locally_finite=True,
@@ -559,7 +591,7 @@ def cover_profile(ls: LimitSpace) -> CoverProfile:
 
 
 def is_perfect_map(m: CtsMap) -> bool:
-    """Closed and surjective; fibers of maps between finite spaces are
-    finite, hence compact, so they are not computed."""
+    """Continuous, closed and surjective; fibers of maps between finite
+    spaces are finite, hence compact, so they are not computed."""
     prof = classify_map(m)
-    return prof.closed and prof.surjective
+    return prof.continuous and prof.closed and prof.surjective

@@ -16,7 +16,6 @@ from cislim.limit import (
     _cover_check,
     _embedding_check,
     _require_aligned,
-    images_closed,
 )
 
 
@@ -317,10 +316,20 @@ def pairwise_gluing_laws(c, ls: LimitSpace) -> AxiomReport:
     return AxiomReport(tuple(checks))
 
 
+def scan_open_images(ls: LimitSpace) -> tuple[int, ...]:
+    """The stages of `limit.images_closed`'s open images, by scanning each
+    stage's image for a point outside it whose minimal open meets it."""
+    x = ls.x
+    return tuple(
+        k for k, phi in enumerate(ls.phis)
+        if any(x.min_open[y] & phi.image() for y in x.points - phi.image())
+    )
+
+
 def scan_cover_profile(ls: LimitSpace) -> CoverProfile:
     """`limit.cover_profile` by scanning every point against every image: the
     multiplicities count the images a point lies in and the images its
-    minimal open meets."""
+    minimal open meets, and the cover is closed when no image is open."""
     images = [phi.image() for phi in ls.phis]
     point_mult = {
         x: sum(1 for img in images if x in img) for x in ls.x.points
@@ -331,7 +340,7 @@ def scan_cover_profile(ls: LimitSpace) -> CoverProfile:
     return CoverProfile(
         pointwise_finite=True,
         locally_finite=True,
-        closed_cover=bool(images_closed(ls)),
+        closed_cover=not scan_open_images(ls),
         max_point_multiplicity=max(point_mult.values(), default=0),
         max_neighbourhood_multiplicity=max(nbhd_mult.values(), default=0),
     )

@@ -16,6 +16,7 @@ from bruteforce import (
     pairwise_limit_axioms,
     projection,
     scan_cover_profile,
+    scan_open_images,
 )
 from conftest import first_leg_swapped
 from cislim import limit
@@ -818,6 +819,29 @@ class TestKeptFacts:
         assert cover_profile(twin) == prof and images_closed(twin) == first
         assert len(runs) == 2 and runs[1] is twin
 
+    def test_the_closures_are_built_once_per_distinct_image(self, monkeypatch):
+        # stages with equal images share one closure: all 80 stages of an
+        # identity system have one image, a saturated inductive tower's last
+        # stages have one, and a mutant can split a class of stages apart
+        gen = FuzzGen(11)
+        cands = [build_fundamental(identity_system(sphere_space(2), 80))]
+        for seed in range(8):
+            ls = build_fundamental(FuzzGen(seed).cis(inductive=True, max_stages=40))
+            cands += [ls, gen.mutate_candidate(ls)[1]]
+        calls = []
+        body = FinSpace.closure
+        monkeypatch.setattr(FinSpace, "closure", lambda x, a: calls.append(a) or body(x, a))
+        counts = []
+        for ls in cands:
+            calls.clear()
+            images_closed(ls)
+            cover_profile(ls)
+            counts.append(len(calls))
+            assert len(calls) == len({phi.image() for phi in ls.phis})
+        assert counts[0] == 1
+        # the towers share enough images for the count to tell
+        assert sum(counts) < sum(len(ls.phis) for ls in cands) // 4
+
     def test_the_closed_cover_flag_is_the_images_closed_verdict(self, monkeypatch):
         verdicts, body = [], limit.images_closed
         monkeypatch.setattr(limit, "images_closed", lambda ls: verdicts.append(ls) or body(ls))
@@ -836,10 +860,18 @@ class TestKeptFacts:
         # every fact read twice from one candidate equals the fact decided
         # on an equal candidate and system built anew, which keep nothing
         seen = Counter()
-        draws = ({}, {"inductive": True}, {"stationary": True})
+        # the last two draws have stages that share an image, which their
+        # mutants split: an identity system and a saturated inductive tower
+        draws = (
+            lambda gen: gen.cis(),
+            lambda gen: gen.cis(inductive=True),
+            lambda gen: gen.cis(stationary=True),
+            lambda gen: identity_system(gen.space(), gen.rng.randint(1, 9)),
+            lambda gen: gen.cis(inductive=True, max_stages=12),
+        )
         for seed in range(90):
             gen = FuzzGen(seed)
-            c = gen.cis(**draws[seed % 3])
+            c = draws[seed % 5](gen)
             ls = build_fundamental(c)
             cands = [ls, *discrete_and_indiscrete(ls)]
             cands += [gen.mutate_candidate(ls)[1] for _ in range(4)]
@@ -963,19 +995,36 @@ class TestCoverAndPerfect:
     def test_matches_the_scan_on_fuzzed_and_mutated_limits(self, seed):
         gen = FuzzGen(seed)
         ls = build_fundamental(gen.cis(max_stages=6))
-        for cand in (ls, gen.mutate_candidate(ls)[1], gen.mutate_candidate(ls)[1]):
+        cands = [ls, gen.mutate_candidate(ls)[1], gen.mutate_candidate(ls)[1]]
+        # stages that share an image, which a mutant splits: an identity
+        # system, all of whose stages do, and a saturated inductive tower
+        for c in (identity_system(gen.space(), gen.rng.randint(1, 7)),
+                  gen.cis(inductive=True, max_stages=12)):
+            ls = build_fundamental(c)
+            cands += [ls, gen.mutate_candidate(ls)[1]]
+        for cand in cands:
             assert cover_profile(cand) == scan_cover_profile(cand)
+            assert images_closed(cand).open_image_stages == scan_open_images(cand)
 
     def test_neighbourhood_multiplicity_counts_image_closures(self):
         # U_c = {p, c} meets both one-point images of the Sierpinski space, as
-        # c lies in cl{p}; and the image {p} is not closed
+        # c lies in cl{p}; and the image {p} is not closed.  Stages that share
+        # an image count it once each: with {p} twice, p lies in two images
+        # and c in the closures of all of them
         s = FinSpace(frozenset("pc"), {"p": frozenset("p"), "c": frozenset("pc")})
         pt_p, pt_c = (FinSpace(frozenset(x), {x: frozenset(x)}) for x in "pc")
-        cand = LimitSpace(s, (CtsMap(pt_p, s, {"p": "p"}), CtsMap(pt_c, s, {"c": "c"})))
-        prof = cover_profile(cand)
-        assert prof == scan_cover_profile(cand)
-        assert (prof.max_point_multiplicity, prof.max_neighbourhood_multiplicity) == (1, 2)
-        assert not prof.closed_cover
+        to_p, to_c = CtsMap(pt_p, s, {"p": "p"}), CtsMap(pt_c, s, {"c": "c"})
+        for phis, mult, open_stages in (
+            ((to_p, to_c), (1, 2), (0,)),
+            ((to_p, to_p, to_c), (2, 3), (0, 1)),
+            ((to_c, to_p, to_c, to_p), (2, 4), (1, 3)),
+        ):
+            cand = LimitSpace(s, phis)
+            prof = cover_profile(cand)
+            assert prof == scan_cover_profile(cand)
+            assert (prof.max_point_multiplicity, prof.max_neighbourhood_multiplicity) == mult
+            assert images_closed(cand).open_image_stages == scan_open_images(cand) == open_stages
+            assert not prof.closed_cover
 
     def test_empty_images_have_multiplicity_zero(self):
         # one empty stage over a point: no image holds or meets anything
@@ -993,6 +1042,15 @@ class TestCoverAndPerfect:
     def test_rho_perfect_for_stationary(self):
         ls = build_fundamental(stationary_sphere(2))
         assert is_perfect_map(projection(ls))
+
+    def test_a_discontinuous_closed_surjection_is_not_perfect(self, sierpinski):
+        # a -> x, b -> y onto the discrete two-point space is closed and
+        # surjective, but the preimage {b} of the open {y} is not open
+        two = FinSpace(frozenset("xy"), {"x": frozenset("x"), "y": frozenset("y")})
+        m = CtsMap(sierpinski, two, {"a": "x", "b": "y"})
+        prof = classify_map(m)
+        assert prof.closed and prof.surjective and not prof.continuous
+        assert not is_perfect_map(m)
 
     def test_non_surjective_inclusion_not_perfect(self, circle4):
         from cislim.finspace import subspace
