@@ -40,6 +40,7 @@ and gluing checks) are decided on every call.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from types import SimpleNamespace
 
 from .cis import Cis, require_valid
@@ -486,27 +487,22 @@ def _open_images(ls: LimitSpace) -> ImagesClosedReport:
 
 
 def _image_classes(ls: LimitSpace) -> dict[frozenset[str], tuple[frozenset[str], list[int]]]:
-    """Each distinct image with its closure and the stages it is the image
-    of, as `_image_closures` kept them."""
-    _kept(ls, "_closures", _image_closures)
-    return ls.__dict__["_image_classes"]
+    """Each distinct structure-map image with its closure and the stages it
+    is the image of, built once and kept on the candidate."""
+    return _kept(ls, "_image_classes", _image_closures)
 
 
-def _image_closures(ls: LimitSpace) -> tuple[frozenset[str], ...]:
-    """cl(phi_k(X_k)) for every stage k, in stage order, with one closure per
-    distinct image: stages with equal images share it.  The distinct images,
-    each with its closure and its stages, are kept beside the tuple as
-    `_image_classes`, which `images_closed` and `cover_profile` read."""
-    closure, classes, out = ls.x.closure, {}, []
+def _image_closures(ls: LimitSpace) -> dict[frozenset[str], tuple[frozenset[str], list[int]]]:
+    """cl(A) for each distinct image A = phi_k(X_k), with the stages k whose
+    image it is: one closure per distinct image, however many stages share it."""
+    closure, classes = ls.x.closure, {}
     for k, phi in enumerate(ls.phis):
         a = phi.image()
         cls = classes.get(a)
         if cls is None:
             cls = classes[a] = (closure(a), [])
         cls[1].append(k)
-        out.append(cls[0])
-    ls.__dict__["_image_classes"] = classes
-    return tuple(out)
+    return classes
 
 
 def canonical_bijection(c: Cis, ls_a: LimitSpace, ls_b: LimitSpace) -> CtsMap:
@@ -562,25 +558,16 @@ class CoverProfile:
 
 
 def cover_profile(ls: LimitSpace) -> CoverProfile:
-    """One pass over the distinct images and their kept closures, each
+    """One count over the distinct images and their kept closures, each
     counted once for every stage that shares it.  U_x meets an image A
     exactly when x lies in cl(A), so a point's neighbourhood multiplicity
     counts the image closures that hold it, as its point multiplicity counts
     the images.  Whether the cover is closed is the verdict of `images_closed`."""
-    point_mult: Counter[str] = Counter()
-    nbhd_mult: Counter[str] = Counter()
-    for a, (cl, stages) in _image_classes(ls).items():
-        w = len(stages)
-        # Counter.update counts an iterable in C: the one-stage classes, most
-        # of a loose system's, take it, and only shared images pay the loop
-        if w == 1:
-            point_mult.update(a)
-            nbhd_mult.update(cl)
-        else:
-            for p in a:
-                point_mult[p] += w
-            for p in cl:
-                nbhd_mult[p] += w
+    classes = _image_classes(ls).items()
+    # Counter counts the chained sets in C: where most images are distinct
+    # that is faster than adding each class's weight point by point in Python
+    point_mult = Counter(chain.from_iterable(a for a, (_, stages) in classes for _ in stages))
+    nbhd_mult = Counter(chain.from_iterable(cl for _, (cl, stages) in classes for _ in stages))
     return CoverProfile(
         pointwise_finite=True,
         locally_finite=True,
